@@ -20,7 +20,6 @@ from .model import ModelConfig, build_frame_hamiltonian, coupling_name, with_cou
 from .operators import Configuration, OperatorMatrix
 from .rotations import Branch, RotationSpec, UndefinedAngleError, rotation_matrix, rotation_pair
 from .solver import (
-    CUTOFF_START,
     DEFAULT_ENERGY_TOL,
     DEFAULT_TAIL_TOL,
     QuantumState,
@@ -204,6 +203,41 @@ def _detect_minima(
     return tuple(out)
 
 
+def _scan_path(
+    config: ModelConfig,
+    path: np.ndarray,
+    coords: list[tuple[float, float]],
+    dmu: float,
+    rotated: Branch | None,
+    etol: float,
+    ptol: float,
+):
+    """Shared scan engine: ground states at ``coords`` and their fidelities.
+
+    ``path[i]`` is the path coordinate of the coupling point ``coords[i]``.
+    The photon cutoff is converged once, in the unrotated frame, at the last
+    point and shared by the whole path (the converged cutoff grows
+    monotonically with the couplings, so the outer point dominates); sharing
+    one basis keeps the overlaps well defined.  Returns the cutoff, the
+    states, the neighbour fidelities, the susceptibilities and the minima.
+    """
+    nmax, _ = converged_ground_state(with_couplings(config, *coords[-1]), etol, ptol)
+    basis = enumerate_basis(config.na, nmax)
+    at_cutoff = dataclasses.replace(config, nmax=nmax)
+    states = tuple(
+        ground_state(build_frame_hamiltonian(with_couplings(at_cutoff, a, b), basis, rotated), basis)
+        for a, b in coords
+    )
+    fids = np.array([fidelity(s1, s2) for s1, s2 in zip(states, states[1:])])
+    chi = 2.0 * (1.0 - fids) / dmu**2
+    mids = (path[:-1] + path[1:]) / 2.0
+    mid_coords = [((a0 + a1) / 2, (b0 + b1) / 2) for (a0, b0), (a1, b1) in zip(coords, coords[1:])]
+    minima = _detect_minima(mids, fids, mid_coords, dmu)
+    fids.setflags(write=False)
+    chi.setflags(write=False)
+    return nmax, states, fids, chi, minima
+
+
 def scan_ray(
     config: ModelConfig,
     theta: float,
@@ -213,16 +247,9 @@ def scan_ray(
     rotated: Branch | None = None,
     etol: float = DEFAULT_ENERGY_TOL,
     ptol: float = DEFAULT_TAIL_TOL,
-    cutoff_start: int = CUTOFF_START,
     keep_states: bool = True,
 ) -> RaySweep:
-    """Ground states and neighbour fidelities along a ray of slope theta.
-
-    The photon cutoff is converged once at the outermost radius and shared
-    by the whole ray (the converged cutoff grows monotonically with the
-    couplings, so the outer point dominates); sharing one basis keeps the
-    overlaps well defined.
-    """
+    """Ground states and neighbour fidelities along a ray of slope theta."""
     if dmu <= 0:
         raise ValueError("dmu must be positive")
     ca, sa = _ray_direction(theta)
@@ -230,31 +257,8 @@ def scan_ray(
     if n_steps < 2:
         raise ValueError("ray too short: needs at least two radii")
     radii = dmu * np.arange(1, n_steps + 1)
-
-    outer = with_couplings(config, radii[-1] * ca, radii[-1] * sa)
-    nmax, _ = converged_ground_state(outer, etol, ptol, start=cutoff_start)
-    basis = enumerate_basis(config.na, nmax)
-
-    states = []
-    coords = []
-    for s in radii:
-        mu_a, mu_b = s * ca, s * sa
-        point = with_couplings(config, mu_a, mu_b)
-        point = _at_cutoff(point, nmax)
-        H = build_frame_hamiltonian(point, basis, rotated)
-        states.append(ground_state(H, basis))
-        coords.append((mu_a, mu_b))
-
-    fids = np.array([fidelity(states[i], states[i + 1]) for i in range(len(states) - 1)])
-    chi = 2.0 * (1.0 - fids) / dmu**2
-    mids = (radii[:-1] + radii[1:]) / 2.0
-    mid_coords = [
-        ((coords[i][0] + coords[i + 1][0]) / 2, (coords[i][1] + coords[i + 1][1]) / 2)
-        for i in range(len(coords) - 1)
-    ]
-    minima = _detect_minima(mids, fids, mid_coords, dmu)
-    fids.setflags(write=False)
-    chi.setflags(write=False)
+    coords = [(s * ca, s * sa) for s in radii]
+    nmax, states, fids, chi, minima = _scan_path(config, radii, coords, dmu, rotated, etol, ptol)
     return RaySweep(
         config=config,
         theta=theta,
@@ -265,12 +269,8 @@ def scan_ray(
         fidelities=fids,
         susceptibilities=chi,
         minima=minima,
-        states=tuple(states) if keep_states else (),
+        states=states if keep_states else (),
     )
-
-
-def _at_cutoff(config: ModelConfig, nmax: int) -> ModelConfig:
-    return dataclasses.replace(config, nmax=nmax)
 
 
 @dataclass(frozen=True)
@@ -301,17 +301,9 @@ def ray_pencil(count: int = DEFAULT_RAY_COUNT, span: tuple[float, float] = (0.0,
 
 
 def _ray_task(args) -> RaySweep:
-    config, theta, s_max, dmu, rotated, etol, ptol, cutoff_start = args
+    config, theta, s_max, dmu, rotated, etol, ptol = args
     return scan_ray(
-        config,
-        theta,
-        s_max,
-        dmu,
-        rotated=rotated,
-        etol=etol,
-        ptol=ptol,
-        cutoff_start=cutoff_start,
-        keep_states=False,
+        config, theta, s_max, dmu, rotated=rotated, etol=etol, ptol=ptol, keep_states=False
     )
 
 
@@ -325,7 +317,6 @@ def phase_diagram(
     workers: int = 1,
     etol: float = DEFAULT_ENERGY_TOL,
     ptol: float = DEFAULT_TAIL_TOL,
-    cutoff_start: int = CUTOFF_START,
 ) -> PhaseDiagram:
     """Minima loci over a pencil of rays; rays are independent workloads.
 
@@ -335,10 +326,7 @@ def phase_diagram(
     thetas = tuple(float(t) for t in thetas)
     if not thetas:
         raise ValueError("need a nonempty pencil of rays")
-    tasks = [
-        (config, theta, s_max, dmu, rotated, etol, ptol, cutoff_start)
-        for theta in thetas
-    ]
+    tasks = [(config, theta, s_max, dmu, rotated, etol, ptol) for theta in thetas]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rays = tuple(pool.map(_ray_task, tasks))
@@ -389,25 +377,8 @@ def scan_line(
     if n_steps < 2:
         raise ValueError("line too short: needs at least two points")
     grid = dmu * np.arange(1, n_steps + 1)
-
-    def couple(value: float) -> tuple[float, float]:
-        return (value, fixed) if which_mu == names[0] else (fixed, value)
-
-    outer = with_couplings(config, *couple(grid[-1]))
-    nmax, _ = converged_ground_state(outer, etol, ptol)
-    basis = enumerate_basis(config.na, nmax)
-    states = [
-        ground_state(
-            build_frame_hamiltonian(_at_cutoff(with_couplings(config, *couple(v)), nmax), basis, rotated),
-            basis,
-        )
-        for v in grid
-    ]
-    fids = np.array([fidelity(states[i], states[i + 1]) for i in range(len(states) - 1)])
-    chi = 2.0 * (1.0 - fids) / dmu**2
-    mids = (grid[:-1] + grid[1:]) / 2.0
-    mid_coords = [couple(v) for v in mids]
-    minima = _detect_minima(mids, fids, mid_coords, dmu)
+    coords = [(v, fixed) if which_mu == names[0] else (fixed, v) for v in grid]
+    nmax, _, fids, chi, minima = _scan_path(config, grid, coords, dmu, rotated, etol, ptol)
     return LineSweep(config, which_mu, dmu, nmax, rotated, grid, fids, chi, minima)
 
 

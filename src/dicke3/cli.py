@@ -11,7 +11,6 @@ command-line flags taking precedence.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -46,7 +45,7 @@ from .solver import (
     DEFAULT_TAIL_TOL,
     NonConvergenceError,
     QuantumState,
-    converge_cutoff,
+    converged_ground_state,
     diagonalize,
     evolve,
     ground_state,
@@ -147,14 +146,20 @@ def _model_from(params: dict, nmax: int) -> ModelConfig:
     )
 
 
-def _resolve_cutoff(params: dict, *, at_couplings: tuple[float, float] | None = None) -> int:
-    """Fixed --nmax wins; otherwise converge, optionally at given couplings."""
+def _resolve_cutoff(
+    params: dict, *, at_couplings: tuple[float, float] | None = None
+) -> tuple[int, QuantumState | None]:
+    """Fixed --nmax wins; otherwise converge, optionally at given couplings.
+
+    Returns the cutoff and, when it was converged, the unrotated ground
+    state the search ended on (None for a fixed --nmax).
+    """
     if params["nmax"] is not None:
-        return params["nmax"]
+        return params["nmax"], None
     probe = _model_from(params, nmax=8)
     if at_couplings is not None:
         probe = with_couplings(probe, *at_couplings)
-    return converge_cutoff(probe, params["etol"], params["ptol"])
+    return converged_ground_state(probe, params["etol"], params["ptol"])
 
 
 def _branch_option(value: str | None) -> Branch | None:
@@ -166,7 +171,7 @@ def _branch_option(value: str | None) -> Branch | None:
 def cmd_spectrum(args) -> int:
     params = _resolve(args, {**_MODEL_DEFAULTS, "rotated": "none", "band_labels": False})
     rotated = _branch_option(params["rotated"])
-    nmax = _resolve_cutoff(params)
+    nmax, _ = _resolve_cutoff(params)
     m = _model_from(params, nmax)
     basis = enumerate_basis(m.na, m.nmax)
     spec = diagonalize(build_frame_hamiltonian(m, basis, rotated), basis)
@@ -206,7 +211,7 @@ def cmd_populations(args) -> int:
     if args.out is None and len(frames) > 1:
         raise ValueError("--out is required when emitting all three frames")
     values = np.linspace(0.0, params["mu_max"], params["grid"])
-    nmax = _resolve_cutoff(params, at_couplings=(params["mu_max"], params["mu_max"]))
+    nmax, _ = _resolve_cutoff(params, at_couplings=(params["mu_max"], params["mu_max"]))
     m0 = _model_from(params, nmax)
     basis = enumerate_basis(m0.na, m0.nmax)
 
@@ -306,10 +311,11 @@ def cmd_separatrix(args) -> int:
 
 def cmd_store_retrieve(args) -> int:
     params = _resolve(args, dict(_MODEL_DEFAULTS))
-    nmax = _resolve_cutoff(params)
+    nmax, initial = _resolve_cutoff(params)
     m = _model_from(params, nmax)
-    basis = enumerate_basis(m.na, m.nmax)
-    initial = ground_state(build_hamiltonian(m, basis), basis)
+    if initial is None:
+        basis = enumerate_basis(m.na, m.nmax)
+        initial = ground_state(build_hamiltonian(m, basis), basis)
     stored, stored_content = protocol.store(m, initial)
     retrieved, retrieved_content = protocol.retrieve(m, stored)
 
@@ -374,7 +380,7 @@ def cmd_evolve(args) -> int:
         },
     )
     rotated = _branch_option(params["rotated"])
-    nmax = _resolve_cutoff(params)
+    nmax, _ = _resolve_cutoff(params)
     m = _model_from(params, nmax)
     basis = enumerate_basis(m.na, m.nmax)
     H = build_frame_hamiltonian(m, basis, rotated)

@@ -5,25 +5,24 @@ transitions.  A level-pair rotation at either of two special angles cancels
 one matter-field coupling; the resulting frame is described by a closed
 parameter bundle (rotated level terms, a residual one-body coupling on the
 forbidden pair, and a single surviving matter-field coupling equal to the
-root sum square of the originals).  Rotated Hamiltonians are assembled
-directly from that bundle; the similarity transform U H U.T is kept in
-:mod:`dicke3.rotations` as a test oracle.
+root sum square of the originals).  Every frame is assembled by one routine:
+the field and level terms are the diagonal, read from the basis's photon
+numbers and level counts, and the couplings are atomic (m x m) blocks placed
+in the photon blocks of the photon-major basis.  The similarity transform
+U H U.T is kept in :mod:`dicke3.rotations` as a test oracle.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import BasisSet, LevelSector
-from .operators import (
-    Configuration,
-    OperatorMatrix,
-    atomic_collective_matrix,
-    photon_ladder_matrix,
-)
+from .operators import Configuration, OperatorMatrix, atomic_collective_matrix
 from .rotations import Branch, decoupling_angle
 
 EQUAL_DETUNING_TOL = 1e-12
@@ -58,6 +57,15 @@ class ModelConfig:
     Omega: float = 1.0
 
     def __post_init__(self):
+        for name in ("na", "nmax"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("omega1", "omega2", "omega3", "mu12", "mu13", "mu23", "Omega"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.na < 1:
             raise ValueError(f"atom count must be >= 1, got {self.na}")
         if self.nmax < 0:
@@ -139,30 +147,38 @@ def _assemble(
 ) -> OperatorMatrix:
     """Common assembly: field term + level terms + dipolar couplings.
 
-    Photon and atomic factors are combined with kron, which the photon-major
-    enumeration makes exact; the result is bitwise symmetric.
+    The field and level terms form the diagonal, read from the basis's
+    occupation arrays.  In the photon-major enumeration H is block
+    tridiagonal over photon number with atomic (m x m) blocks: the dipolar
+    couplings fill the blocks next to the diagonal, the one-body term the
+    diagonal blocks.  Every entry rounds exactly as in the term-by-term sum
+    of photon (x) atomic kron products (the tests pin this bitwise, signed
+    zeros included), and the result is bitwise symmetric.
     """
-    nph = basis.nmax + 1
-    eye_at = np.eye(basis.atomic_dim)
-    ladder = photon_ladder_matrix(basis.nmax)
-    x_phot = ladder + ladder.T
-
-    H = config.Omega * np.kron(np.diag(np.arange(nph, dtype=float)), eye_at)
+    nph, m = basis.nmax + 1, basis.atomic_dim
+    diagonal = config.Omega * basis.photon_numbers
     for lvl, w in enumerate(level_terms, start=1):
         if w != 0.0:
-            H += w * np.kron(np.eye(nph), atomic_collective_matrix(basis.na, lvl, lvl))
+            diagonal = diagonal + w * basis.level_counts[:, lvl - 1]
+    H = np.zeros((basis.dim, basis.dim))
+    np.fill_diagonal(H, diagonal)
+    blocks = H.reshape(nph, m, nph, m)
+    nu = np.arange(nph)
 
-    atomic_coupling = np.zeros((basis.atomic_dim, basis.atomic_dim))
+    atomic_coupling = np.zeros((m, m))
     for (j, k), mu in couplings.items():
         if mu != 0.0:
             atomic_coupling += mu * _symmetric_pair(basis.na, j, k)
     if atomic_coupling.any():
-        H -= np.kron(x_phot, atomic_coupling) / np.sqrt(basis.na)
+        # (a + a^dagger) joins photon blocks nu and nu + 1 with sqrt(nu + 1)
+        hop = np.sqrt(nu[1:])[:, None, None] * atomic_coupling / np.sqrt(basis.na)
+        blocks[nu[:-1], :, nu[1:], :] -= hop
+        blocks[nu[1:], :, nu[:-1], :] -= hop
 
     if one_body is not None:
         (j, k), lam = one_body
         if lam != 0.0:
-            H += lam * np.kron(np.eye(nph), _symmetric_pair(basis.na, j, k))
+            blocks[nu, :, nu, :] += lam * _symmetric_pair(basis.na, j, k)
     return OperatorMatrix(H, hermitian=True)
 
 

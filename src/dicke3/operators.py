@@ -2,8 +2,10 @@
 
 All matrices are real and dense.  The Hamiltonians assembled from these are
 real symmetric in the occupation basis, so complex storage is only needed for
-states under time evolution.  Operators factorize as kron(photon, atomic)
-thanks to the photon-major enumeration of :mod:`dicke3.basis`.
+states under time evolution.  The full-basis operators here factorize as
+kron(photon, atomic) thanks to the photon-major enumeration of
+:mod:`dicke3.basis`; the Hamiltonian assembly in :mod:`dicke3.model` skips
+that product and uses the atomic factors as photon blocks directly.
 """
 
 from __future__ import annotations
@@ -99,12 +101,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def entries(self) -> list[tuple[int, int, float]]:
-        """Coordinate list (row, col, value) of the nonzero entries."""
-        rows, cols = np.nonzero(self.matrix)
-        return [(int(r), int(c), float(self.matrix[r, c])) for r, c in zip(rows, cols)]
 
 
 def atomic_collective_matrix(na: int, j: int, k: int) -> np.ndarray:

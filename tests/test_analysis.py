@@ -272,8 +272,8 @@ class TestScanLine:
         line = scan_line(m, "mu12", 1.3, 0.01)
         ray = scan_ray(m, 0.0, 1.3, 0.01, keep_states=False)
         assert isinstance(line, LineSweep)
-        assert np.allclose(line.fidelities, ray.fidelities, atol=1e-12)
-        assert len(line.minima) == 1
+        assert np.array_equal(line.fidelities, ray.fidelities)
+        assert line.minima == ray.minima and len(line.minima) == 1
 
     def test_unknown_coupling_rejected(self):
         with pytest.raises(ValueError):

@@ -246,6 +246,15 @@ class TestRunConfigFile:
         rc = run("spectrum", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
         assert rc == 2
 
+    def test_string_atom_count_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "configuration": "lambda", "omega3": 1.0, "mu13": 0.6, "mu23": 0.8, "na": "4",
+        }))
+        rc = run("store-retrieve", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert rc == 2
+        assert "na must be an integer" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_invalid_configuration(self, tmp_path):
@@ -255,6 +264,18 @@ class TestExitCodes:
             "--out", str(tmp_path / "x.csv"),
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_coupling(self, tmp_path, capsys, value):
+        rc = run(
+            "spectrum", "--configuration", "lambda", "--omega3", "1",
+            "--mu13", value, "--mu23", "0.8", "--na", "1", "--nmax", "2",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "mu13 must be a finite real number" in err
+        assert "symmetric" not in err
 
     def test_missing_configuration(self, tmp_path):
         rc = run("spectrum", "--na", "1", "--nmax", "2", "--out", str(tmp_path / "x.csv"))

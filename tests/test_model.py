@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,12 @@ from dicke3.model import (
     rotated_parameters,
     with_couplings,
 )
-from dicke3.operators import Configuration, collective_A
+from dicke3.operators import (
+    Configuration,
+    atomic_collective_matrix,
+    collective_A,
+    photon_ladder_matrix,
+)
 from dicke3.rotations import Branch, UndefinedAngleError, decoupling_rotation
 
 from conftest import random_model
@@ -63,6 +70,25 @@ class TestModelConfig:
             )
 
 
+    @pytest.mark.parametrize("field", ["na", "nmax"])
+    @pytest.mark.parametrize("value", ["4", 4.0, True, None])
+    def test_rejects_non_integer_sizes(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            xi(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field", ["omega1", "omega2", "omega3", "mu12", "mu23", "Omega"]
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "1", True, None])
+    def test_rejects_non_finite_or_non_real_parameters(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite real number"):
+            xi(**{field: value})
+
+    def test_accepts_numpy_scalars(self):
+        m = xi(na=np.int64(2), nmax=np.int64(3), mu12=np.float64(0.5))
+        assert m.na == 2 and m.mu12 == 0.5
+
+
 class TestDetuning:
     def test_resonance(self):
         assert detuning(lam(omega3=1.0), 1, 3) == pytest.approx(0.0, abs=1e-15)
@@ -105,6 +131,86 @@ class TestHamiltonian:
         H = build_hamiltonian(m, enumerate_basis(3, 6))
         assert H.hermitian
         assert np.array_equal(H.matrix, H.matrix.T)
+
+
+def _frame_terms(m, branch):
+    """(level terms, couplings by pair, one-body value, one-body pair) of a frame."""
+    if branch is None:
+        return m.omegas, {p: m.coupling(p) for p in ((1, 2), (1, 3), (2, 3))}, 0.0, (1, 2)
+    rp = rotated_parameters(m, branch)
+    return rp.omega_ts, rp.mu_ts, rp.lambda_t, rp.lambda_pair
+
+
+def _oracle_hamiltonian(m, b, branch):
+    """Omega a+a + sum_l w_l A_ll - (a + a+) sum mu_jk (A_jk + A_kj) / sqrt(N)
+    + lambda (A_jk + A_kj), from the full-basis operators."""
+    omegas, mus, lam, lam_pair = _frame_terms(m, branch)
+    ad = d3.boson_create(b).matrix
+    a = d3.boson_annihilate(b).matrix
+
+    def pair(j, k):
+        return collective_A(b, j, k).matrix + collective_A(b, k, j).matrix
+
+    H = m.Omega * ad @ a
+    for lvl, w in enumerate(omegas, start=1):
+        H += w * collective_A(b, lvl, lvl).matrix
+    coupling = sum(mu * pair(j, k) for (j, k), mu in mus.items())
+    H -= (a + ad) @ coupling / np.sqrt(m.na)
+    return H + lam * pair(*lam_pair)
+
+
+def _kron_hamiltonian(m, b, branch):
+    """The same sum as dense photon (x) atomic kron products, term by term in
+    assembly order, skipping zero weights."""
+    omegas, mus, lam, lam_pair = _frame_terms(m, branch)
+    eye_ph, eye_at = np.eye(b.nmax + 1), np.eye(b.atomic_dim)
+    ladder = photon_ladder_matrix(b.nmax)
+
+    def pair(j, k):
+        return atomic_collective_matrix(b.na, j, k) + atomic_collective_matrix(b.na, k, j)
+
+    H = m.Omega * np.kron(np.diag(np.arange(b.nmax + 1.0)), eye_at)
+    for lvl, w in enumerate(omegas, start=1):
+        if w != 0.0:
+            H += w * np.kron(eye_ph, atomic_collective_matrix(b.na, lvl, lvl))
+    coupling = np.zeros((b.atomic_dim, b.atomic_dim))
+    for (j, k), mu in mus.items():
+        if mu != 0.0:
+            coupling += mu * pair(j, k)
+    if coupling.any():
+        H -= np.kron(ladder + ladder.T, coupling) / np.sqrt(b.na)
+    if lam != 0.0:
+        H += lam * np.kron(eye_ph, pair(*lam_pair))
+    return H
+
+
+class TestAssemblyOracle:
+    @pytest.mark.parametrize("cfg", list(Configuration))
+    @pytest.mark.parametrize("branch", [None, *Branch])
+    def test_matches_operator_sum(self, cfg, branch):
+        rng = np.random.default_rng(23)
+        for na, nmax in ((1, 0), (1, 5), (2, 7), (3, 4), (4, 3)):
+            m = random_model(rng, cfg, na=na, nmax=nmax, Omega=rng.uniform(0.5, 2.0))
+            b = enumerate_basis(na, nmax)
+            H = d3.build_frame_hamiltonian(m, b, branch).matrix
+            assert np.max(np.abs(H - _oracle_hamiltonian(m, b, branch))) < 1e-12
+
+    @pytest.mark.parametrize("cfg", list(Configuration))
+    def test_bitwise_equal_to_kron_form(self, cfg):
+        # Equal detuning (exact zero one-body term) and negative level
+        # frequencies included; signed zeros must match too.
+        rng = np.random.default_rng(29)
+        lo, hi = cfg.forbidden_pair
+        for trial in range(30):
+            m = random_model(rng, cfg, na=1 + trial % 4, nmax=trial % 7, omega_span=(-1.0, 2.0))
+            if trial % 3 == 0:
+                om = list(m.omegas)
+                om[hi - 1] = om[lo - 1]
+                m = dataclasses.replace(m, **dict(zip(("omega1", "omega2", "omega3"), sorted(om))))
+            b = enumerate_basis(m.na, m.nmax)
+            for branch in (None, *Branch):
+                H = d3.build_frame_hamiltonian(m, b, branch).matrix
+                assert H.tobytes() == _kron_hamiltonian(m, b, branch).tobytes()
 
 
 class TestRotatedParameters:

@@ -20,7 +20,6 @@ def test_operator_matrix_contract():
     mat = np.array([[0.0, 1.0], [1.0, 0.0]])
     op = OperatorMatrix(mat, hermitian=True)
     assert op.dim == 2
-    assert op.entries == [(0, 1, 1.0), (1, 0, 1.0)]
     with pytest.raises(ValueError):
         OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
     with pytest.raises(ValueError):
