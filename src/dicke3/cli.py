@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import sys
 from pathlib import Path
 
@@ -126,7 +128,23 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
+    _check_numbers(merged, defaults)
     return merged
+
+
+def _check_numbers(params: dict, defaults: dict) -> None:
+    """Integer-defaulted keys must be integers, float-defaulted ones finite reals."""
+    for key, default in defaults.items():
+        value = params[key]
+        if isinstance(default, bool) or not isinstance(default, (int, float)):
+            continue
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if isinstance(default, int):
+            ok, kind = number and isinstance(value, numbers.Integral), "an integer"
+        else:
+            ok, kind = number and math.isfinite(value), "a finite real number"
+        if not ok:
+            raise ValueError(f"{key} must be {kind}, got {value!r}")
 
 
 def _model_from(params: dict, nmax: int) -> ModelConfig:

@@ -22,7 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSet, LevelSector
-from .operators import Configuration, OperatorMatrix, atomic_collective_matrix
+from .operators import (
+    Configuration,
+    OperatorMatrix,
+    atomic_collective_matrix,
+    excitation_values,
+)
 from .rotations import Branch, decoupling_angle
 
 EQUAL_DETUNING_TOL = 1e-12
@@ -153,7 +158,10 @@ def _assemble(
     couplings fill the blocks next to the diagonal, the one-body term the
     diagonal blocks.  Every entry rounds exactly as in the term-by-term sum
     of photon (x) atomic kron products (the tests pin this bitwise, signed
-    zeros included), and the result is bitwise symmetric.
+    zeros included), and the result is bitwise symmetric.  Every term
+    conserves the excitation-number parity, in the rotated frames too (each
+    rotation plane joins two levels of equal weight parity), so the result
+    carries the parity of every basis state for the sector solver.
     """
     nph, m = basis.nmax + 1, basis.atomic_dim
     diagonal = config.Omega * basis.photon_numbers
@@ -179,7 +187,8 @@ def _assemble(
         (j, k), lam = one_body
         if lam != 0.0:
             blocks[nu, :, nu, :] += lam * _symmetric_pair(basis.na, j, k)
-    return OperatorMatrix(H, hermitian=True)
+    labels = excitation_values(basis, config.cfg) % 2
+    return OperatorMatrix(H, hermitian=True, parity_labels=labels)
 
 
 def _symmetric_pair(na: int, j: int, k: int) -> np.ndarray:

@@ -10,6 +10,7 @@ that product and uses the atomic factors as photon blocks directly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -78,24 +79,40 @@ _EXCITATION_WEIGHTS = {
 }
 
 
+_SYMMETRY_TILE = 256
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Dense real operator over a basis, with an explicit hermiticity flag.
 
     Construction with ``hermitian=True`` demands exact (bitwise) symmetry;
     all builders in this package assemble symmetric matrices exactly, so any
-    asymmetry is a bug, not roundoff.
+    asymmetry is a bug, not roundoff.  ``parity_labels``, when present, holds
+    the excitation-number parity (0 even, 1 odd) of every basis state.  Only
+    the Hamiltonian builders of :mod:`dicke3.model` attach it, and the
+    ground-state solver relies on what they guarantee: no entry joins states
+    of different parity, and the matrix is block tridiagonal over photon
+    number.  Operators without labels are solved as one dense sector.
     """
 
     matrix: np.ndarray
     hermitian: bool = False
+    parity_labels: np.ndarray | None = None
 
     def __post_init__(self):
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got {m.shape}")
-        if self.hermitian and not np.array_equal(m, m.T):
+        if self.hermitian and not _is_symmetric(m):
             raise ValueError("hermitian flag set but matrix is not symmetric")
+        if self.parity_labels is not None:
+            if self.parity_labels.shape != (m.shape[0],):
+                raise ValueError(
+                    f"parity labels of shape {self.parity_labels.shape} do not "
+                    f"match operator dimension {m.shape[0]}"
+                )
+            self.parity_labels.setflags(write=False)
         m.setflags(write=False)
 
     @property
@@ -103,14 +120,30 @@ class OperatorMatrix:
         return self.matrix.shape[0]
 
 
+def _is_symmetric(m: np.ndarray) -> bool:
+    """Exact test m == m.T, tile by tile so no dim x dim temporary is made."""
+    t = _SYMMETRY_TILE
+    for i in range(0, m.shape[0], t):
+        for j in range(i, m.shape[0], t):
+            if not np.array_equal(m[i : i + t, j : j + t], m[j : j + t, i : i + t].T):
+                return False
+    return True
+
+
 def atomic_collective_matrix(na: int, j: int, k: int) -> np.ndarray:
     """Collective transition operator on the atomic factor alone.
 
     Moves one atom from level k to level j with the two-mode boson amplitude
     sqrt((n_j + 1) n_k); the diagonal case j = k counts atoms in level j.
+    The result is cached per (na, j, k) and read-only.
     """
     if j not in (1, 2, 3) or k not in (1, 2, 3):
         raise ValueError(f"level indices must be in 1..3, got ({j}, {k})")
+    return _atomic_collective_matrix(na, j, k)
+
+
+@functools.lru_cache(maxsize=None)
+def _atomic_collective_matrix(na: int, j: int, k: int) -> np.ndarray:
     occs = atomic_occupations(na)
     index = {occ: i for i, occ in enumerate(occs)}
     m = len(occs)
@@ -126,6 +159,7 @@ def atomic_collective_matrix(na: int, j: int, k: int) -> np.ndarray:
         target[j - 1] += 1
         amp = np.sqrt((occ[j - 1] + 1) * occ[k - 1])
         out[index[tuple(target)], col] = amp
+    out.setflags(write=False)
     return out
 
 

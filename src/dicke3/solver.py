@@ -1,9 +1,14 @@
 """Eigensolver, ground states, observables, cutoff convergence, evolution.
 
-Dense symmetric diagonalization is the baseline; every Hamiltonian built by
-this package is block tridiagonal in the photon-major ordering (half
-bandwidth 2 m - 1 with m the atomic dimension), which the convergence scan
-exploits for cheap lowest-eigenvalue queries.
+Full spectra come from dense symmetric diagonalization.  Ground states and
+ground energies are solved per parity sector: every Hamiltonian built by
+this package conserves the excitation-number parity and says so through its
+``parity_labels``, so the two sectors are solved apart for their lowest two
+eigenpairs.  Sectors up to DENSE_SECTOR_MAX states go to dense LAPACK;
+larger ones to ARPACK's Lanczos solver in shift-invert mode on a sparse
+copy read from the three photon block diagonals (every Hamiltonian built
+here is block tridiagonal over photon number in the photon-major
+ordering).  Operators without parity labels are solved dense, whole.
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ from .operators import OperatorMatrix
 from .rotations import Branch
 
 DEGENERACY_GAP = 1e-10
+# Sector size above which shift-invert Lanczos beats dense LAPACK on a
+# 2-core host (crossover measured near 400 states).
+DENSE_SECTOR_MAX = 400
 DEFAULT_ENERGY_TOL = 1e-8
 DEFAULT_TAIL_TOL = 1e-10
 CUTOFF_START = 8
@@ -49,6 +57,8 @@ class QuantumState:
 
     ``degenerate`` marks ground states extracted within DEGENERACY_GAP of the
     next level, where the returned representative is convention, not physics.
+    The solver's convention: a state of pure parity, from the sector of the
+    vacuum |0; na,0,0> when the two sectors' ground energies tie.
     """
 
     amplitudes: np.ndarray
@@ -79,12 +89,16 @@ def _require_same_basis(a: BasisSet, b: BasisSet) -> None:
         )
 
 
-def diagonalize(H: OperatorMatrix, basis: BasisSet) -> Spectrum:
-    """Full spectrum of a real symmetric operator."""
+def _require_solvable(H: OperatorMatrix, basis: BasisSet, caller: str) -> None:
     if not H.hermitian:
-        raise ValueError("diagonalize requires a hermitian operator")
+        raise ValueError(f"{caller} requires a hermitian operator")
     if H.dim != basis.dim:
         raise ValueError(f"operator dim {H.dim} does not match basis dim {basis.dim}")
+
+
+def diagonalize(H: OperatorMatrix, basis: BasisSet) -> Spectrum:
+    """Full spectrum of a real symmetric operator."""
+    _require_solvable(H, basis, "diagonalize")
     energies, vectors = scipy.linalg.eigh(H.matrix)
     for col in range(vectors.shape[1]):
         vectors[:, col] = _fix_sign(vectors[:, col])
@@ -93,22 +107,100 @@ def diagonalize(H: OperatorMatrix, basis: BasisSet) -> Spectrum:
     return Spectrum(energies, vectors, basis)
 
 
-def ground_state(H: OperatorMatrix, basis: BasisSet) -> QuantumState:
-    """Lowest eigenvector under the sign convention.
+def _photon_band_csr(mat: np.ndarray, m: int):
+    """CSR copy of a Hamiltonian built here, read from its photon-diagonal
+    and upper photon blocks of size m; the builders write no other blocks,
+    and the lower ones mirror the upper ones."""
+    import scipy.sparse
 
-    Near-degeneracy (gap below DEGENERACY_GAP) is flagged on the returned
-    state rather than raised.
+    nph = mat.shape[0] // m
+    blocks = mat.reshape(nph, m, nph, m)
+    nu = np.arange(nph)
+    diag = blocks[nu, :, nu, :]
+    upper = blocks[nu[:-1], :, nu[1:], :]
+    b, i, j = np.nonzero(diag)
+    bu, iu, ju = np.nonzero(upper)
+    rows_u, cols_u = bu * m + iu, (bu + 1) * m + ju
+    vals_u = upper[bu, iu, ju]
+    rows = np.concatenate([b * m + i, rows_u, cols_u])
+    cols = np.concatenate([b * m + j, cols_u, rows_u])
+    vals = np.concatenate([diag[b, i, j], vals_u, vals_u])
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=mat.shape)
+
+
+def _shift_invert_pair(A):
+    """Lowest two eigenpairs of a sparse symmetric block by shift-invert
+    Lanczos.
+
+    The shift sits below the block's Gershgorin bound, so the shifted block
+    is positive definite and its two largest inverse eigenvalues are the
+    block's two lowest levels.
     """
-    if not H.hermitian:
-        raise ValueError("ground_state requires a hermitian operator")
-    if H.dim != basis.dim:
-        raise ValueError(f"operator dim {H.dim} does not match basis dim {basis.dim}")
-    if H.dim == 1:
-        return QuantumState(np.ones(1, dtype=complex), basis)
-    energies, vectors = scipy.linalg.eigh(H.matrix, subset_by_index=(0, 1))
-    vec = _fix_sign(vectors[:, 0])
+    import scipy.sparse.linalg
+
+    diag = A.diagonal()
+    radius = np.asarray(abs(A).sum(axis=1)).ravel() - np.abs(diag)
+    sigma = float(np.min(diag - radius)) - 1.0
+    v0 = np.random.default_rng(0).standard_normal(A.shape[0])  # deterministic start
+    energies, vectors = scipy.sparse.linalg.eigsh(A, k=2, sigma=sigma, which="LM", tol=0, v0=v0)
+    order = np.argsort(energies)
+    return energies[order], vectors[:, order]
+
+
+def _dense_pair(block: np.ndarray, scratch: bool = False):
+    """Lowest two eigenpairs by LAPACK.  A ``scratch`` block is a private
+    copy: its transpose, the same symmetric matrix in Fortran order, is
+    handed to LAPACK to overwrite, so no second copy is made."""
+    if scratch:
+        block = block.T
+    return scipy.linalg.eigh(
+        block, subset_by_index=(0, min(1, block.shape[0] - 1)), overwrite_a=scratch
+    )
+
+
+def _sector_pairs(H: OperatorMatrix, basis: BasisSet):
+    """(basis indices, lowest energies, eigenvectors) of every parity sector,
+    the vacuum's (basis state 0) first.
+
+    Each sector yields its lowest two eigenpairs (one for a single state):
+    dense LAPACK up to DENSE_SECTOR_MAX states, shift-invert Lanczos above.
+    An operator without parity labels is one sector, solved dense.
+    """
+    if H.parity_labels is None:
+        return [(np.arange(H.dim), *_dense_pair(H.matrix))]
+    in_vacuum_sector = H.parity_labels == H.parity_labels[0]
+    band = None
+    out = []
+    for idx in (np.flatnonzero(in_vacuum_sector), np.flatnonzero(~in_vacuum_sector)):
+        if idx.size == 0:
+            continue
+        if idx.size <= DENSE_SECTOR_MAX:
+            out.append((idx, *_dense_pair(H.matrix[np.ix_(idx, idx)], scratch=True)))
+            continue
+        if band is None:
+            band = _photon_band_csr(H.matrix, basis.atomic_dim)
+        out.append((idx, *_shift_invert_pair(band[idx][:, idx])))
+    return out
+
+
+def ground_state(H: OperatorMatrix, basis: BasisSet) -> QuantumState:
+    """Lowest eigenvector under the sign convention, of pure parity.
+
+    The lowest level over the parity sectors wins; when the sectors' ground
+    energies lie within DEGENERACY_GAP, the vacuum's sector does.
+    Near-degeneracy (gap below DEGENERACY_GAP between the two lowest levels
+    over both sectors) is flagged on the returned state rather than raised.
+    """
+    _require_solvable(H, basis, "ground_state")
+    pairs = _sector_pairs(H, basis)
+    lowest = min(energies[0] for _, energies, _ in pairs)
+    idx, _, vectors = next(p for p in pairs if p[1][0] < lowest + DEGENERACY_GAP)
+    vec = np.zeros(H.dim)
+    vec[idx] = vectors[:, 0]
+    vec = _fix_sign(vec)
     vec = vec / np.linalg.norm(vec)
-    degenerate = bool(energies[1] - energies[0] < DEGENERACY_GAP)
+    levels = np.sort(np.concatenate([energies for _, energies, _ in pairs]))
+    degenerate = bool(levels.size > 1 and levels[1] - levels[0] < DEGENERACY_GAP)
     return QuantumState(vec.astype(complex), basis, degenerate=degenerate)
 
 
@@ -137,22 +229,10 @@ def populations(state: QuantumState) -> tuple[float, float, float, float]:
     )
 
 
-def _banded_storage(mat: np.ndarray, halfwidth: int) -> np.ndarray:
-    n = mat.shape[0]
-    ab = np.zeros((halfwidth + 1, n))
-    for d in range(halfwidth + 1):
-        ab[d, : n - d] = np.diagonal(mat, -d)
-    return ab
-
-
 def lowest_energy(H: OperatorMatrix, basis: BasisSet) -> float:
-    """Ground energy only, via the banded bisection solver."""
-    hw = 2 * basis.atomic_dim - 1
-    if hw >= H.dim:
-        return float(scipy.linalg.eigvalsh(H.matrix)[0])
-    ab = _banded_storage(H.matrix, hw)
-    w = scipy.linalg.eigvals_banded(ab, lower=True, select="i", select_range=(0, 0))
-    return float(w[0])
+    """Ground energy only: the lowest level over the parity sectors."""
+    _require_solvable(H, basis, "lowest_energy")
+    return float(min(energies[0] for _, energies, _ in _sector_pairs(H, basis)))
 
 
 def converged_ground_state(

@@ -256,6 +256,24 @@ class TestRunConfigFile:
         assert "na must be an integer" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "command, values, message",
+        [
+            ("separatrix", {"configuration": "v", "omega2": "1"}, "omega2 must be a finite real number"),
+            ("rotate-check", {"na": "2"}, "na must be an integer"),
+            ("phase-diagram", {"configuration": "xi", "rays": 2.0}, "rays must be an integer"),
+        ],
+    )
+    def test_non_numeric_config_values_rejected(self, tmp_path, capsys, command, values, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        rc = run(command, "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
 class TestExitCodes:
     def test_invalid_configuration(self, tmp_path):
         rc = run(
@@ -276,6 +294,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "mu13 must be a finite real number" in err
         assert "symmetric" not in err
+
+    def test_nonfinite_step_named(self, tmp_path, capsys):
+        rc = run(
+            "phase-diagram", "--configuration", "xi", "--omega2", "1", "--omega3", "2",
+            "--dmu", "nan", "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "dmu must be a finite real number" in err
+        assert "convert" not in err
 
     def test_missing_configuration(self, tmp_path):
         rc = run("spectrum", "--na", "1", "--nmax", "2", "--out", str(tmp_path / "x.csv"))

@@ -7,6 +7,7 @@ from dicke3.operators import (
     Configuration,
     OperatorMatrix,
     boson_annihilate,
+    atomic_collective_matrix,
     boson_create,
     collective_A,
     excitation_number,
@@ -24,6 +25,47 @@ def test_operator_matrix_contract():
         OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
     with pytest.raises(ValueError):
         OperatorMatrix(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("dim", [3, 256, 257, 600])
+def test_symmetry_check_matches_full_comparison(dim):
+    # The check runs tile by tile; an asymmetric entry anywhere, in a
+    # diagonal or an off-diagonal tile, must still be caught.
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((dim, dim))
+    sym = a + a.T
+    assert OperatorMatrix(sym.copy(), hermitian=True).dim == dim
+    for i, j in [(0, dim - 1), (dim - 1, dim // 2), (dim // 2, dim // 2 + 1)]:
+        bad = sym.copy()
+        bad[i, j] += 1e-300 if bad[i, j] == 0 else bad[i, j] * 1e-15
+        assert not np.array_equal(bad, bad.T)
+        with pytest.raises(ValueError, match="not symmetric"):
+            OperatorMatrix(bad, hermitian=True)
+    nan = sym.copy()
+    nan[1, 1] = np.nan
+    with pytest.raises(ValueError, match="not symmetric"):
+        OperatorMatrix(nan, hermitian=True)
+    signed = np.zeros((dim, dim))
+    signed[0, dim - 1], signed[dim - 1, 0] = 0.0, -0.0
+    OperatorMatrix(signed, hermitian=True)  # -0.0 == 0.0, as in array_equal
+
+
+def test_parity_labels_contract():
+    labels = np.array([0, 1])
+    op = OperatorMatrix(np.eye(2), hermitian=True, parity_labels=labels)
+    assert not op.parity_labels.flags.writeable
+    with pytest.raises(ValueError, match="parity labels"):
+        OperatorMatrix(np.eye(3), hermitian=True, parity_labels=labels)
+
+
+def test_atomic_matrices_cached_read_only():
+    first = atomic_collective_matrix(3, 1, 2)
+    assert atomic_collective_matrix(3, 1, 2) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+    with pytest.raises(ValueError, match="level indices"):
+        atomic_collective_matrix(3, 0, 2)
 
 
 def test_boson_create_elements():

@@ -1,13 +1,21 @@
-import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import dicke3 as d3
+from dicke3 import solver
 from dicke3.basis import BasisState, enumerate_basis
-from dicke3.model import ModelConfig, build_hamiltonian, build_rotated_hamiltonian, with_couplings
-from dicke3.operators import Configuration, OperatorMatrix, parity
-from dicke3.rotations import Branch
+from dicke3.model import (
+    ModelConfig,
+    build_frame_hamiltonian,
+    build_hamiltonian,
+    build_rotated_hamiltonian,
+    with_couplings,
+)
+from dicke3.operators import Configuration, OperatorMatrix, excitation_values, parity
+from dicke3.rotations import Branch, RotationSpec, transform_exact
 from dicke3.solver import (
     NonConvergenceError,
     QuantumState,
@@ -209,14 +217,115 @@ class TestConvergeCutoff:
         assert state.basis.nmax == nmax
         assert converge_cutoff(m) == nmax
 
-    def test_banded_energy_matches_dense(self):
-        rng = np.random.default_rng(51)
-        m = random_model(rng, Configuration.XI, na=2, nmax=16)
-        b = enumerate_basis(2, 16)
+
+_coupling = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+_frequency = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 2.0))
+_hypothesis = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+)
+
+
+@st.composite
+def framed_models(draw):
+    """Random model and frame; zero and single-axis couplings included."""
+    cfg = draw(st.sampled_from(list(Configuration)))
+    omegas = sorted(draw(st.lists(_frequency, min_size=3, max_size=3)))
+    na = draw(st.integers(1, 3))
+    nmax = draw(st.integers(0, 24))
+    mu_a, mu_b = draw(_coupling), draw(_coupling)
+    frames = [None] if mu_a == mu_b == 0.0 else [None, Branch.FIRST, Branch.SECOND]
+    frame = draw(st.sampled_from(frames))
+    m = ModelConfig(cfg, *omegas, 0.0, 0.0, 0.0, na=na, nmax=nmax)
+    return with_couplings(m, mu_a, mu_b), frame
+
+
+def _framed_hamiltonian(model_frame):
+    m, frame = model_frame
+    b = enumerate_basis(m.na, m.nmax)
+    return m, b, build_frame_hamiltonian(m, b, frame)
+
+
+def _parity_value(state, m):
+    return expectation(state, parity(state.basis, m.cfg))
+
+
+class TestParitySectors:
+    @_hypothesis
+    @given(framed_models())
+    def test_no_entry_joins_parity_sectors(self, model_frame):
+        m, b, H = _framed_hamiltonian(model_frame)
+        labels = excitation_values(b, m.cfg) % 2
+        assert np.array_equal(H.parity_labels, labels)
+        assert not H.matrix[np.ix_(labels == 0, labels == 1)].any()
+
+    # The small crossover sends every sector above 8 states to shift-invert
+    # Lanczos, so both solver paths meet the same random models.
+    @pytest.mark.parametrize("crossover", [solver.DENSE_SECTOR_MAX, 8])
+    @_hypothesis
+    @given(model_frame=framed_models())
+    def test_energies_match_dense(self, crossover, model_frame):
+        m, b, H = _framed_hamiltonian(model_frame)
+        exact = np.linalg.eigvalsh(H.matrix)[0]
+        with mock.patch.object(solver, "DENSE_SECTOR_MAX", crossover):
+            e0 = lowest_energy(H, b)
+            g = ground_state(H, b)
+        assert e0 == pytest.approx(exact, abs=1e-10)
+        assert expectation(g, H) == pytest.approx(exact, abs=1e-10)
+        assert abs(_parity_value(g, m)) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("cfg, omegas", [
+        (Configuration.V, (0.0, 1.0, 1.0)),
+        (Configuration.LAMBDA, (0.0, 0.0, 1.0)),
+        (Configuration.XI, (0.0, 1.0, 2.0)),
+    ])
+    @pytest.mark.parametrize("couplings", [(0.0, 0.0), (0.0, 1.2), (0.3, 0.0)])
+    def test_isolated_vacuum_in_lanczos_sectors(self, cfg, omegas, couplings):
+        # Zero and single-axis couplings leave the vacuum an isolated
+        # eigenstate; at na=4, nmax=64 both sectors exceed the crossover.
+        m = with_couplings(ModelConfig(cfg, *omegas, 0.0, 0.0, 0.0, na=4, nmax=64), *couplings)
+        b = enumerate_basis(4, 64)
         H = build_hamiltonian(m, b)
-        assert lowest_energy(H, b) == pytest.approx(
-            np.linalg.eigvalsh(H.matrix)[0], abs=1e-11
-        )
+        assert min(np.bincount(H.parity_labels)) > solver.DENSE_SECTOR_MAX
+        exact = np.linalg.eigvalsh(H.matrix)[0]
+        assert lowest_energy(H, b) == pytest.approx(exact, abs=1e-10)
+        assert expectation(ground_state(H, b), H) == pytest.approx(exact, abs=1e-10)
+
+    @pytest.mark.parametrize("cfg, omegas, na, nmax, couplings", [
+        (Configuration.V, (0.0, 1.0, 1.0), 3, 40, (1.5, 2.0)),
+        (Configuration.XI, (0.0, 1.0, 2.0), 2, 40, (1.5, 2.0)),
+        (Configuration.V, (0.0, 1.0, 1.0), 4, 64, (1.2, 1.2)),
+    ])
+    def test_degenerate_doublet_returns_vacuum_parity(self, cfg, omegas, na, nmax, couplings):
+        # Deep in the collective phase the two parity sectors' ground levels
+        # agree to below DEGENERACY_GAP; the vacuum's (even) sector wins.
+        m = with_couplings(ModelConfig(cfg, *omegas, 0.0, 0.0, 0.0, na=na, nmax=nmax), *couplings)
+        b = enumerate_basis(na, nmax)
+        g = ground_state(build_hamiltonian(m, b), b)
+        assert g.degenerate
+        assert _parity_value(g, m) == pytest.approx(1.0, abs=1e-10)
+
+    def test_unlabelled_operator_is_one_sector(self):
+        rng = np.random.default_rng(61)
+        m = random_model(rng, Configuration.LAMBDA, na=2, nmax=12)
+        b = enumerate_basis(2, 12)
+        H = build_hamiltonian(m, b)
+        rotated = transform_exact(RotationSpec(1, 2, 0.4), H, b)
+        assert rotated.parity_labels is None
+        g = ground_state(rotated, b)
+        assert expectation(g, rotated) == pytest.approx(lowest_energy(H, b), abs=1e-10)
+
+    def test_unlabelled_operator_above_crossover_solved_dense(self):
+        rng = np.random.default_rng(62)
+        dim = solver.DENSE_SECTOR_MAX + 10
+        a = rng.standard_normal((dim, dim))
+        H = OperatorMatrix(a + a.T, hermitian=True)
+        b = _FakeBasis(dim)
+        assert lowest_energy(H, b) == pytest.approx(np.linalg.eigvalsh(H.matrix)[0], abs=1e-10)
+        g = ground_state(H, b)
+        assert expectation(g, H) == pytest.approx(lowest_energy(H, b), abs=1e-10)
 
 
 class TestEvolve:
