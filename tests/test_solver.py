@@ -272,8 +272,8 @@ class TestParitySectors:
         with mock.patch.object(solver, "DENSE_SECTOR_MAX", crossover):
             e0 = lowest_energy(H, b)
             g = ground_state(H, b)
-        assert e0 == pytest.approx(exact, abs=1e-10)
-        assert expectation(g, H) == pytest.approx(exact, abs=1e-10)
+        assert e0 == pytest.approx(exact, abs=1e-11)
+        assert expectation(g, H) == pytest.approx(exact, abs=1e-11)
         assert abs(_parity_value(g, m)) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("cfg, omegas", [
@@ -290,8 +290,8 @@ class TestParitySectors:
         H = build_hamiltonian(m, b)
         assert min(np.bincount(H.parity_labels)) > solver.DENSE_SECTOR_MAX
         exact = np.linalg.eigvalsh(H.matrix)[0]
-        assert lowest_energy(H, b) == pytest.approx(exact, abs=1e-10)
-        assert expectation(ground_state(H, b), H) == pytest.approx(exact, abs=1e-10)
+        assert lowest_energy(H, b) == pytest.approx(exact, abs=1e-11)
+        assert expectation(ground_state(H, b), H) == pytest.approx(exact, abs=1e-11)
 
     @pytest.mark.parametrize("cfg, omegas, na, nmax, couplings", [
         (Configuration.V, (0.0, 1.0, 1.0), 3, 40, (1.5, 2.0)),
