@@ -194,6 +194,7 @@ def ground_state(H: OperatorMatrix, basis: BasisSet) -> QuantumState:
     _require_solvable(H, basis, "ground_state")
     pairs = _sector_pairs(H, basis)
     lowest = min(energies[0] for _, energies, _ in pairs)
+    # The vacuum's sector comes first, so it wins a tie within DEGENERACY_GAP.
     idx, _, vectors = next(p for p in pairs if p[1][0] < lowest + DEGENERACY_GAP)
     vec = np.zeros(H.dim)
     vec[idx] = vectors[:, 0]
