@@ -44,6 +44,7 @@ from .rotations import (
     decoupling_angle,
     decoupling_rotation,
     generator_K,
+    plane_rotation,
     rotation_matrix,
     rotation_pair,
     transform_exact,

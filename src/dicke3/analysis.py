@@ -18,7 +18,7 @@ import numpy as np
 from .basis import enumerate_basis
 from .model import ModelConfig, build_frame_hamiltonian, coupling_name, with_couplings
 from .operators import Configuration, OperatorMatrix
-from .rotations import Branch, RotationSpec, UndefinedAngleError, rotation_matrix, rotation_pair
+from .rotations import Branch, UndefinedAngleError, plane_rotation
 from .solver import (
     DEFAULT_ENERGY_TOL,
     DEFAULT_TAIL_TOL,
@@ -40,39 +40,27 @@ def fidelity(s1: QuantumState, s2: QuantumState) -> float:
     return float(np.abs(np.vdot(s1.amplitudes, s2.amplitudes)) ** 2)
 
 
-_ANGLE_DERIVATIVES = {
-    # configuration -> which coupling varies -> (sign, numerator index)
-    Configuration.XI: {"mu12": (-1.0, "mu23"), "mu23": (+1.0, "mu12")},
-    Configuration.LAMBDA: {"mu23": (-1.0, "mu13"), "mu13": (+1.0, "mu23")},
-    Configuration.V: {"mu12": (-1.0, "mu13"), "mu13": (+1.0, "mu12")},
-}
-
-
 def dalpha_dmu(
     cfg: Configuration,
-    branch: Branch,
     which_mu: str,
     mu_pair: tuple[float, float],
 ) -> float:
     """Derivative of the decoupling angle when one coupling varies.
 
-    ``mu_pair`` carries the two allowed couplings in coupling-plane order.
-    Both branches give the same derivative (their angles differ by a
-    constant); ``branch`` is accepted for interface symmetry.
+    ``mu_pair`` carries the plane couplings (A, B); with rho^2 = A^2 + B^2,
+    dalpha/dA = -B / rho^2 and dalpha/dB = A / rho^2.  Both branches give
+    the same derivative (their angles differ by a constant).
     """
-    if not isinstance(branch, Branch):
-        raise TypeError(f"branch must be a Branch, got {branch!r}")
     names = [coupling_name(p) for p in cfg.allowed_pairs]
     if which_mu not in names:
         raise ValueError(
             f"{which_mu!r} is not an allowed coupling of {cfg.value}; expected one of {names}"
         )
-    values = dict(zip(names, mu_pair))
-    rho2 = mu_pair[0] ** 2 + mu_pair[1] ** 2
+    a, b = mu_pair
+    rho2 = a**2 + b**2
     if rho2 == 0.0:
         raise UndefinedAngleError("angle derivative undefined at the origin")
-    sign, numerator = _ANGLE_DERIVATIVES[cfg][which_mu]
-    return sign * values[numerator] / rho2
+    return -b / rho2 if which_mu == names[0] else a / rho2
 
 
 def _real_bracket(value: complex, label: str) -> float:
@@ -120,8 +108,7 @@ def fidelity_rotated_exact(
     """
     if not s_mu.basis.compatible_with(s_mu_dmu.basis):
         raise ValueError("states live on different bases")
-    j, k = rotation_pair(cfg)
-    U = rotation_matrix(RotationSpec(j, k, -delta_alpha), s_mu.basis)
+    U = plane_rotation(cfg, -delta_alpha, s_mu.basis)
     bracket = np.vdot(s_mu_dmu.amplitudes, U.matrix @ s_mu.amplitudes)
     return float(np.abs(bracket) ** 2)
 
@@ -382,6 +369,19 @@ def scan_line(
     return LineSweep(config, which_mu, dmu, nmax, rotated, grid, fids, chi, minima)
 
 
+def _threshold_boundary(Omega: float, budget: float, threshold: float, mu: float) -> float | None:
+    """Coupling c solving Omega budget = 4 c^2 + (2 |mu| - sqrt(Omega threshold))^2 theta(.).
+
+    None once the threshold term alone exceeds the budget.
+    """
+    excess = 2.0 * abs(mu) - np.sqrt(Omega * threshold)
+    threshold_term = excess**2 if excess > 0 else 0.0
+    remainder = Omega * budget - threshold_term
+    if remainder < 0:
+        return None
+    return float(np.sqrt(remainder) / 2.0)
+
+
 def separatrix_xi(Omega: float, omega21: float, omega31: float, mu23: float) -> float | None:
     """Ladder-configuration variational boundary: mu12 for a given mu23.
 
@@ -390,12 +390,7 @@ def separatrix_xi(Omega: float, omega21: float, omega31: float, mu23: float) -> 
     """
     if Omega <= 0 or omega21 <= 0 or omega31 <= 0:
         raise ValueError("Omega, omega21 and omega31 must be positive")
-    excess = 2.0 * abs(mu23) - np.sqrt(Omega * omega31)
-    threshold_term = excess**2 if excess > 0 else 0.0
-    remainder = Omega * omega21 - threshold_term
-    if remainder < 0:
-        return None
-    return float(np.sqrt(remainder) / 2.0)
+    return _threshold_boundary(Omega, omega21, omega31, mu23)
 
 
 def separatrix_v(Omega: float, omega21: float, omega31: float, theta: float) -> float:
@@ -424,9 +419,4 @@ def separatrix_lambda(Omega: float, omega21: float, omega31: float, mu23: float)
         raise ValueError("Omega and omega31 must be positive")
     if omega21 < 0:
         raise ValueError("omega21 must be nonnegative")
-    excess = 2.0 * abs(mu23) - np.sqrt(Omega * omega21)
-    threshold_term = excess**2 if excess > 0 else 0.0
-    remainder = Omega * omega31 - threshold_term
-    if remainder < 0:
-        return None
-    return float(np.sqrt(remainder) / 2.0)
+    return _threshold_boundary(Omega, omega31, omega21, mu23)

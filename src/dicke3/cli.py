@@ -39,6 +39,7 @@ from .rotations import (
     Branch,
     RotationSpec,
     UndefinedAngleError,
+    rotation_pair,
     transform_exact,
     transform_generator_closed_form,
 )
@@ -368,7 +369,7 @@ def cmd_rotate_check(args) -> int:
     basis = enumerate_basis(params["na"], params["nmax"])
     rows = []
     overall = 0.0
-    for j, k in ((3, 1), (1, 2), (3, 2)):
+    for j, k in (rotation_pair(cfg) for cfg in Configuration):
         angles = rng.uniform(-np.pi, np.pi, params["samples"])
         for l in (1, 2, 3):
             for m_ in (1, 2, 3):

@@ -5,11 +5,14 @@ transitions.  A level-pair rotation at either of two special angles cancels
 one matter-field coupling; the resulting frame is described by a closed
 parameter bundle (rotated level terms, a residual one-body coupling on the
 forbidden pair, and a single surviving matter-field coupling equal to the
-root sum square of the originals).  Every frame is assembled by one routine:
-the field and level terms are the diagonal, read from the basis's photon
-numbers and level counts, and the couplings are atomic (m x m) blocks placed
-in the photon blocks of the photon-major basis.  The similarity transform
-U H U.T is kept in :mod:`dicke3.rotations` as a test oracle.
+root sum square of the originals).  One plane-rotation rule in
+``rotated_parameters`` derives that bundle for every configuration from the
+geometry table on :class:`dicke3.operators.Configuration`.  Every frame is
+assembled by one routine: the field and level terms are the diagonal, read
+from the basis's photon numbers and level counts, and the couplings are
+atomic (m x m) blocks placed in the photon blocks of the photon-major basis.
+The similarity transform U H U.T is kept in :mod:`dicke3.rotations` as a
+test oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .operators import (
     atomic_collective_matrix,
     excitation_values,
 )
-from .rotations import Branch, decoupling_angle
+from .rotations import Branch, decoupling_angle, rotation_pair
 
 EQUAL_DETUNING_TOL = 1e-12
 
@@ -244,42 +247,30 @@ class RotatedParameters:
 def rotated_parameters(config: ModelConfig, branch: Branch) -> RotatedParameters:
     """Rotated-frame parameters for the chosen branch.
 
-    The rational forms below keep structural zeros exact: at equal detuning
-    lambda_t is exactly 0.0, so the isolated level decouples bitwise in the
-    assembled matrix.
+    One plane-rotation rule serves every configuration.  With (A, B) the
+    plane couplings, (j, k) the rotation plane and rho^2 = A^2 + B^2, the
+    first branch mixes the plane's levels into
+    w~_j = (w_j A^2 + w_k B^2) / rho^2 and w~_k = (w_j B^2 + w_k A^2) / rho^2,
+    leaves lambda~ = (w_j - w_k) A B / rho^2 on the forbidden pair, and puts
+    the single coupling hypot(A, B) on the first allowed pair.  The second
+    branch swaps w~_j and w~_k, flips the sign of lambda~ and moves the
+    coupling to the second allowed pair.  These rational forms keep
+    structural zeros exact: at equal detuning lambda_t is exactly 0.0, so
+    the isolated level decouples bitwise in the assembled matrix.
     """
     alpha = decoupling_angle(config, branch)
     cfg = config.cfg
-    w1, w2, w3 = config.omegas
+    a, b = config.plane_couplings
+    j, k = rotation_pair(cfg)
+    w_j, w_k = config.omegas[j - 1], config.omegas[k - 1]
+    rho2 = a * a + b * b
+    mixed_j = (w_j * a * a + w_k * b * b) / rho2
+    mixed_k = (w_j * b * b + w_k * a * a) / rho2
+    lam = (w_j - w_k) * a * b / rho2
     first = branch is Branch.FIRST
-
-    if cfg is Configuration.XI:
-        a, b = config.mu12, config.mu23
-        rho2 = a * a + b * b
-        mixed_lo = (w1 * a * a + w3 * b * b) / rho2
-        mixed_hi = (w1 * b * b + w3 * a * a) / rho2
-        lam = (w3 - w1) * a * b / rho2
-        omega_t = (mixed_lo, w2, mixed_hi) if first else (mixed_hi, w2, mixed_lo)
-        lam = lam if first else -lam
-        coupled = (1, 2) if first else (2, 3)
-    elif cfg is Configuration.LAMBDA:
-        a, b = config.mu13, config.mu23
-        rho2 = a * a + b * b
-        mixed_lo = (w1 * b * b + w2 * a * a) / rho2
-        mixed_hi = (w1 * a * a + w2 * b * b) / rho2
-        lam = (w2 - w1) * a * b / rho2
-        omega_t = (mixed_lo, mixed_hi, w3) if first else (mixed_hi, mixed_lo, w3)
-        lam = -lam if first else lam
-        coupled = (2, 3) if first else (1, 3)
-    else:
-        a, b = config.mu12, config.mu13
-        rho2 = a * a + b * b
-        mixed_lo = (w2 * a * a + w3 * b * b) / rho2
-        mixed_hi = (w2 * b * b + w3 * a * a) / rho2
-        lam = (w3 - w2) * a * b / rho2
-        omega_t = (w1, mixed_lo, mixed_hi) if first else (w1, mixed_hi, mixed_lo)
-        lam = lam if first else -lam
-        coupled = (1, 2) if first else (1, 3)
+    omega_t = list(config.omegas)
+    omega_t[j - 1], omega_t[k - 1] = (mixed_j, mixed_k) if first else (mixed_k, mixed_j)
+    coupled = cfg.allowed_pairs[0 if first else 1]
 
     mu_ts = {(1, 2): 0.0, (1, 3): 0.0, (2, 3): 0.0}
     mu_ts[coupled] = float(np.hypot(a, b))
@@ -289,7 +280,7 @@ def rotated_parameters(config: ModelConfig, branch: Branch) -> RotatedParameters
         omega_t1=omega_t[0],
         omega_t2=omega_t[1],
         omega_t3=omega_t[2],
-        lambda_t=lam,
+        lambda_t=lam if first else -lam,
         lambda_pair=cfg.forbidden_pair,
         mu_t12=mu_ts[(1, 2)],
         mu_t13=mu_ts[(1, 3)],

@@ -42,8 +42,8 @@ class Configuration(Enum):
 
     @property
     def forbidden_pair(self) -> tuple[int, int]:
-        """Level pair whose dipolar coupling must vanish."""
-        return _FORBIDDEN[self]
+        """Level pair whose dipolar coupling must vanish: the rotation plane, sorted."""
+        return tuple(sorted(self.rotation_plane))
 
     @property
     def allowed_pairs(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -52,30 +52,24 @@ class Configuration(Enum):
         The first pair is the abscissa of coupling-plane scans, the second
         the ordinate.
         """
-        return _ALLOWED[self]
+        return _GEOMETRY[self][0]
+
+    @property
+    def rotation_plane(self) -> tuple[int, int]:
+        """Oriented level pair (j, k) of the decoupling rotation exp(-alpha K_jk)."""
+        return _GEOMETRY[self][1]
 
     @property
     def excitation_weights(self) -> tuple[int, int, int]:
         """Weights (w1, w2, w3) so M = nu + sum_j w_j n_j counts excitations."""
-        return _EXCITATION_WEIGHTS[self]
+        return _GEOMETRY[self][2]
 
 
-_FORBIDDEN = {
-    Configuration.XI: (1, 3),
-    Configuration.LAMBDA: (1, 2),
-    Configuration.V: (2, 3),
-}
-
-_ALLOWED = {
-    Configuration.XI: ((1, 2), (2, 3)),
-    Configuration.LAMBDA: ((2, 3), (1, 3)),
-    Configuration.V: ((1, 2), (1, 3)),
-}
-
-_EXCITATION_WEIGHTS = {
-    Configuration.XI: (0, 1, 2),
-    Configuration.V: (0, 1, 1),
-    Configuration.LAMBDA: (0, 0, 1),
+# configuration -> (allowed pairs in plane order, rotation plane, excitation weights)
+_GEOMETRY = {
+    Configuration.XI: (((1, 2), (2, 3)), (3, 1), (0, 1, 2)),
+    Configuration.LAMBDA: (((2, 3), (1, 3)), (1, 2), (0, 0, 1)),
+    Configuration.V: (((1, 2), (1, 3)), (3, 2), (0, 1, 1)),
 }
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .basis import BasisState, enumerate_basis, fixed_level_sector
 from .model import ModelConfig, build_rotated_hamiltonian, rotated_parameters
 from .operators import Configuration
-from .rotations import Branch, RotationSpec, decoupling_angle, rotation_matrix, rotation_pair
+from .rotations import Branch, decoupling_angle, plane_rotation
 from .solver import QuantumState, diagonalize, evolve, populations
 
 
@@ -61,7 +61,7 @@ def _check_detuning(config: ModelConfig) -> bool:
         f"one-body gap {config.one_body_gap:g} != 0: the isolated level "
         "population is only approximately zero",
         DetuningWarning,
-        stacklevel=3,
+        stacklevel=4,
     )
     return True
 
@@ -100,17 +100,7 @@ def store(config: ModelConfig, state: QuantumState) -> tuple[QuantumState, Qubit
     the output vanishes; off detuning the operation proceeds with a warning
     and reports the residual population.
     """
-    _require_storable(config)
-    detuned = _check_detuning(config)
-    params = rotated_parameters(config, Branch.FIRST)
-    U = rotation_matrix(
-        RotationSpec(*rotation_pair(config.cfg), params.alpha), state.basis
-    )
-    stored = QuantumState(U.matrix @ state.amplitudes, state.basis)
-    content = _extract_content(
-        stored, params.coupled_pair, params.isolated_level, n_ell=0, detuned=detuned
-    )
-    return stored, content
+    return _switch_frame(config, state, None, Branch.FIRST)
 
 
 def retrieve(config: ModelConfig, stored: QuantumState) -> tuple[QuantumState, QubitContent]:
@@ -120,19 +110,23 @@ def retrieve(config: ModelConfig, stored: QuantumState) -> tuple[QuantumState, Q
     rotation by the angle difference; the qubit content moves to the (1, 3)
     pair with the second frame's isolated level emptied.
     """
+    return _switch_frame(config, stored, Branch.FIRST, Branch.SECOND)
+
+
+def _switch_frame(
+    config: ModelConfig, state: QuantumState, source: Branch | None, target: Branch
+) -> tuple[QuantumState, QubitContent]:
+    """Rotate ``state`` from the ``source`` frame (None: unrotated) into ``target``."""
     _require_storable(config)
     detuned = _check_detuning(config)
-    alpha_store = decoupling_angle(config, Branch.FIRST)
-    params = rotated_parameters(config, Branch.SECOND)
-    U = rotation_matrix(
-        RotationSpec(*rotation_pair(config.cfg), params.alpha - alpha_store),
-        stored.basis,
-    )
-    retrieved = QuantumState(U.matrix @ stored.amplitudes, stored.basis)
+    alpha_source = 0.0 if source is None else decoupling_angle(config, source)
+    params = rotated_parameters(config, target)
+    U = plane_rotation(config.cfg, params.alpha - alpha_source, state.basis)
+    switched = QuantumState(U.matrix @ state.amplitudes, state.basis)
     content = _extract_content(
-        retrieved, params.coupled_pair, params.isolated_level, n_ell=0, detuned=detuned
+        switched, params.coupled_pair, params.isolated_level, n_ell=0, detuned=detuned
     )
-    return retrieved, content
+    return switched, content
 
 
 def content_overlap(a: QubitContent, b: QubitContent) -> float:
@@ -200,9 +194,7 @@ def rabi_demo(config: ModelConfig, nu0: int, t_grid) -> RabiSeries:
     spectrum = diagonalize(build_rotated_hamiltonian(config, basis, Branch.FIRST), basis)
     alpha_store = decoupling_angle(config, Branch.FIRST)
     alpha_retrieve = decoupling_angle(config, Branch.SECOND)
-    switch = rotation_matrix(
-        RotationSpec(*rotation_pair(config.cfg), alpha_retrieve - alpha_store), basis
-    )
+    switch = plane_rotation(config.cfg, alpha_retrieve - alpha_store, basis)
 
     times = np.asarray(t_grid, dtype=float)
     stored = np.empty((len(times), 4))

@@ -4,6 +4,11 @@ K_jk = A_jk - A_kj is real antisymmetric, so the rotation is real orthogonal
 and acts on the atomic factor only.  The adjoint action on every collective
 operator has a closed form (a plane rotation in operator space); the matrix
 exponential is kept alongside as an independent oracle.
+
+Each configuration rotates in one oriented plane (j, k), read from the
+geometry table on :class:`dicke3.operators.Configuration`.  The decoupling
+angle comes from the two plane couplings alone, and ``plane_rotation`` builds
+a configuration's rotation at any angle, so no caller names the plane.
 """
 
 from __future__ import annotations
@@ -59,11 +64,7 @@ class RotationSpec:
 
 def rotation_pair(cfg: Configuration) -> tuple[int, int]:
     """Level pair (j, k) of the decoupling rotation for a configuration."""
-    return {
-        Configuration.XI: (3, 1),
-        Configuration.LAMBDA: (1, 2),
-        Configuration.V: (3, 2),
-    }[cfg]
+    return cfg.rotation_plane
 
 
 def atomic_generator_matrix(na: int, j: int, k: int) -> np.ndarray:
@@ -144,36 +145,30 @@ def transform_generator_closed_form(
 
 
 def decoupling_angle(config: "ModelConfig", branch: Branch) -> float:
-    """Angle that cancels one matter-field coupling, per configuration.
+    """Angle that cancels one matter-field coupling.
 
-    The two branches cancel different level pairs; principal arctan branch
-    throughout, with the two choices kept explicit rather than inferred from
-    coupling signs.
+    With (A, B) the plane couplings, the first branch rotates by
+    arctan2(B, A) and the second by -arctan2(A, B); the principal arctan
+    branch throughout, with the two choices kept explicit rather than
+    inferred from coupling signs.
     """
-    cfg = config.cfg
-    if cfg is Configuration.XI:
-        num, den = config.mu23, config.mu12
-    elif cfg is Configuration.LAMBDA:
-        num, den = config.mu13, config.mu23
-    else:
-        num, den = config.mu13, config.mu12
-    if num == 0.0 and den == 0.0:
+    a, b = config.plane_couplings
+    if a == 0.0 and b == 0.0:
         raise UndefinedAngleError(
-            f"both couplings in the {cfg.value} angle ratio vanish"
+            f"both couplings in the {config.cfg.value} angle ratio vanish"
         )
     if branch is Branch.FIRST:
-        return float(np.arctan2(num, den))
-    return float(-np.arctan2(den, num))
+        return float(np.arctan2(b, a))
+    return float(-np.arctan2(a, b))
 
 
-def decoupling_spec(config: "ModelConfig", branch: Branch) -> RotationSpec:
-    """Rotation spec realizing the decoupling for (configuration, branch)."""
-    j, k = rotation_pair(config.cfg)
-    return RotationSpec(j, k, decoupling_angle(config, branch))
+def plane_rotation(cfg: Configuration, alpha: float, basis: BasisSet) -> OperatorMatrix:
+    """Full-basis U = exp(-alpha K_jk) in the configuration's rotation plane."""
+    return rotation_matrix(RotationSpec(*rotation_pair(cfg), alpha), basis)
 
 
 def decoupling_rotation(
     config: "ModelConfig", branch: Branch, basis: BasisSet
 ) -> OperatorMatrix:
     """Full-basis U at the decoupling angle."""
-    return rotation_matrix(decoupling_spec(config, branch), basis)
+    return plane_rotation(config.cfg, decoupling_angle(config, branch), basis)

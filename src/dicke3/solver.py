@@ -20,9 +20,8 @@ import numpy as np
 import scipy.linalg
 
 from .basis import BasisSet, DimensionLimitError, enumerate_basis
-from .model import ModelConfig, build_frame_hamiltonian
+from .model import ModelConfig, build_hamiltonian
 from .operators import OperatorMatrix
-from .rotations import Branch
 
 DEGENERACY_GAP = 1e-10
 # Sector size above which shift-invert Lanczos beats dense LAPACK on a
@@ -241,11 +240,10 @@ def converged_ground_state(
     etol: float = DEFAULT_ENERGY_TOL,
     ptol: float = DEFAULT_TAIL_TOL,
     *,
-    rotated: Branch | None = None,
     start: int = CUTOFF_START,
     hard_cap: int = CUTOFF_HARD_CAP,
 ) -> tuple[int, QuantumState]:
-    """Converged photon cutoff together with the ground state at that cutoff.
+    """Converged photon cutoff together with the unrotated ground state there.
 
     A candidate cutoff passes when doubling it moves the ground energy by
     less than ``etol`` and the ground state carries less than ``ptol``
@@ -261,7 +259,7 @@ def converged_ground_state(
         if cutoff not in energy_at:
             b = enumerate_basis(config.na, cutoff)
             m = dataclasses.replace(config, nmax=cutoff)
-            energy_at[cutoff] = lowest_energy(build_frame_hamiltonian(m, b, rotated), b)
+            energy_at[cutoff] = lowest_energy(build_hamiltonian(m, b), b)
         return energy_at[cutoff]
 
     cutoff = start
@@ -270,7 +268,7 @@ def converged_ground_state(
             if abs(e0(cutoff) - e0(2 * cutoff)) < etol:
                 b = enumerate_basis(config.na, cutoff)
                 m = dataclasses.replace(config, nmax=cutoff)
-                state = ground_state(build_frame_hamiltonian(m, b, rotated), b)
+                state = ground_state(build_hamiltonian(m, b), b)
                 tail = np.abs(state.amplitudes[-2 * b.atomic_dim :]) ** 2
                 if tail.sum() < ptol:
                     return cutoff, state

@@ -208,7 +208,7 @@ def test_c05_second_order_expansion_scaling():
             m = dataclasses.replace(m0, nmax=nmax)
             K = d3.generator_K(basis, *rotation_pair(cfg))
             psi = ground_state(build_hamiltonian(m, basis), basis)
-            slope = dalpha_dmu(cfg, Branch.FIRST, names[which], tuple(mu_pair))
+            slope = dalpha_dmu(cfg, names[which], tuple(mu_pair))
             remainders = []
             for dmu in steps:
                 stepped = list(mu_pair)
@@ -362,7 +362,7 @@ def test_c09_algebra_and_symmetry_suite():
                         )
 
                     fd = (angle(pair[idx] + h) - angle(pair[idx] - h)) / (2 * h)
-                    table = dalpha_dmu(cfg, br, which, pair)
+                    table = dalpha_dmu(cfg, which, pair)
                     fd_rel_err = max(fd_rel_err, abs(table - fd) / abs(table))
 
     ok = (

@@ -73,20 +73,20 @@ class TestFidelity:
 
 class TestAngleDerivatives:
     def test_xi_example(self):
-        val = dalpha_dmu(Configuration.XI, Branch.FIRST, "mu12", (1.0, 1.0))
+        val = dalpha_dmu(Configuration.XI, "mu12", (1.0, 1.0))
         assert val == pytest.approx(-0.5, abs=1e-15)
 
     def test_v_example(self):
-        val = dalpha_dmu(Configuration.V, Branch.FIRST, "mu13", (1.0, 0.0))
+        val = dalpha_dmu(Configuration.V, "mu13", (1.0, 0.0))
         assert val == pytest.approx(1.0, abs=1e-15)
 
     def test_undefined_at_origin(self):
         with pytest.raises(UndefinedAngleError):
-            dalpha_dmu(Configuration.XI, Branch.FIRST, "mu12", (0.0, 0.0))
+            dalpha_dmu(Configuration.XI, "mu12", (0.0, 0.0))
 
     def test_rejects_forbidden_coupling(self):
         with pytest.raises(ValueError):
-            dalpha_dmu(Configuration.XI, Branch.FIRST, "mu13", (1.0, 1.0))
+            dalpha_dmu(Configuration.XI, "mu13", (1.0, 1.0))
 
     @pytest.mark.parametrize("cfg", list(Configuration))
     @pytest.mark.parametrize("branch", list(Branch))
@@ -106,7 +106,7 @@ class TestAngleDerivatives:
                     return decoupling_angle(m, branch)
 
                 fd = (angle(pair[idx] + h) - angle(pair[idx] - h)) / (2 * h)
-                table = dalpha_dmu(cfg, branch, which, pair)
+                table = dalpha_dmu(cfg, which, pair)
                 assert abs(table - fd) < 1e-6 * max(abs(table), 1e-12)
 
 
@@ -159,7 +159,7 @@ class TestSecondOrderFidelity:
         b = enumerate_basis(1, 24)
         K = d3.generator_K(b, *rotation_pair(Configuration.XI))
         s1 = ground_state(d3.build_hamiltonian(with_couplings(m, mu12, mu23), b), b)
-        da_dmu = dalpha_dmu(Configuration.XI, Branch.FIRST, "mu12", (mu12, mu23))
+        da_dmu = dalpha_dmu(Configuration.XI, "mu12", (mu12, mu23))
         residuals = []
         for dmu in (1e-2, 5e-3, 2.5e-3):
             s2 = ground_state(

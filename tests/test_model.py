@@ -224,9 +224,10 @@ class TestRotatedParameters:
         assert rp2.mu_t12 == rp2.mu_t13 == 0.0
 
     def test_lambda_equal_detuning_kills_one_body(self):
-        m = lam()
-        for br in Branch:
-            assert rotated_parameters(m, br).lambda_t == 0.0
+        # exactly zero, for Lambda and V at equal detuning and Xi at omega1 = omega3
+        for m in (lam(), vee(omega2=1.0), xi(omega1=1.0, omega2=1.0, omega3=1.0)):
+            for br in Branch:
+                assert rotated_parameters(m, br).lambda_t == 0.0
 
     def test_v_one_body_value(self):
         m = vee(mu12=1.0, mu13=1.0)
@@ -256,8 +257,22 @@ class TestRotatedHamiltonian:
     @pytest.mark.parametrize("branch", list(Branch))
     def test_matches_similarity_transform(self, cfg, branch):
         rng = np.random.default_rng(hash((cfg.value, branch.value)) % 2**32)
-        for _ in range(5):
-            m = random_model(rng, cfg, na=2, nmax=10)
+        models = [random_model(rng, cfg, na=2, nmax=10) for _ in range(5)]
+        # edge cases random_model never draws: equal frequencies on the
+        # forbidden pair (levels lo+1..hi lowered to omega_lo), all levels
+        # degenerate, and one plane coupling zero
+        m, (lo, hi) = models[0], cfg.forbidden_pair
+        om = list(m.omegas)
+        om[lo:hi] = [om[lo - 1]] * (hi - lo)
+        mu_a, mu_b = m.plane_couplings
+        models += [
+            dataclasses.replace(m, omega1=om[0], omega2=om[1], omega3=om[2]),
+            dataclasses.replace(m, omega1=m.omega2, omega3=m.omega2),
+            with_couplings(m, mu_a, 0.0),
+            with_couplings(m, 0.0, mu_b),
+        ]
+        assert models[5].equal_detuning()
+        for m in models:
             b = enumerate_basis(m.na, m.nmax)
             H = build_hamiltonian(m, b).matrix
             Hp = build_rotated_hamiltonian(m, b, branch).matrix

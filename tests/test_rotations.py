@@ -183,3 +183,5 @@ def test_rotation_pair_table():
     assert rotation_pair(Configuration.XI) == (3, 1)
     assert rotation_pair(Configuration.LAMBDA) == (1, 2)
     assert rotation_pair(Configuration.V) == (3, 2)
+    for cfg in Configuration:
+        assert cfg.forbidden_pair == tuple(sorted(rotation_pair(cfg)))
