@@ -45,6 +45,7 @@ from .rotations import (
     decoupling_rotation,
     generator_K,
     plane_rotation,
+    rotate_amplitudes,
     rotation_matrix,
     rotation_pair,
     transform_exact,

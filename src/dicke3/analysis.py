@@ -18,7 +18,7 @@ import numpy as np
 from .basis import enumerate_basis
 from .model import ModelConfig, build_frame_hamiltonian, coupling_name, with_couplings
 from .operators import Configuration, OperatorMatrix
-from .rotations import Branch, UndefinedAngleError, plane_rotation
+from .rotations import Branch, UndefinedAngleError, rotate_amplitudes
 from .solver import (
     DEFAULT_ENERGY_TOL,
     DEFAULT_TAIL_TOL,
@@ -108,8 +108,8 @@ def fidelity_rotated_exact(
     """
     if not s_mu.basis.compatible_with(s_mu_dmu.basis):
         raise ValueError("states live on different bases")
-    U = plane_rotation(cfg, -delta_alpha, s_mu.basis)
-    bracket = np.vdot(s_mu_dmu.amplitudes, U.matrix @ s_mu.amplitudes)
+    rotated = rotate_amplitudes(cfg, -delta_alpha, s_mu.amplitudes, s_mu.basis)
+    bracket = np.vdot(s_mu_dmu.amplitudes, rotated)
     return float(np.abs(bracket) ** 2)
 
 

@@ -39,6 +39,8 @@ from .rotations import (
     Branch,
     RotationSpec,
     UndefinedAngleError,
+    decoupling_angle,
+    rotate_amplitudes,
     rotation_pair,
     transform_exact,
     transform_generator_closed_form,
@@ -230,28 +232,44 @@ def cmd_populations(args) -> int:
     if args.out is None and len(frames) > 1:
         raise ValueError("--out is required when emitting all three frames")
     values = np.linspace(0.0, params["mu_max"], params["grid"])
-    nmax, _ = _resolve_cutoff(params, at_couplings=(params["mu_max"], params["mu_max"]))
+    corner = (params["mu_max"], params["mu_max"])
+    nmax, corner_state = _resolve_cutoff(params, at_couplings=corner)
     m0 = _model_from(params, nmax)
     basis = enumerate_basis(m0.na, m0.nmax)
 
+    # Every frame's rotation acts on the atomic factor, so a rotated frame's
+    # ground state is the unrotated one turned by its decoupling angle: each
+    # point is solved once, and the cutoff search's state is reused at the
+    # corner it was converged at.
+    branches = {frame: _branch_option(frame if frame != "unrotated" else None) for frame in frames}
+    rows = {frame: [] for frame in frames}
+    origin_seen = False
+    for mu_a in values:
+        for mu_b in values:
+            at_origin = mu_a == 0.0 and mu_b == 0.0  # no decoupling angle there
+            origin_seen |= at_origin
+            wanted = [f for f in frames if branches[f] is None or not at_origin]
+            if not wanted:
+                continue
+            m = with_couplings(m0, mu_a, mu_b)
+            if corner_state is not None and (mu_a, mu_b) == corner:
+                psi = corner_state
+            else:
+                psi = ground_state(build_hamiltonian(m, basis), basis)
+            for frame in wanted:
+                state = psi
+                if branches[frame] is not None:
+                    alpha = decoupling_angle(m, branches[frame])
+                    amps = rotate_amplitudes(m.cfg, alpha, psi.amplitudes, basis)
+                    state = QuantumState(amps, basis)
+                rows[frame].append([mu_a, mu_b, *populations(state)])
+
     for frame in frames:
-        rotated = _branch_option(frame if frame != "unrotated" else None)
-        rows = []
-        skipped_origin = False
-        for mu_a in values:
-            for mu_b in values:
-                if rotated is not None and mu_a == 0.0 and mu_b == 0.0:
-                    skipped_origin = True  # decoupling angle undefined there
-                    continue
-                m = with_couplings(m0, mu_a, mu_b)
-                H = build_frame_hamiltonian(m, basis, rotated)
-                a11, a22, a33, nph = populations(ground_state(H, basis))
-                rows.append([mu_a, mu_b, a11, a22, a33, nph])
         meta = {**params, "frame": frame, "nmax": nmax}
-        if skipped_origin:
+        if origin_seen and branches[frame] is not None:
             meta["note"] = "origin skipped: rotation undefined at zero couplings"
         text = _render_csv(
-            ["mu_a", "mu_b", "a11", "a22", "a33", "nphot"], meta, rows
+            ["mu_a", "mu_b", "a11", "a22", "a33", "nphot"], meta, rows[frame]
         )
         if args.out is None:
             _emit(None, text)

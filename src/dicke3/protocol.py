@@ -19,7 +19,7 @@ import numpy as np
 from .basis import BasisState, enumerate_basis, fixed_level_sector
 from .model import ModelConfig, build_rotated_hamiltonian, rotated_parameters
 from .operators import Configuration
-from .rotations import Branch, decoupling_angle, plane_rotation
+from .rotations import Branch, decoupling_angle, plane_rotation, rotate_amplitudes
 from .solver import QuantumState, diagonalize, evolve, populations
 
 
@@ -194,15 +194,17 @@ def rabi_demo(config: ModelConfig, nu0: int, t_grid) -> RabiSeries:
     spectrum = diagonalize(build_rotated_hamiltonian(config, basis, Branch.FIRST), basis)
     alpha_store = decoupling_angle(config, Branch.FIRST)
     alpha_retrieve = decoupling_angle(config, Branch.SECOND)
-    switch = plane_rotation(config.cfg, alpha_retrieve - alpha_store, basis)
 
     times = np.asarray(t_grid, dtype=float)
     stored = np.empty((len(times), 4))
-    switched = np.empty((len(times), 4))
+    evolved = np.empty((len(times), basis.dim), dtype=complex)
     for i, t in enumerate(times):
         psi_t = evolve(spectrum, psi0, t)
         stored[i] = populations(psi_t)
-        switched[i] = populations(
-            QuantumState(switch.matrix @ psi_t.amplitudes, basis)
-        )
+        evolved[i] = psi_t.amplitudes
+    # one rotation switches the states of every time
+    after_switch = rotate_amplitudes(config.cfg, alpha_retrieve - alpha_store, evolved, basis)
+    switched = np.empty((len(times), 4))
+    for i, rotated in enumerate(after_switch):
+        switched[i] = populations(QuantumState(rotated, basis))
     return RabiSeries(times, stored, switched)

@@ -7,8 +7,15 @@ exponential is kept alongside as an independent oracle.
 
 Each configuration rotates in one oriented plane (j, k), read from the
 geometry table on :class:`dicke3.operators.Configuration`.  The decoupling
-angle comes from the two plane couplings alone, and ``plane_rotation`` builds
-a configuration's rotation at any angle, so no caller names the plane.
+angle comes from the two plane couplings alone, so no caller names the plane.
+
+``rotate_amplitudes`` applies a configuration's rotation to state amplitudes
+through the m x m atomic factor alone; ``cli populations``,
+``analysis.fidelity_rotated_exact`` and ``protocol.rabi_demo`` rotate states
+this way.  ``plane_rotation`` builds the dense dim x dim U.  It stays the
+oracle for ``rotate-check`` and the tests, and ``protocol.store``/``retrieve``
+still apply it: the benchmark's tracing self-test expects the store workload
+to build the dense U.
 """
 
 from __future__ import annotations
@@ -165,6 +172,26 @@ def decoupling_angle(config: "ModelConfig", branch: Branch) -> float:
 def plane_rotation(cfg: Configuration, alpha: float, basis: BasisSet) -> OperatorMatrix:
     """Full-basis U = exp(-alpha K_jk) in the configuration's rotation plane."""
     return rotation_matrix(RotationSpec(*rotation_pair(cfg), alpha), basis)
+
+
+def rotate_amplitudes(
+    cfg: Configuration, alpha: float, amplitudes: np.ndarray, basis: BasisSet
+) -> np.ndarray:
+    """U @ amplitudes for U = exp(-alpha K_jk) in the configuration's plane.
+
+    U is the identity on the photon factor, so in the photon-major basis each
+    photon block of m = atomic_dim amplitudes turns by the m x m atomic
+    factor: the amplitudes, reshaped to (nmax + 1, m), are multiplied by its
+    transpose.  Leading axes hold independent states, rotated alike.
+    """
+    amplitudes = np.asarray(amplitudes)
+    if amplitudes.shape[-1:] != (basis.dim,):
+        raise ValueError(
+            f"amplitudes of shape {amplitudes.shape} do not match basis dim {basis.dim}"
+        )
+    block = atomic_rotation_matrix(RotationSpec(*rotation_pair(cfg), alpha), basis.na)
+    blocks = amplitudes.reshape(*amplitudes.shape[:-1], basis.nmax + 1, basis.atomic_dim)
+    return (blocks @ block.T).reshape(amplitudes.shape)
 
 
 def decoupling_rotation(

@@ -3,7 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from dicke3.basis import enumerate_basis
 from dicke3.cli import main
+from dicke3.model import ModelConfig, build_frame_hamiltonian, with_couplings
+from dicke3.operators import Configuration
+from dicke3.rotations import Branch
+from dicke3.solver import ground_state, populations
 
 
 def run(*argv):
@@ -108,6 +113,39 @@ class TestPopulations:
         assert ("0", "0") not in frames["first"]
         # normal-region corner: nearly all atoms in the lowest level
         assert frames["unrotated"][("0", "0")][0] == pytest.approx(1.0, abs=1e-9)
+
+    # The command rotates each point's unrotated ground state into the other
+    # frames; here every row is checked against the frame's own Hamiltonian,
+    # solved directly.  The cutoff is left automatic, so the corner state
+    # reused from the cutoff search is checked too.
+    @pytest.mark.parametrize("cfg, omegas, na, grid, mu_max", [
+        (Configuration.V, (0.0, 0.8, 1.0), 1, 5, 2.0),
+        (Configuration.LAMBDA, (0.0, 0.0, 1.0), 2, 4, 1.5),
+        (Configuration.XI, (0.0, 0.9, 2.1), 2, 4, 1.5),
+    ])
+    def test_frames_match_direct_solves(self, tmp_path, cfg, omegas, na, grid, mu_max):
+        out = tmp_path / "pops.csv"
+        rc = run(
+            "populations", "--configuration", cfg.value, "--omega1", str(omegas[0]),
+            "--omega2", str(omegas[1]), "--omega3", str(omegas[2]), "--na", str(na),
+            "--grid", str(grid), "--mu-max", str(mu_max), "--out", str(out),
+        )
+        assert rc == 0
+        values = np.linspace(0.0, mu_max, grid)
+        for branch in (None, *Branch):
+            frame = "unrotated" if branch is None else branch.value
+            _, meta, rows = read_csv(tmp_path / f"pops_{frame}.csv")
+            m0 = ModelConfig(cfg, *omegas, 0.0, 0.0, 0.0, na=na, nmax=int(meta["nmax"]))
+            b = enumerate_basis(na, m0.nmax)
+            keys = [(a, c) for a in values for c in values]
+            if branch is not None:
+                keys.remove((0.0, 0.0))  # no decoupling angle at the origin
+            assert len(rows) == len(keys)
+            for (mu_a, mu_b), row in zip(keys, rows):
+                assert [float(x) for x in row[:2]] == pytest.approx([mu_a, mu_b], abs=1e-12)
+                m = with_couplings(m0, mu_a, mu_b)
+                direct = populations(ground_state(build_frame_hamiltonian(m, b, branch), b))
+                assert np.max(np.abs(np.array(row[2:], dtype=float) - direct)) < 1e-10
 
 
 class TestPhaseDiagramCommand:
