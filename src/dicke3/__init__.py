@@ -42,12 +42,10 @@ from .rotations import (
     RotationSpec,
     UndefinedAngleError,
     decoupling_angle,
-    decoupling_rotation,
     generator_K,
     plane_rotation,
     rotate_amplitudes,
     rotation_matrix,
-    rotation_pair,
     transform_exact,
     transform_generator_closed_form,
 )
@@ -72,7 +70,6 @@ from .analysis import (
     fidelity_rotated_exact,
     phase_diagram,
     ray_pencil,
-    scan_line,
     scan_ray,
     separatrix_lambda,
     separatrix_v,

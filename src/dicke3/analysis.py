@@ -2,9 +2,8 @@
 
 Abrupt ground-state changes show up as minima of the fidelity between
 neighbouring ground states along a path in coupling space.  Scans run along
-straight rays through the origin (a pencil of rays maps the whole phase
-boundary; fixed-coordinate lines are also supported but can miss minima).
-The closed-form variational boundaries are provided for overlay.
+straight rays through the origin; a pencil of rays maps the whole phase
+boundary.  The closed-form variational boundaries are provided for overlay.
 """
 
 from __future__ import annotations
@@ -141,7 +140,6 @@ class RaySweep:
     fidelities: np.ndarray
     susceptibilities: np.ndarray
     minima: tuple[SweepMinimum, ...]
-    states: tuple[QuantumState, ...]
 
 
 def _ray_direction(theta: float) -> tuple[float, float]:
@@ -190,41 +188,6 @@ def _detect_minima(
     return tuple(out)
 
 
-def _scan_path(
-    config: ModelConfig,
-    path: np.ndarray,
-    coords: list[tuple[float, float]],
-    dmu: float,
-    rotated: Branch | None,
-    etol: float,
-    ptol: float,
-):
-    """Shared scan engine: ground states at ``coords`` and their fidelities.
-
-    ``path[i]`` is the path coordinate of the coupling point ``coords[i]``.
-    The photon cutoff is converged once, in the unrotated frame, at the last
-    point and shared by the whole path (the converged cutoff grows
-    monotonically with the couplings, so the outer point dominates); sharing
-    one basis keeps the overlaps well defined.  Returns the cutoff, the
-    states, the neighbour fidelities, the susceptibilities and the minima.
-    """
-    nmax, _ = converged_ground_state(with_couplings(config, *coords[-1]), etol, ptol)
-    basis = enumerate_basis(config.na, nmax)
-    at_cutoff = dataclasses.replace(config, nmax=nmax)
-    states = tuple(
-        ground_state(build_frame_hamiltonian(with_couplings(at_cutoff, a, b), basis, rotated), basis)
-        for a, b in coords
-    )
-    fids = np.array([fidelity(s1, s2) for s1, s2 in zip(states, states[1:])])
-    chi = 2.0 * (1.0 - fids) / dmu**2
-    mids = (path[:-1] + path[1:]) / 2.0
-    mid_coords = [((a0 + a1) / 2, (b0 + b1) / 2) for (a0, b0), (a1, b1) in zip(coords, coords[1:])]
-    minima = _detect_minima(mids, fids, mid_coords, dmu)
-    fids.setflags(write=False)
-    chi.setflags(write=False)
-    return nmax, states, fids, chi, minima
-
-
 def scan_ray(
     config: ModelConfig,
     theta: float,
@@ -234,9 +197,14 @@ def scan_ray(
     rotated: Branch | None = None,
     etol: float = DEFAULT_ENERGY_TOL,
     ptol: float = DEFAULT_TAIL_TOL,
-    keep_states: bool = True,
 ) -> RaySweep:
-    """Ground states and neighbour fidelities along a ray of slope theta."""
+    """Ground states and neighbour fidelities along a ray of slope theta.
+
+    The photon cutoff is converged once, in the unrotated frame, at the
+    outermost point and shared by the whole ray (the converged cutoff grows
+    monotonically with the couplings, so the outer point dominates); sharing
+    one basis keeps the overlaps well defined.
+    """
     if dmu <= 0:
         raise ValueError("dmu must be positive")
     ca, sa = _ray_direction(theta)
@@ -245,7 +213,19 @@ def scan_ray(
         raise ValueError("ray too short: needs at least two radii")
     radii = dmu * np.arange(1, n_steps + 1)
     coords = [(s * ca, s * sa) for s in radii]
-    nmax, states, fids, chi, minima = _scan_path(config, radii, coords, dmu, rotated, etol, ptol)
+    nmax, _ = converged_ground_state(with_couplings(config, *coords[-1]), etol, ptol)
+    basis = enumerate_basis(config.na, nmax)
+    at_cutoff = dataclasses.replace(config, nmax=nmax)
+    states = [
+        ground_state(build_frame_hamiltonian(with_couplings(at_cutoff, a, b), basis, rotated), basis)
+        for a, b in coords
+    ]
+    fids = np.array([fidelity(s1, s2) for s1, s2 in zip(states, states[1:])])
+    chi = 2.0 * (1.0 - fids) / dmu**2
+    mids = (radii[:-1] + radii[1:]) / 2.0
+    mid_coords = [((a0 + a1) / 2, (b0 + b1) / 2) for (a0, b0), (a1, b1) in zip(coords, coords[1:])]
+    fids.setflags(write=False)
+    chi.setflags(write=False)
     return RaySweep(
         config=config,
         theta=theta,
@@ -255,8 +235,7 @@ def scan_ray(
         s_values=radii,
         fidelities=fids,
         susceptibilities=chi,
-        minima=minima,
-        states=states if keep_states else (),
+        minima=_detect_minima(mids, fids, mid_coords, dmu),
     )
 
 
@@ -289,9 +268,7 @@ def ray_pencil(count: int = DEFAULT_RAY_COUNT, span: tuple[float, float] = (0.0,
 
 def _ray_task(args) -> RaySweep:
     config, theta, s_max, dmu, rotated, etol, ptol = args
-    return scan_ray(
-        config, theta, s_max, dmu, rotated=rotated, etol=etol, ptol=ptol, keep_states=False
-    )
+    return scan_ray(config, theta, s_max, dmu, rotated=rotated, etol=etol, ptol=ptol)
 
 
 def phase_diagram(
@@ -325,48 +302,6 @@ def phase_diagram(
         for m in ray.minima
     )
     return PhaseDiagram(config, rotated, thetas, rays, minima)
-
-
-@dataclass(frozen=True)
-class LineSweep:
-    """Fidelity series along a fixed-coordinate line (can miss minima)."""
-
-    config: ModelConfig
-    which_mu: str
-    dmu: float
-    nmax: int
-    rotated: Branch | None
-    mu_values: np.ndarray
-    fidelities: np.ndarray
-    susceptibilities: np.ndarray
-    minima: tuple[SweepMinimum, ...]
-
-
-def scan_line(
-    config: ModelConfig,
-    which_mu: str,
-    mu_max: float,
-    dmu: float = DEFAULT_STEP,
-    *,
-    rotated: Branch | None = None,
-    etol: float = DEFAULT_ENERGY_TOL,
-    ptol: float = DEFAULT_TAIL_TOL,
-) -> LineSweep:
-    """Vary one allowed coupling, holding the other at its configured value."""
-    names = [coupling_name(p) for p in config.cfg.allowed_pairs]
-    if which_mu not in names:
-        raise ValueError(f"{which_mu!r} is not an allowed coupling of {config.cfg.value}")
-    if dmu <= 0:
-        raise ValueError("dmu must be positive")
-    other = names[1] if which_mu == names[0] else names[0]
-    fixed = getattr(config, other)
-    n_steps = int(np.floor(mu_max / dmu + 1e-9))
-    if n_steps < 2:
-        raise ValueError("line too short: needs at least two points")
-    grid = dmu * np.arange(1, n_steps + 1)
-    coords = [(v, fixed) if which_mu == names[0] else (fixed, v) for v in grid]
-    nmax, _, fids, chi, minima = _scan_path(config, grid, coords, dmu, rotated, etol, ptol)
-    return LineSweep(config, which_mu, dmu, nmax, rotated, grid, fids, chi, minima)
 
 
 def _threshold_boundary(Omega: float, budget: float, threshold: float, mu: float) -> float | None:

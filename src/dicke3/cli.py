@@ -26,7 +26,7 @@ from .analysis import (
     separatrix_v,
     separatrix_xi,
 )
-from .basis import BasisState, DimensionLimitError, enumerate_basis
+from .basis import BasisSet, BasisState, DimensionLimitError, enumerate_basis
 from .model import (
     ModelConfig,
     build_frame_hamiltonian,
@@ -41,7 +41,6 @@ from .rotations import (
     UndefinedAngleError,
     decoupling_angle,
     rotate_amplitudes,
-    rotation_pair,
     transform_exact,
     transform_generator_closed_form,
 )
@@ -85,21 +84,6 @@ def _emit(out: str | None, text: str) -> None:
         Path(out).write_text(text)
 
 
-def _add_model_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--configuration", choices=["xi", "lambda", "v"])
-    p.add_argument("--omega1", type=float)
-    p.add_argument("--omega2", type=float)
-    p.add_argument("--omega3", type=float)
-    p.add_argument("--mu12", type=float)
-    p.add_argument("--mu13", type=float)
-    p.add_argument("--mu23", type=float)
-    p.add_argument("--na", type=int)
-    p.add_argument("--nmax", type=int, help="photon cutoff; omit for automatic convergence")
-    p.add_argument("--Omega", type=float, dest="Omega")
-    p.add_argument("--etol", type=float, help="cutoff convergence energy tolerance")
-    p.add_argument("--ptol", type=float, help="cutoff convergence tail tolerance")
-
-
 _MODEL_DEFAULTS = {
     "configuration": None,
     "omega1": 0.0,
@@ -115,20 +99,41 @@ _MODEL_DEFAULTS = {
     "ptol": DEFAULT_TAIL_TOL,
 }
 
+# Flag settings the default cannot give; every other flag takes its default's
+# type, and a boolean default makes a switch.
+_FLAG_SETTINGS = {
+    "configuration": {"choices": ["xi", "lambda", "v"]},
+    "rotated": {"choices": ["none", "first", "second"]},
+    "frame": {"choices": ["unrotated", "first", "second"]},
+    "nmax": {"type": int, "help": "photon cutoff; model commands converge it when omitted"},
+    "initial": {"help": "basis state 'nu,n1,n2,n3' (default: ground state)"},
+    "etol": {"help": "cutoff convergence energy tolerance"},
+    "ptol": {"help": "cutoff convergence tail tolerance"},
+}
+
+
+def _read_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read config file {path}: {exc}") from None
+    if not isinstance(values, dict):
+        raise ValueError(f"config file {path} must hold a JSON object of run parameters")
+    return values
+
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Layer defaults, then the JSON config file, then explicit flags."""
     merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path) as fh:
-            file_values = json.load(fh)
+    if args.config:
+        file_values = _read_config(args.config)
         unknown = set(file_values) - set(defaults)
         if unknown:
-            raise ValueError(f"unknown keys in {config_path}: {sorted(unknown)}")
+            raise ValueError(f"unknown keys in {args.config}: {sorted(unknown)}")
         merged.update(file_values)
     for key in defaults:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
     _check_numbers(merged, defaults)
@@ -167,20 +172,24 @@ def _model_from(params: dict, nmax: int) -> ModelConfig:
     )
 
 
-def _resolve_cutoff(
+def _resolve_model(
     params: dict, *, at_couplings: tuple[float, float] | None = None
-) -> tuple[int, QuantumState | None]:
-    """Fixed --nmax wins; otherwise converge, optionally at given couplings.
+) -> tuple[ModelConfig, BasisSet, QuantumState | None]:
+    """Model and basis at the cutoff: fixed --nmax wins; otherwise converge,
+    optionally at given couplings.
 
-    Returns the cutoff and, when it was converged, the unrotated ground
-    state the search ended on (None for a fixed --nmax).
+    Also returns, when the cutoff was converged, the unrotated ground state
+    the search ended on (None for a fixed --nmax).
     """
-    if params["nmax"] is not None:
-        return params["nmax"], None
-    probe = _model_from(params, nmax=8)
-    if at_couplings is not None:
-        probe = with_couplings(probe, *at_couplings)
-    return converged_ground_state(probe, params["etol"], params["ptol"])
+    nmax, state = params["nmax"], None
+    if nmax is None:
+        probe = _model_from(params, nmax=8)
+        if at_couplings is not None:
+            probe = with_couplings(probe, *at_couplings)
+        nmax, state = converged_ground_state(probe, params["etol"], params["ptol"])
+    m = _model_from(params, nmax)
+    basis = enumerate_basis(m.na, nmax) if state is None else state.basis
+    return m, basis, state
 
 
 def _branch_option(value: str | None) -> Branch | None:
@@ -189,15 +198,12 @@ def _branch_option(value: str | None) -> Branch | None:
     return Branch.from_label(value)
 
 
-def cmd_spectrum(args) -> int:
-    params = _resolve(args, {**_MODEL_DEFAULTS, "rotated": "none", "band_labels": False})
+def cmd_spectrum(params: dict, out: str | None) -> int:
     rotated = _branch_option(params["rotated"])
-    nmax, _ = _resolve_cutoff(params)
-    m = _model_from(params, nmax)
-    basis = enumerate_basis(m.na, m.nmax)
+    m, basis, _ = _resolve_model(params)
     spec = diagonalize(build_frame_hamiltonian(m, basis, rotated), basis)
 
-    meta = {**params, "nmax": nmax, "dim": basis.dim}
+    meta = {**params, "nmax": m.nmax, "dim": basis.dim}
     header = ["index", "energy"]
     label_values = None
     if params["band_labels"]:
@@ -217,25 +223,19 @@ def cmd_spectrum(args) -> int:
     for i, e in enumerate(spec.energies):
         row = [i, e] if label_values is None else [i, e, label_values[i]]
         rows.append(row)
-    _emit(args.out, _render_csv(header, meta, rows))
+    _emit(out, _render_csv(header, meta, rows))
     return EXIT_OK
 
 
-def cmd_populations(args) -> int:
-    params = _resolve(
-        args,
-        {**_MODEL_DEFAULTS, "grid": 21, "mu_max": 2.0, "frame": None},
-    )
+def cmd_populations(params: dict, out: str | None) -> int:
     frames = (
         [params["frame"]] if params["frame"] else ["unrotated", "first", "second"]
     )
-    if args.out is None and len(frames) > 1:
+    if out is None and len(frames) > 1:
         raise ValueError("--out is required when emitting all three frames")
     values = np.linspace(0.0, params["mu_max"], params["grid"])
     corner = (params["mu_max"], params["mu_max"])
-    nmax, corner_state = _resolve_cutoff(params, at_couplings=corner)
-    m0 = _model_from(params, nmax)
-    basis = enumerate_basis(m0.na, m0.nmax)
+    m0, basis, corner_state = _resolve_model(params, at_couplings=corner)
 
     # Every frame's rotation acts on the atomic factor, so a rotated frame's
     # ground state is the unrotated one turned by its decoupling angle: each
@@ -265,32 +265,21 @@ def cmd_populations(args) -> int:
                 rows[frame].append([mu_a, mu_b, *populations(state)])
 
     for frame in frames:
-        meta = {**params, "frame": frame, "nmax": nmax}
+        meta = {**params, "frame": frame, "nmax": m0.nmax}
         if origin_seen and branches[frame] is not None:
             meta["note"] = "origin skipped: rotation undefined at zero couplings"
         text = _render_csv(
             ["mu_a", "mu_b", "a11", "a22", "a33", "nphot"], meta, rows[frame]
         )
-        if args.out is None:
+        if out is None:
             _emit(None, text)
         else:
-            path = Path(args.out)
+            path = Path(out)
             _emit(str(path.with_name(f"{path.stem}_{frame}{path.suffix}")), text)
     return EXIT_OK
 
 
-def cmd_phase_diagram(args) -> int:
-    params = _resolve(
-        args,
-        {
-            **_MODEL_DEFAULTS,
-            "rotated": "none",
-            "rays": 37,
-            "s_max": 1.5,
-            "dmu": 0.01,
-            "threads": 1,
-        },
-    )
+def cmd_phase_diagram(params: dict, out: str | None) -> int:
     rotated = _branch_option(params["rotated"])
     m = _model_from(params, nmax=8)
     diagram = phase_diagram(
@@ -308,16 +297,13 @@ def cmd_phase_diagram(args) -> int:
         for locus in diagram.minima
     ]
     _emit(
-        args.out,
+        out,
         _render_csv(["theta", "s", "mu_a", "mu_b", "fidelity"], params, rows),
     )
     return EXIT_OK
 
 
-def cmd_separatrix(args) -> int:
-    params = _resolve(
-        args, {**_MODEL_DEFAULTS, "samples": 101, "mu_max": 2.0}
-    )
+def cmd_separatrix(params: dict, out: str | None) -> int:
     if params["configuration"] is None:
         raise ValueError("a configuration (xi, lambda or v) is required")
     cfg = Configuration.from_label(params["configuration"])
@@ -342,16 +328,13 @@ def cmd_separatrix(args) -> int:
             if mu13 is not None:
                 rows.append([mu23, mu13])
         header = ["mu23", "mu13"]
-    _emit(args.out, _render_csv(header, params, rows))
+    _emit(out, _render_csv(header, params, rows))
     return EXIT_OK
 
 
-def cmd_store_retrieve(args) -> int:
-    params = _resolve(args, dict(_MODEL_DEFAULTS))
-    nmax, initial = _resolve_cutoff(params)
-    m = _model_from(params, nmax)
+def cmd_store_retrieve(params: dict, out: str | None) -> int:
+    m, basis, initial = _resolve_model(params)
     if initial is None:
-        basis = enumerate_basis(m.na, m.nmax)
         initial = ground_state(build_hamiltonian(m, basis), basis)
     stored, stored_content = protocol.store(m, initial)
     retrieved, retrieved_content = protocol.retrieve(m, stored)
@@ -366,7 +349,7 @@ def cmd_store_retrieve(args) -> int:
         rows.append([stage, a11, a22, a33, nph])
     meta = {
         **params,
-        "nmax": nmax,
+        "nmax": m.nmax,
         "content_overlap": protocol.content_overlap(stored_content, retrieved_content),
         "stored_sector_weight": stored_content.sector_weight,
         "retrieved_sector_weight": retrieved_content.sector_weight,
@@ -375,19 +358,18 @@ def cmd_store_retrieve(args) -> int:
         "detuned": stored_content.detuned,
     }
     _emit(
-        args.out,
+        out,
         _render_csv(["stage", "a11", "a22", "a33", "nphot"], meta, rows),
     )
     return EXIT_OK
 
 
-def cmd_rotate_check(args) -> int:
-    params = _resolve(args, {"na": 2, "nmax": 2, "samples": 20, "seed": 0})
+def cmd_rotate_check(params: dict, out: str | None) -> int:
     rng = np.random.default_rng(params["seed"])
     basis = enumerate_basis(params["na"], params["nmax"])
     rows = []
     overall = 0.0
-    for j, k in (rotation_pair(cfg) for cfg in Configuration):
+    for j, k in (cfg.rotation_plane for cfg in Configuration):
         angles = rng.uniform(-np.pi, np.pi, params["samples"])
         for l in (1, 2, 3):
             for m_ in (1, 2, 3):
@@ -401,31 +383,22 @@ def cmd_rotate_check(args) -> int:
                 rows.append([f"K{j}{k}", l, m_, worst])
                 overall = max(overall, worst)
     meta = {**params, "max_error": overall}
-    _emit(args.out, _render_csv(["rotation", "l", "m", "max_error"], meta, rows))
+    _emit(out, _render_csv(["rotation", "l", "m", "max_error"], meta, rows))
     return EXIT_OK
 
 
-def cmd_evolve(args) -> int:
-    params = _resolve(
-        args,
-        {
-            **_MODEL_DEFAULTS,
-            "rotated": "none",
-            "initial": None,
-            "t_max": 50.0,
-            "t_steps": 501,
-        },
-    )
+def cmd_evolve(params: dict, out: str | None) -> int:
     rotated = _branch_option(params["rotated"])
-    nmax, _ = _resolve_cutoff(params)
-    m = _model_from(params, nmax)
-    basis = enumerate_basis(m.na, m.nmax)
+    m, basis, _ = _resolve_model(params)
     H = build_frame_hamiltonian(m, basis, rotated)
     spec = diagonalize(H, basis)
     if params["initial"] is None:
         state = ground_state(H, basis)
     else:
-        occ = [int(x) for x in str(params["initial"]).split(",")]
+        try:
+            occ = [int(x) for x in str(params["initial"]).split(",")]
+        except ValueError:
+            occ = []
         if len(occ) != 4:
             raise ValueError("--initial must be 'nu,n1,n2,n3'")
         try:
@@ -439,9 +412,49 @@ def cmd_evolve(args) -> int:
     for t in np.linspace(0.0, params["t_max"], params["t_steps"]):
         a11, a22, a33, nph = populations(evolve(spec, state, t))
         rows.append([t, a11, a22, a33, nph])
-    meta = {**params, "nmax": nmax}
-    _emit(args.out, _render_csv(["t", "a11", "a22", "a33", "nphot"], meta, rows))
+    meta = {**params, "nmax": m.nmax}
+    _emit(out, _render_csv(["t", "a11", "a22", "a33", "nphot"], meta, rows))
     return EXIT_OK
+
+
+# Every subcommand's help and parameters, declared once: name -> default.
+# The parser derives one --flag per name (underscores as dashes), _resolve
+# takes its defaults and config-file keys from the same table, and command
+# "a-b" runs cmd_a_b, looked up when it runs.
+COMMANDS = {
+    "spectrum": (
+        "eigenvalues, optionally with frozen-level band labels",
+        {**_MODEL_DEFAULTS, "rotated": "none", "band_labels": False},
+    ),
+    "populations": (
+        "level populations over a coupling grid",
+        {**_MODEL_DEFAULTS, "grid": 21, "mu_max": 2.0, "frame": None},
+    ),
+    "phase-diagram": (
+        "fidelity-minima loci over a ray pencil",
+        {**_MODEL_DEFAULTS, "rotated": "none", "rays": 37, "s_max": 1.5, "dmu": 0.01, "threads": 1},
+    ),
+    "separatrix": (
+        "closed-form variational phase boundary",
+        {**_MODEL_DEFAULTS, "samples": 101, "mu_max": 2.0},
+    ),
+    "store-retrieve": ("qubit store/retrieve report", _MODEL_DEFAULTS),
+    "rotate-check": (
+        "closed-form rotations vs exponential oracle",
+        {"na": 2, "nmax": 2, "samples": 20, "seed": 0},
+    ),
+    "evolve": (
+        "populations under time evolution",
+        {**_MODEL_DEFAULTS, "rotated": "none", "initial": None, "t_max": 50.0, "t_steps": 501},
+    ),
+}
+
+
+def _flag_settings(name: str, default) -> dict:
+    if isinstance(default, bool):
+        return {"action": "store_true", "default": None}
+    typed = {"type": type(default)} if isinstance(default, (int, float)) else {}
+    return {**typed, **_FLAG_SETTINGS.get(name, {})}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,57 +463,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact diagonalization of three-level collective atom-field models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_, model=True):
-        p = sub.add_parser(name, help=help_)
+    for command, (help_, defaults) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
         p.add_argument("--config", help="JSON file with run parameters")
         p.add_argument("--out", help="output path (default: stdout)")
-        if model:
-            _add_model_arguments(p)
-        p.set_defaults(func=func)
-        return p
-
-    p = add("spectrum", cmd_spectrum, "eigenvalues, optionally with frozen-level band labels")
-    p.add_argument("--rotated", choices=["none", "first", "second"])
-    p.add_argument("--band-labels", action="store_true", dest="band_labels", default=None)
-
-    p = add("populations", cmd_populations, "level populations over a coupling grid")
-    p.add_argument("--grid", type=int)
-    p.add_argument("--mu-max", type=float, dest="mu_max")
-    p.add_argument("--frame", choices=["unrotated", "first", "second"])
-
-    p = add("phase-diagram", cmd_phase_diagram, "fidelity-minima loci over a ray pencil")
-    p.add_argument("--rotated", choices=["none", "first", "second"])
-    p.add_argument("--rays", type=int)
-    p.add_argument("--s-max", type=float, dest="s_max")
-    p.add_argument("--dmu", type=float)
-    p.add_argument("--threads", type=int)
-
-    p = add("separatrix", cmd_separatrix, "closed-form variational phase boundary")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--mu-max", type=float, dest="mu_max")
-
-    add("store-retrieve", cmd_store_retrieve, "qubit store/retrieve report")
-
-    p = add("rotate-check", cmd_rotate_check, "closed-form rotations vs exponential oracle", model=False)
-    p.add_argument("--na", type=int)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = add("evolve", cmd_evolve, "populations under time evolution")
-    p.add_argument("--rotated", choices=["none", "first", "second"])
-    p.add_argument("--initial", help="basis state 'nu,n1,n2,n3' (default: ground state)")
-    p.add_argument("--t-max", type=float, dest="t_max")
-    p.add_argument("--t-steps", type=int, dest="t_steps")
-
+        for name, default in defaults.items():
+            p.add_argument("--" + name.replace("_", "-"), dest=name, **_flag_settings(name, default))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return run(_resolve(args, COMMANDS[args.command][1]), args.out)
     except (ValueError, UndefinedAngleError, DimensionLimitError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -31,7 +31,7 @@ from .operators import (
     atomic_collective_matrix,
     excitation_values,
 )
-from .rotations import Branch, decoupling_angle, rotation_pair
+from .rotations import Branch, decoupling_angle
 
 EQUAL_DETUNING_TOL = 1e-12
 
@@ -261,7 +261,7 @@ def rotated_parameters(config: ModelConfig, branch: Branch) -> RotatedParameters
     alpha = decoupling_angle(config, branch)
     cfg = config.cfg
     a, b = config.plane_couplings
-    j, k = rotation_pair(cfg)
+    j, k = cfg.rotation_plane
     w_j, w_k = config.omegas[j - 1], config.omegas[k - 1]
     rho2 = a * a + b * b
     mixed_j = (w_j * a * a + w_k * b * b) / rho2

@@ -69,11 +69,6 @@ class RotationSpec:
             raise ValueError("rotation plane needs two distinct levels")
 
 
-def rotation_pair(cfg: Configuration) -> tuple[int, int]:
-    """Level pair (j, k) of the decoupling rotation for a configuration."""
-    return cfg.rotation_plane
-
-
 def atomic_generator_matrix(na: int, j: int, k: int) -> np.ndarray:
     """K_jk = A_jk - A_kj on the atomic factor."""
     if j == k:
@@ -171,7 +166,7 @@ def decoupling_angle(config: "ModelConfig", branch: Branch) -> float:
 
 def plane_rotation(cfg: Configuration, alpha: float, basis: BasisSet) -> OperatorMatrix:
     """Full-basis U = exp(-alpha K_jk) in the configuration's rotation plane."""
-    return rotation_matrix(RotationSpec(*rotation_pair(cfg), alpha), basis)
+    return rotation_matrix(RotationSpec(*cfg.rotation_plane, alpha), basis)
 
 
 def rotate_amplitudes(
@@ -189,13 +184,7 @@ def rotate_amplitudes(
         raise ValueError(
             f"amplitudes of shape {amplitudes.shape} do not match basis dim {basis.dim}"
         )
-    block = atomic_rotation_matrix(RotationSpec(*rotation_pair(cfg), alpha), basis.na)
+    block = atomic_rotation_matrix(RotationSpec(*cfg.rotation_plane, alpha), basis.na)
     blocks = amplitudes.reshape(*amplitudes.shape[:-1], basis.nmax + 1, basis.atomic_dim)
     return (blocks @ block.T).reshape(amplitudes.shape)
 
-
-def decoupling_rotation(
-    config: "ModelConfig", branch: Branch, basis: BasisSet
-) -> OperatorMatrix:
-    """Full-basis U at the decoupling angle."""
-    return plane_rotation(config.cfg, decoupling_angle(config, branch), basis)

@@ -26,7 +26,7 @@ from dicke3.model import (
 )
 from dicke3.operators import Configuration, collective_A, parity
 from dicke3.protocol import content_overlap, rabi_demo, retrieve, store
-from dicke3.rotations import Branch, RotationSpec, decoupling_angle, rotation_pair
+from dicke3.rotations import Branch, RotationSpec, decoupling_angle
 from dicke3.solver import (
     QuantumState,
     converge_cutoff,
@@ -206,7 +206,7 @@ def test_c05_second_order_expansion_scaling():
             nmax = converge_cutoff(with_couplings(m0, mu_pair[0] + 0.02, mu_pair[1] + 0.02))
             basis = enumerate_basis(2, nmax)
             m = dataclasses.replace(m0, nmax=nmax)
-            K = d3.generator_K(basis, *rotation_pair(cfg))
+            K = d3.generator_K(basis, *cfg.rotation_plane)
             psi = ground_state(build_hamiltonian(m, basis), basis)
             slope = dalpha_dmu(cfg, names[which], tuple(mu_pair))
             remainders = []
@@ -237,7 +237,7 @@ def test_c06_phase_diagram_invariant_under_rotation():
     count_mismatch = 0
     for theta in thetas:
         sweeps = [
-            scan_ray(template, float(theta), 1.5, 0.01, rotated=fr, keep_states=False)
+            scan_ray(template, float(theta), 1.5, 0.01, rotated=fr)
             for fr in (None, Branch.FIRST, Branch.SECOND)
         ]
         counts = {len(sw.minima) for sw in sweeps}
@@ -257,7 +257,7 @@ def test_c07_separatrix_convergence_with_atom_number():
     # ladder, on-axis ray: boundary value sqrt(Omega (omega2-omega1)) / 2 = 0.5
     loci = {}
     for na in (1, 4):
-        sw = scan_ray(_xi_resonant(na), 0.0, 1.3, 0.01, keep_states=False)
+        sw = scan_ray(_xi_resonant(na), 0.0, 1.3, 0.01)
         assert len(sw.minima) == 1
         loci[na] = sw.minima[0].s
     xi_ok = abs(loci[4] - 0.5) < abs(loci[1] - 0.5)
@@ -267,7 +267,7 @@ def test_c07_separatrix_convergence_with_atom_number():
         for na in (1, 4):
             dists = []
             for theta in np.linspace(0.0, np.pi / 2, 9):
-                sw = scan_ray(make_template(na), float(theta), 1.3, 0.01, keep_states=False)
+                sw = scan_ray(make_template(na), float(theta), 1.3, 0.01)
                 assert sw.minima, f"no minimum on theta={theta}"
                 dists.append(abs(sw.minima[0].s - 0.5))
             out[na] = float(np.mean(dists))

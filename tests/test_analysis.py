@@ -5,14 +5,12 @@ import pytest
 
 import dicke3 as d3
 from dicke3.analysis import (
-    LineSweep,
     dalpha_dmu,
     fidelity,
     fidelity_rot_second_order,
     fidelity_rotated_exact,
     phase_diagram,
     ray_pencil,
-    scan_line,
     scan_ray,
     separatrix_lambda,
     separatrix_v,
@@ -21,7 +19,7 @@ from dicke3.analysis import (
 from dicke3.basis import enumerate_basis
 from dicke3.model import ModelConfig, coupling_name, with_couplings
 from dicke3.operators import Configuration
-from dicke3.rotations import Branch, UndefinedAngleError, decoupling_angle, rotation_pair
+from dicke3.rotations import Branch, UndefinedAngleError, decoupling_angle
 from dicke3.solver import QuantumState, ground_state
 
 from conftest import random_model
@@ -128,13 +126,13 @@ class TestSecondOrderFidelity:
 
     def test_zero_angle_derivative_reduces_to_fidelity(self):
         b, s1, s2 = self._states(0.9, 0.01)
-        K = d3.generator_K(b, *rotation_pair(Configuration.XI))
+        K = d3.generator_K(b, *Configuration.XI.rotation_plane)
         out = fidelity_rot_second_order(s1, s2, K, 0.0, 0.01)
         assert out == pytest.approx(fidelity(s1, s2), abs=1e-14)
 
     def test_zero_step_gives_unity(self):
         b, s1, _ = self._states(0.9, 0.01)
-        K = d3.generator_K(b, *rotation_pair(Configuration.XI))
+        K = d3.generator_K(b, *Configuration.XI.rotation_plane)
         assert fidelity_rot_second_order(s1, s1, K, -0.3, 0.0) == pytest.approx(
             1.0, abs=1e-12
         )
@@ -142,7 +140,7 @@ class TestSecondOrderFidelity:
     def test_correction_term_value(self):
         # the implementation must equal its defining quadratic expression
         b, s1, s2 = self._states(0.8, 0.02)
-        K = d3.generator_K(b, *rotation_pair(Configuration.XI))
+        K = d3.generator_K(b, *Configuration.XI.rotation_plane)
         psi, psip = s1.amplitudes, s2.amplitudes
         o = np.vdot(psip, psi).real
         k1 = np.vdot(psip, K.matrix @ psi).real
@@ -159,7 +157,7 @@ class TestSecondOrderFidelity:
         mu12, mu23 = 0.9, 0.7
         m = xi_resonant(nmax=24, mu23=mu23)
         b = enumerate_basis(1, 24)
-        K = d3.generator_K(b, *rotation_pair(Configuration.XI))
+        K = d3.generator_K(b, *Configuration.XI.rotation_plane)
         s1 = ground_state(d3.build_hamiltonian(with_couplings(m, mu12, mu23), b), b)
         da_dmu = dalpha_dmu(Configuration.XI, "mu12", (mu12, mu23))
         residuals = []
@@ -185,18 +183,18 @@ class TestSecondOrderFidelity:
 
 class TestScanRay:
     def test_normal_region_has_no_minima(self):
-        sw = scan_ray(xi_resonant(), 0.0, 0.3, 0.02, keep_states=False)
+        sw = scan_ray(xi_resonant(), 0.0, 0.3, 0.02)
         assert sw.minima == ()
         assert np.all(1.0 - sw.fidelities < 1e-3)
 
     def test_transition_detected_on_axis(self):
-        sw = scan_ray(xi_resonant(), 0.0, 1.3, 0.01, keep_states=False)
+        sw = scan_ray(xi_resonant(), 0.0, 1.3, 0.01)
         assert len(sw.minima) == 1
         assert 0.5 < sw.minima[0].s < 1.3
         assert sw.minima[0].mu_b == 0.0
 
     def test_fidelity_bounds_and_chi(self):
-        sw = scan_ray(xi_resonant(), np.pi / 4, 0.8, 0.02, keep_states=False)
+        sw = scan_ray(xi_resonant(), np.pi / 4, 0.8, 0.02)
         assert np.all(sw.fidelities <= 1.0 + 1e-12)
         assert np.all(sw.fidelities >= 0.0)
         assert np.allclose(
@@ -204,14 +202,10 @@ class TestScanRay:
         )
 
     def test_deterministic(self):
-        a = scan_ray(xi_resonant(), 0.3, 0.6, 0.02, keep_states=False)
-        b = scan_ray(xi_resonant(), 0.3, 0.6, 0.02, keep_states=False)
+        a = scan_ray(xi_resonant(), 0.3, 0.6, 0.02)
+        b = scan_ray(xi_resonant(), 0.3, 0.6, 0.02)
         assert np.array_equal(a.fidelities, b.fidelities)
         assert a.minima == b.minima
-
-    def test_states_kept_on_request(self):
-        sw = scan_ray(xi_resonant(), 0.0, 0.2, 0.05)
-        assert len(sw.states) == len(sw.s_values)
 
     def test_rejects_bad_rays(self):
         with pytest.raises(ValueError):
@@ -254,7 +248,7 @@ class TestPhaseDiagram:
     def test_loci_frame_invariance_every_configuration(self, cfg, omegas):
         m = ModelConfig(cfg, *omegas, mu12=0.0, mu13=0.0, mu23=0.0, na=1, nmax=8)
         sweeps = [
-            scan_ray(m, 0.7, 1.5, 0.02, rotated=fr, keep_states=False)
+            scan_ray(m, 0.7, 1.5, 0.02, rotated=fr)
             for fr in (None, Branch.FIRST, Branch.SECOND)
         ]
         counts = {len(sw.minima) for sw in sweeps}
@@ -266,20 +260,6 @@ class TestPhaseDiagram:
     def test_empty_pencil_rejected(self):
         with pytest.raises(ValueError):
             phase_diagram(xi_resonant(), [], 1.0, 0.02)
-
-
-class TestScanLine:
-    def test_matches_axis_ray(self):
-        m = xi_resonant()
-        line = scan_line(m, "mu12", 1.3, 0.01)
-        ray = scan_ray(m, 0.0, 1.3, 0.01, keep_states=False)
-        assert isinstance(line, LineSweep)
-        assert np.array_equal(line.fidelities, ray.fidelities)
-        assert line.minima == ray.minima and len(line.minima) == 1
-
-    def test_unknown_coupling_rejected(self):
-        with pytest.raises(ValueError):
-            scan_line(xi_resonant(), "mu13", 1.0, 0.01)
 
 
 class TestSeparatrices:

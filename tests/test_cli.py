@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from dicke3.basis import enumerate_basis
-from dicke3.cli import main
+from dicke3.cli import COMMANDS, build_parser, main
 from dicke3.model import ModelConfig, build_frame_hamiltonian, with_couplings
 from dicke3.operators import Configuration
 from dicke3.rotations import Branch
@@ -253,12 +254,18 @@ class TestEvolveCommand:
         assert header == ["t", "a11", "a22", "a33", "nphot"]
         assert max(float(r[1]) for r in rows) < 1e-10
 
-    def test_bad_initial_state(self, tmp_path):
+    def test_bad_initial_state(self, tmp_path, capsys):
         rc = run(
             "evolve", *LAMBDA_ARGS, "--nmax", "4", "--initial", "0,2,0,0",
             "--out", str(tmp_path / "x.csv"),
         )
         assert rc == 2
+        rc = run(
+            "evolve", *LAMBDA_ARGS, "--nmax", "4", "--initial", "a,b",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
+        assert "--initial must be 'nu,n1,n2,n3'" in capsys.readouterr().err
 
 
 class TestRunConfigFile:
@@ -310,6 +317,83 @@ class TestRunConfigFile:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("5", "must hold a JSON object"),
+            ("null", "must hold a JSON object"),
+            ("[1, 2]", "must hold a JSON object"),
+            (None, "cannot read config file"),
+        ],
+    )
+    def test_unusable_config_file(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "run.json"
+        if content is not None:
+            cfg.write_text(content)
+        rc = run("separatrix", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: ")
+        assert message in err
+        assert "Traceback" not in err
+
+
+def _flags(subparser):
+    return {a.dest for a in subparser._actions if a.option_strings} - {"help", "config", "out"}
+
+
+class TestOneParameterTable:
+    """Each subcommand declares its parameters once: flags and config keys agree."""
+
+    SUBPARSERS = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+    @pytest.mark.parametrize("command", sorted(SUBPARSERS))
+    def test_flags_equal_config_keys(self, tmp_path, capsys, command):
+        flags = _flags(self.SUBPARSERS[command])
+        assert flags == set(COMMANDS[command][1])
+        for action in self.SUBPARSERS[command]._actions:
+            if action.dest in flags:
+                assert action.option_strings == ["--" + action.dest.replace("_", "-")]
+        # Every flag name is a config key; a name that is no flag is not.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**{key: None for key in flags}, "zz_not_a_flag": None}))
+        assert run(command, "--config", str(cfg)) == 2
+        assert f"unknown keys in {cfg}: ['zz_not_a_flag']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, base, flag, value",
+        [
+            ("spectrum", {"configuration": "xi", "omega2": 1.0, "na": 1, "nmax": 2}, "mu12", 0.3),
+            ("populations", {"configuration": "v", "omega2": 1.0, "na": 1, "nmax": 4,
+                             "frame": "unrotated"}, "grid", 3),
+            ("phase-diagram", {"configuration": "xi", "omega2": 1.0, "omega3": 2.0, "na": 1,
+                               "rays": 1, "dmu": 0.05}, "s_max", 1.2),
+            ("separatrix", {"configuration": "v", "omega2": 1.0}, "samples", 5),
+            ("store-retrieve", {"configuration": "lambda", "mu13": 0.6, "mu23": 0.8,
+                                "nmax": 6}, "Omega", 1.5),
+            ("rotate-check", {"na": 1, "nmax": 1}, "samples", 3),
+            ("evolve", {"configuration": "lambda", "mu13": 0.3, "mu23": 0.4, "nmax": 4},
+             "t_max", 2.5),
+        ],
+    )
+    def test_flag_and_config_give_same_bytes(self, tmp_path, command, base, flag, value):
+        assert COMMANDS[command][1][flag] != value
+        by_file, by_flag = tmp_path / "file.json", tmp_path / "flag.json"
+        by_file.write_text(json.dumps({**base, flag: value}))
+        by_flag.write_text(json.dumps(base))
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        assert run(command, "--config", str(by_file), "--out", str(a / "out.csv")) == 0
+        dashed = "--" + flag.replace("_", "-")
+        assert run(command, "--config", str(by_flag), dashed, str(value), "--out", str(b / "out.csv")) == 0
+        outputs = sorted(f.name for f in a.iterdir())
+        assert outputs and outputs == sorted(f.name for f in b.iterdir())
+        for name in outputs:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 class TestExitCodes:

@@ -22,7 +22,7 @@ from dicke3.operators import (
     collective_A,
     photon_ladder_matrix,
 )
-from dicke3.rotations import Branch, UndefinedAngleError, decoupling_rotation
+from dicke3.rotations import Branch, UndefinedAngleError, decoupling_angle, plane_rotation
 
 from conftest import random_model
 
@@ -279,7 +279,7 @@ class TestRotatedHamiltonian:
             b = enumerate_basis(m.na, m.nmax)
             H = build_hamiltonian(m, b).matrix
             Hp = build_rotated_hamiltonian(m, b, branch).matrix
-            U = decoupling_rotation(m, branch, b).matrix
+            U = plane_rotation(m.cfg, decoupling_angle(m, branch), b).matrix
             assert np.max(np.abs(Hp - U @ H @ U.T)) < 1e-10
 
     def test_eliminated_coupling_is_zero(self):

@@ -16,7 +16,6 @@ from dicke3.rotations import (
     plane_rotation,
     rotate_amplitudes,
     rotation_matrix,
-    rotation_pair,
     transform_exact,
     transform_generator_closed_form,
 )
@@ -170,7 +169,7 @@ class TestDecouplingAngle:
             b = enumerate_basis(1, 6)
             H = d3.build_hamiltonian(m, b).matrix
             for br in Branch:
-                U = d3.decoupling_rotation(m, br, b).matrix
+                U = plane_rotation(cfg, decoupling_angle(m, br), b).matrix
                 Hrot = U @ H @ U.T
                 rp = d3.rotated_parameters(m, br)
                 dead_pairs = [p for p, v in rp.mu_ts.items() if v == 0.0]
@@ -184,11 +183,11 @@ class TestDecouplingAngle:
 
 
 def test_rotation_pair_table():
-    assert rotation_pair(Configuration.XI) == (3, 1)
-    assert rotation_pair(Configuration.LAMBDA) == (1, 2)
-    assert rotation_pair(Configuration.V) == (3, 2)
+    assert Configuration.XI.rotation_plane == (3, 1)
+    assert Configuration.LAMBDA.rotation_plane == (1, 2)
+    assert Configuration.V.rotation_plane == (3, 2)
     for cfg in Configuration:
-        assert cfg.forbidden_pair == tuple(sorted(rotation_pair(cfg)))
+        assert cfg.forbidden_pair == tuple(sorted(cfg.rotation_plane))
 
 
 @st.composite

@@ -23,7 +23,9 @@ COMMANDS = {
     "phase_diagram": "phase-diagram",
     "populations": "populations",
     "rabi_stored_frame": "evolve",
+    "rotate_check": "rotate-check",
     "separatrix": "separatrix",
+    "spectrum": "spectrum",
     "store_retrieve": "store-retrieve",
 }
 
