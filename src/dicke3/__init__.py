@@ -29,9 +29,7 @@ from .model import (
     ModelConfig,
     RotatedParameters,
     build_effective_two_level,
-    build_frame_hamiltonian,
     build_hamiltonian,
-    build_rotated_hamiltonian,
     detuning,
     effective_coupling,
     rotated_parameters,
@@ -39,11 +37,9 @@ from .model import (
 )
 from .rotations import (
     Branch,
-    RotationSpec,
     UndefinedAngleError,
     decoupling_angle,
     generator_K,
-    plane_rotation,
     rotate_amplitudes,
     rotation_matrix,
     transform_exact,

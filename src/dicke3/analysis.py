@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import enumerate_basis
-from .model import ModelConfig, build_frame_hamiltonian, coupling_name, with_couplings
+from .model import ModelConfig, build_hamiltonian, coupling_name, with_couplings
 from .operators import Configuration, OperatorMatrix
 from .rotations import Branch, UndefinedAngleError, rotate_amplitudes
 from .solver import (
@@ -217,7 +217,7 @@ def scan_ray(
     basis = enumerate_basis(config.na, nmax)
     at_cutoff = dataclasses.replace(config, nmax=nmax)
     states = [
-        ground_state(build_frame_hamiltonian(with_couplings(at_cutoff, a, b), basis, rotated), basis)
+        ground_state(build_hamiltonian(with_couplings(at_cutoff, a, b), basis, rotated), basis)
         for a, b in coords
     ]
     fids = np.array([fidelity(s1, s2) for s1, s2 in zip(states, states[1:])])

@@ -29,7 +29,6 @@ from .analysis import (
 from .basis import BasisSet, BasisState, DimensionLimitError, enumerate_basis
 from .model import (
     ModelConfig,
-    build_frame_hamiltonian,
     build_hamiltonian,
     rotated_parameters,
     with_couplings,
@@ -37,7 +36,6 @@ from .model import (
 from .operators import Configuration, collective_A
 from .rotations import (
     Branch,
-    RotationSpec,
     UndefinedAngleError,
     decoupling_angle,
     rotate_amplitudes,
@@ -141,16 +139,23 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _check_numbers(params: dict, defaults: dict) -> None:
-    """Integer-defaulted keys must be integers, float-defaulted ones finite reals."""
+    """Integer-defaulted keys must be integers, float-defaulted ones finite
+    reals, boolean-defaulted ones true or false, and keys whose flag has
+    choices strings (or null where the default is null)."""
     for key, default in defaults.items():
         value = params[key]
-        if isinstance(default, bool) or not isinstance(default, (int, float)):
-            continue
         number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if isinstance(default, int):
+        if "choices" in _FLAG_SETTINGS.get(key, {}):
+            ok = isinstance(value, str) or (value is None and default is None)
+            kind = "a string or null" if default is None else "a string"
+        elif isinstance(default, bool):
+            ok, kind = isinstance(value, bool), "true or false"
+        elif isinstance(default, int):
             ok, kind = number and isinstance(value, numbers.Integral), "an integer"
-        else:
+        elif isinstance(default, float):
             ok, kind = number and math.isfinite(value), "a finite real number"
+        else:
+            continue
         if not ok:
             raise ValueError(f"{key} must be {kind}, got {value!r}")
 
@@ -201,7 +206,7 @@ def _branch_option(value: str | None) -> Branch | None:
 def cmd_spectrum(params: dict, out: str | None) -> int:
     rotated = _branch_option(params["rotated"])
     m, basis, _ = _resolve_model(params)
-    spec = diagonalize(build_frame_hamiltonian(m, basis, rotated), basis)
+    spec = diagonalize(build_hamiltonian(m, basis, rotated), basis)
 
     meta = {**params, "nmax": m.nmax, "dim": basis.dim}
     header = ["index", "energy"]
@@ -369,18 +374,17 @@ def cmd_rotate_check(params: dict, out: str | None) -> int:
     basis = enumerate_basis(params["na"], params["nmax"])
     rows = []
     overall = 0.0
-    for j, k in (cfg.rotation_plane for cfg in Configuration):
+    for cfg in Configuration:
         angles = rng.uniform(-np.pi, np.pi, params["samples"])
         for l in (1, 2, 3):
             for m_ in (1, 2, 3):
                 worst = 0.0
-                for alpha in angles:
-                    spec = RotationSpec(j, k, float(alpha))
+                for alpha in angles.tolist():
                     A = collective_A(basis, l, m_)
-                    exact = transform_exact(spec, A, basis).matrix
-                    closed = transform_generator_closed_form(spec, l, m_, basis).matrix
+                    exact = transform_exact(cfg, alpha, A, basis).matrix
+                    closed = transform_generator_closed_form(cfg, alpha, l, m_, basis).matrix
                     worst = max(worst, float(np.max(np.abs(exact - closed))))
-                rows.append([f"K{j}{k}", l, m_, worst])
+                rows.append(["K{}{}".format(*cfg.rotation_plane), l, m_, worst])
                 overall = max(overall, worst)
     meta = {**params, "max_error": overall}
     _emit(out, _render_csv(["rotation", "l", "m", "max_error"], meta, rows))
@@ -390,7 +394,7 @@ def cmd_rotate_check(params: dict, out: str | None) -> int:
 def cmd_evolve(params: dict, out: str | None) -> int:
     rotated = _branch_option(params["rotated"])
     m, basis, _ = _resolve_model(params)
-    H = build_frame_hamiltonian(m, basis, rotated)
+    H = build_hamiltonian(m, basis, rotated)
     spec = diagonalize(H, basis)
     if params["initial"] is None:
         state = ground_state(H, basis)

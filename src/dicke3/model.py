@@ -8,8 +8,9 @@ forbidden pair, and a single surviving matter-field coupling equal to the
 root sum square of the originals).  One plane-rotation rule in
 ``rotated_parameters`` derives that bundle for every configuration from the
 geometry table on :class:`dicke3.operators.Configuration`.  Every frame is
-assembled by one routine: the field and level terms are the diagonal, read
-from the basis's photon numbers and level counts, and the couplings are
+built by ``build_hamiltonian`` (``rotated=None`` for the lab frame, else a
+branch) through one routine: the field and level terms are the diagonal,
+read from the basis's photon numbers and level counts, and the couplings are
 atomic (m x m) blocks placed in the photon blocks of the photon-major basis.
 The similarity transform U H U.T is kept in :mod:`dicke3.rotations` as a
 test oracle.
@@ -138,14 +139,6 @@ def detuning(config: ModelConfig, j: int, k: int) -> float:
     return config.Omega - abs(config.omegas[j - 1] - config.omegas[k - 1])
 
 
-def _require_matching_basis(config: ModelConfig, basis: BasisSet) -> None:
-    if basis.na != config.na or basis.nmax != config.nmax:
-        raise ValueError(
-            f"basis (na={basis.na}, nmax={basis.nmax}) does not match "
-            f"config (na={config.na}, nmax={config.nmax})"
-        )
-
-
 def _assemble(
     config: ModelConfig,
     basis: BasisSet,
@@ -198,45 +191,27 @@ def _symmetric_pair(na: int, j: int, k: int) -> np.ndarray:
     return atomic_collective_matrix(na, j, k) + atomic_collective_matrix(na, k, j)
 
 
-def build_hamiltonian(config: ModelConfig, basis: BasisSet) -> OperatorMatrix:
-    """Full Hamiltonian: field + level terms - (a t + a) dipolar couplings."""
-    _require_matching_basis(config, basis)
-    couplings = {pair: config.coupling(pair) for pair in config.cfg.allowed_pairs}
-    return _assemble(config, basis, config.omegas, couplings)
-
-
 @dataclass(frozen=True)
 class RotatedParameters:
     """Parameter bundle of the rotated frame for one (configuration, branch).
 
-    Exactly one of the rotated couplings survives, equal to the root sum
-    square of the two originals; the residual one-body coupling lambda_t
-    acts on the forbidden pair and vanishes at equal detuning.
+    Exactly one of the rotated couplings survives, ``coupled_mu`` on
+    ``coupled_pair``, equal to the root sum square of the two originals; the
+    residual one-body coupling lambda_t acts on the forbidden pair and
+    vanishes at equal detuning.
     """
 
     alpha: float
     branch: Branch
-    omega_t1: float
-    omega_t2: float
-    omega_t3: float
+    omega_ts: tuple[float, float, float]
     lambda_t: float
     lambda_pair: tuple[int, int]
-    mu_t12: float
-    mu_t13: float
-    mu_t23: float
     coupled_pair: tuple[int, int]
-
-    @property
-    def omega_ts(self) -> tuple[float, float, float]:
-        return (self.omega_t1, self.omega_t2, self.omega_t3)
+    coupled_mu: float
 
     @property
     def mu_ts(self) -> dict[tuple[int, int], float]:
-        return {(1, 2): self.mu_t12, (1, 3): self.mu_t13, (2, 3): self.mu_t23}
-
-    @property
-    def coupled_mu(self) -> float:
-        return self.mu_ts[self.coupled_pair]
+        return {p: self.coupled_mu if p == self.coupled_pair else 0.0 for p in _COUPLING_NAMES}
 
     @property
     def isolated_level(self) -> int:
@@ -270,35 +245,36 @@ def rotated_parameters(config: ModelConfig, branch: Branch) -> RotatedParameters
     first = branch is Branch.FIRST
     omega_t = list(config.omegas)
     omega_t[j - 1], omega_t[k - 1] = (mixed_j, mixed_k) if first else (mixed_k, mixed_j)
-    coupled = cfg.allowed_pairs[0 if first else 1]
-
-    mu_ts = {(1, 2): 0.0, (1, 3): 0.0, (2, 3): 0.0}
-    mu_ts[coupled] = float(np.hypot(a, b))
     return RotatedParameters(
         alpha=alpha,
         branch=branch,
-        omega_t1=omega_t[0],
-        omega_t2=omega_t[1],
-        omega_t3=omega_t[2],
+        omega_ts=tuple(omega_t),
         lambda_t=lam if first else -lam,
         lambda_pair=cfg.forbidden_pair,
-        mu_t12=mu_ts[(1, 2)],
-        mu_t13=mu_ts[(1, 3)],
-        mu_t23=mu_ts[(2, 3)],
-        coupled_pair=coupled,
+        coupled_pair=cfg.allowed_pairs[0 if first else 1],
+        coupled_mu=float(np.hypot(a, b)),
     )
 
 
-def build_rotated_hamiltonian(
-    config: ModelConfig, basis: BasisSet, branch: Branch
+def build_hamiltonian(
+    config: ModelConfig, basis: BasisSet, rotated: Branch | None = None
 ) -> OperatorMatrix:
-    """Rotated-frame Hamiltonian assembled from the parameter bundle.
+    """Hamiltonian in the lab frame (``rotated=None``) or a decoupled frame.
 
-    Agrees with U H U.T from the similarity transform; assembling from the
-    bundle instead exposes the parameter table itself to tests.
+    The lab frame holds field + level terms - (a t + a) dipolar couplings; a
+    branch's frame is assembled from its parameter bundle, which agrees with
+    U H U.T from the similarity transform and exposes the parameter table
+    itself to tests.
     """
-    _require_matching_basis(config, basis)
-    params = rotated_parameters(config, branch)
+    if basis.na != config.na or basis.nmax != config.nmax:
+        raise ValueError(
+            f"basis (na={basis.na}, nmax={basis.nmax}) does not match "
+            f"config (na={config.na}, nmax={config.nmax})"
+        )
+    if rotated is None:
+        couplings = {pair: config.coupling(pair) for pair in config.cfg.allowed_pairs}
+        return _assemble(config, basis, config.omegas, couplings)
+    params = rotated_parameters(config, rotated)
     return _assemble(
         config,
         basis,
@@ -306,15 +282,6 @@ def build_rotated_hamiltonian(
         {params.coupled_pair: params.coupled_mu},
         one_body=(params.lambda_pair, params.lambda_t),
     )
-
-
-def build_frame_hamiltonian(
-    config: ModelConfig, basis: BasisSet, rotated: Branch | None
-) -> OperatorMatrix:
-    """Hamiltonian in the requested frame: unrotated or a decoupled branch."""
-    if rotated is None:
-        return build_hamiltonian(config, basis)
-    return build_rotated_hamiltonian(config, basis, rotated)
 
 
 def effective_coupling(config: ModelConfig, branch: Branch, n_active: int) -> float:

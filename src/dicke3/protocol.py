@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisState, enumerate_basis, fixed_level_sector
-from .model import ModelConfig, build_rotated_hamiltonian, rotated_parameters
+from .model import ModelConfig, build_hamiltonian, rotated_parameters
 from .operators import Configuration
-from .rotations import Branch, decoupling_angle, plane_rotation, rotate_amplitudes
+from .rotations import Branch, decoupling_angle, rotate_amplitudes, rotation_matrix
 from .solver import QuantumState, diagonalize, evolve, populations
 
 
@@ -121,7 +121,7 @@ def _switch_frame(
     detuned = _check_detuning(config)
     alpha_source = 0.0 if source is None else decoupling_angle(config, source)
     params = rotated_parameters(config, target)
-    U = plane_rotation(config.cfg, params.alpha - alpha_source, state.basis)
+    U = rotation_matrix(config.cfg, params.alpha - alpha_source, state.basis)
     switched = QuantumState(U.matrix @ state.amplitudes, state.basis)
     content = _extract_content(
         switched, params.coupled_pair, params.isolated_level, n_ell=0, detuned=detuned
@@ -191,7 +191,7 @@ def rabi_demo(config: ModelConfig, nu0: int, t_grid) -> RabiSeries:
     amps[start] = 1.0
     psi0 = QuantumState(amps, basis)
 
-    spectrum = diagonalize(build_rotated_hamiltonian(config, basis, Branch.FIRST), basis)
+    spectrum = diagonalize(build_hamiltonian(config, basis, Branch.FIRST), basis)
     alpha_store = decoupling_angle(config, Branch.FIRST)
     alpha_retrieve = decoupling_angle(config, Branch.SECOND)
 

@@ -1,31 +1,28 @@
 """Level-pair rotations exp(-alpha K_jk) and their action on the generators.
 
 K_jk = A_jk - A_kj is real antisymmetric, so the rotation is real orthogonal
-and acts on the atomic factor only.  The adjoint action on every collective
-operator has a closed form (a plane rotation in operator space); the matrix
-exponential is kept alongside as an independent oracle.
+and acts on the atomic factor only.  Every rotation is a (configuration,
+angle) pair: the geometry table on :class:`dicke3.operators.Configuration`
+fixes the oriented plane (j, k), and the decoupling angle comes from the two
+plane couplings alone, so no caller names the plane.
 
-Each configuration rotates in one oriented plane (j, k), read from the
-geometry table on :class:`dicke3.operators.Configuration`.  The decoupling
-angle comes from the two plane couplings alone, so no caller names the plane.
-
-``rotate_amplitudes`` applies a configuration's rotation to state amplitudes
-through the m x m atomic factor alone; ``cli populations``,
-``analysis.fidelity_rotated_exact`` and ``protocol.rabi_demo`` rotate states
-this way.  ``plane_rotation`` builds the dense dim x dim U.  It stays the
-oracle for ``rotate-check`` and the tests, and ``protocol.store``/``retrieve``
-still apply it: the benchmark's tracing self-test expects the store workload
-to build the dense U.
+``atomic_rotation_matrix`` is the one place exp(-alpha K_jk) is computed,
+from the cached eigendecomposition of i K_jk, whose spectrum is integer.
+``rotate_amplitudes`` applies it to states.  ``rotation_matrix`` builds the
+dense dim x dim U: the oracle for ``rotate-check`` and the tests, still
+applied by ``protocol.store``/``retrieve`` because the benchmark's tracing
+self-test expects the store workload to build it.  The adjoint action on
+every collective operator has a closed form, a plane rotation in operator
+space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from enum import Enum
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
 
 from .basis import BasisSet
 from .operators import Configuration, OperatorMatrix, atomic_collective_matrix
@@ -54,21 +51,6 @@ class UndefinedAngleError(ValueError):
     """Both couplings in the angle ratio vanish; the rotation is undefined."""
 
 
-@dataclass(frozen=True)
-class RotationSpec:
-    """Rotation exp(-alpha K_jk) acting in the (j, k) level plane."""
-
-    j: int
-    k: int
-    alpha: float
-
-    def __post_init__(self):
-        if self.j not in (1, 2, 3) or self.k not in (1, 2, 3):
-            raise ValueError(f"levels must be in 1..3, got ({self.j}, {self.k})")
-        if self.j == self.k:
-            raise ValueError("rotation plane needs two distinct levels")
-
-
 def atomic_generator_matrix(na: int, j: int, k: int) -> np.ndarray:
     """K_jk = A_jk - A_kj on the atomic factor."""
     if j == k:
@@ -82,27 +64,44 @@ def generator_K(basis: BasisSet, j: int, k: int) -> OperatorMatrix:
     return OperatorMatrix(full, hermitian=False)
 
 
-def atomic_rotation_matrix(spec: RotationSpec, na: int) -> np.ndarray:
-    """exp(-alpha K_jk) on the atomic factor, via scaling-and-squaring."""
-    gen = atomic_generator_matrix(na, spec.j, spec.k)
-    return scipy.linalg.expm(-spec.alpha * gen)
+@functools.lru_cache(maxsize=None)
+def _generator_eigensystem(cfg: Configuration, na: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the Hermitian i K_jk in cfg's plane.
+
+    On the block with n_j + n_k = n atoms, i K_jk is twice a component of the
+    Schwinger-boson spin n / 2, so its eigenvalues are the integers
+    -n, -n + 2, ..., n; rounding them makes e^{i alpha lambda} exact.
+    """
+    lam, vecs = np.linalg.eigh(1j * atomic_generator_matrix(na, *cfg.rotation_plane))
+    lam = np.rint(lam)
+    lam.setflags(write=False)
+    vecs.setflags(write=False)
+    return lam, vecs
 
 
-def rotation_matrix(spec: RotationSpec, basis: BasisSet) -> OperatorMatrix:
-    """U = exp(-alpha K_jk) on the full basis.
+def atomic_rotation_matrix(cfg: Configuration, alpha: float, na: int) -> np.ndarray:
+    """exp(-alpha K) = V diag(e^{i alpha lambda}) V^dagger for i K = V diag(lambda) V^dagger."""
+    lam, vecs = _generator_eigensystem(cfg, na)
+    return ((vecs * np.exp(1j * alpha * lam)) @ vecs.conj().T).real
+
+
+def rotation_matrix(cfg: Configuration, alpha: float, basis: BasisSet) -> OperatorMatrix:
+    """U = exp(-alpha K_jk) on the full basis, in the configuration's plane.
 
     U is orthogonal (U U.T = I) and commutes with the photon number, since
     the generator lives on the atomic factor.
     """
-    block = atomic_rotation_matrix(spec, basis.na)
+    block = atomic_rotation_matrix(cfg, alpha, basis.na)
     return OperatorMatrix(np.kron(np.eye(basis.nmax + 1), block), hermitian=False)
 
 
-def transform_exact(spec: RotationSpec, X: OperatorMatrix, basis: BasisSet) -> OperatorMatrix:
-    """U X U.T through the matrix exponential; oracle for the closed forms."""
+def transform_exact(
+    cfg: Configuration, alpha: float, X: OperatorMatrix, basis: BasisSet
+) -> OperatorMatrix:
+    """U X U.T with the dense U; oracle for the closed forms."""
     if X.dim != basis.dim:
         raise ValueError(f"operator dim {X.dim} does not match basis dim {basis.dim}")
-    U = rotation_matrix(spec, basis).matrix
+    U = rotation_matrix(cfg, alpha, basis).matrix
     out = U @ X.matrix @ U.T
     if X.hermitian:
         out = (out + out.T) / 2.0
@@ -110,21 +109,17 @@ def transform_exact(spec: RotationSpec, X: OperatorMatrix, basis: BasisSet) -> O
 
 
 def transform_generator_closed_form(
-    spec: RotationSpec, l: int, m: int, basis: BasisSet
+    cfg: Configuration, alpha: float, l: int, m: int, basis: BasisSet
 ) -> OperatorMatrix:
     """Adjoint action of exp(-alpha K_jk) on A_lm, in closed form.
 
     Generators sharing no index with the rotation plane are untouched; the
     rest mix pairwise like components of a vector under a plane rotation.
+    The mixing is done on the atomic factor, then lifted to the full basis.
     """
-    j, k = spec.j, spec.k
-    c, s = np.cos(spec.alpha), np.sin(spec.alpha)
-
-    def A(p: int, q: int) -> np.ndarray:
-        return np.kron(
-            np.eye(basis.nmax + 1), atomic_collective_matrix(basis.na, p, q)
-        )
-
+    j, k = cfg.rotation_plane
+    c, s = np.cos(alpha), np.sin(alpha)
+    A = functools.partial(atomic_collective_matrix, basis.na)
     if l not in (j, k) and m not in (j, k):
         out = A(l, m)
     elif (l, m) == (j, j):
@@ -143,7 +138,8 @@ def transform_generator_closed_form(
         out = c * A(l, j) + s * A(l, k)
     else:  # m == k
         out = c * A(l, k) - s * A(l, j)
-    return OperatorMatrix(out, hermitian=(l == m))
+    full = np.kron(np.eye(basis.nmax + 1), out)
+    return OperatorMatrix(full, hermitian=(l == m))
 
 
 def decoupling_angle(config: "ModelConfig", branch: Branch) -> float:
@@ -164,11 +160,6 @@ def decoupling_angle(config: "ModelConfig", branch: Branch) -> float:
     return float(-np.arctan2(a, b))
 
 
-def plane_rotation(cfg: Configuration, alpha: float, basis: BasisSet) -> OperatorMatrix:
-    """Full-basis U = exp(-alpha K_jk) in the configuration's rotation plane."""
-    return rotation_matrix(RotationSpec(*cfg.rotation_plane, alpha), basis)
-
-
 def rotate_amplitudes(
     cfg: Configuration, alpha: float, amplitudes: np.ndarray, basis: BasisSet
 ) -> np.ndarray:
@@ -184,7 +175,6 @@ def rotate_amplitudes(
         raise ValueError(
             f"amplitudes of shape {amplitudes.shape} do not match basis dim {basis.dim}"
         )
-    block = atomic_rotation_matrix(RotationSpec(*cfg.rotation_plane, alpha), basis.na)
+    block = atomic_rotation_matrix(cfg, alpha, basis.na)
     blocks = amplitudes.reshape(*amplitudes.shape[:-1], basis.nmax + 1, basis.atomic_dim)
     return (blocks @ block.T).reshape(amplitudes.shape)
-

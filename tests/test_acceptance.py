@@ -20,13 +20,12 @@ from dicke3.basis import enumerate_basis
 from dicke3.model import (
     ModelConfig,
     build_hamiltonian,
-    build_rotated_hamiltonian,
     coupling_name,
     with_couplings,
 )
 from dicke3.operators import Configuration, collective_A, parity
 from dicke3.protocol import content_overlap, rabi_demo, retrieve, store
-from dicke3.rotations import Branch, RotationSpec, decoupling_angle
+from dicke3.rotations import Branch, decoupling_angle
 from dicke3.solver import (
     QuantumState,
     converge_cutoff,
@@ -76,7 +75,7 @@ def test_c01_unitary_invariance_of_spectra():
             b = enumerate_basis(na, 20)
             e_ref = np.linalg.eigvalsh(build_hamiltonian(m, b).matrix)
             for br in Branch:
-                e_rot = np.linalg.eigvalsh(build_rotated_hamiltonian(m, b, br).matrix)
+                e_rot = np.linalg.eigvalsh(build_hamiltonian(m, b, br).matrix)
                 worst = max(worst, float(np.max(np.abs(e_ref - e_rot))))
     _verdict(worst < 1e-9, "criterion 1: spectra invariant under rotation",
              f"max |dE| = {worst:.3e}")
@@ -116,7 +115,7 @@ def _isolated_population_grid(template, branch, grid_values):
             if cut != nmax:
                 continue
             m = dataclasses.replace(with_couplings(template, a, b), nmax=int(nmax))
-            g = ground_state(build_rotated_hamiltonian(m, basis, branch), basis)
+            g = ground_state(build_hamiltonian(m, basis, branch), basis)
             worst = max(worst, populations(g)[iso_level - 1])
     return worst
 
@@ -147,10 +146,10 @@ def test_c03_off_detuning_robustness():
             if a == 0.0 and b == 0.0:
                 continue  # frame rotation undefined at the origin
             p1 = populations(
-                ground_state(build_rotated_hamiltonian(m, basis, Branch.FIRST), basis)
+                ground_state(build_hamiltonian(m, basis, Branch.FIRST), basis)
             )
             p2 = populations(
-                ground_state(build_rotated_hamiltonian(m, basis, Branch.SECOND), basis)
+                ground_state(build_hamiltonian(m, basis, Branch.SECOND), basis)
             )
             worst_iso = max(worst_iso, p1[2], p2[1])
             worst_frame_gap = max(
@@ -168,13 +167,12 @@ def test_c04_closed_form_rotations():
     worst = 0.0
     for na in (1, 2, 3):
         basis = enumerate_basis(na, 2)
-        for pair in ((3, 1), (1, 2), (3, 2)):
-            for alpha in rng.uniform(-np.pi, np.pi, 20):
-                spec = RotationSpec(*pair, float(alpha))
+        for cfg in Configuration:
+            for alpha in rng.uniform(-np.pi, np.pi, 20).tolist():
                 for l in (1, 2, 3):
                     for m in (1, 2, 3):
-                        closed = d3.transform_generator_closed_form(spec, l, m, basis)
-                        exact = d3.transform_exact(spec, collective_A(basis, l, m), basis)
+                        closed = d3.transform_generator_closed_form(cfg, alpha, l, m, basis)
+                        exact = d3.transform_exact(cfg, alpha, collective_A(basis, l, m), basis)
                         worst = max(worst, float(np.max(np.abs(closed.matrix - exact.matrix))))
     _verdict(worst < 1e-12, "criterion 4: closed-form rotated generators",
              f"max error = {worst:.3e}")

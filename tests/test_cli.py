@@ -6,7 +6,7 @@ import pytest
 
 from dicke3.basis import enumerate_basis
 from dicke3.cli import COMMANDS, build_parser, main
-from dicke3.model import ModelConfig, build_frame_hamiltonian, with_couplings
+from dicke3.model import ModelConfig, build_hamiltonian, with_couplings
 from dicke3.operators import Configuration
 from dicke3.rotations import Branch
 from dicke3.solver import ground_state, populations
@@ -145,7 +145,7 @@ class TestPopulations:
             for (mu_a, mu_b), row in zip(keys, rows):
                 assert [float(x) for x in row[:2]] == pytest.approx([mu_a, mu_b], abs=1e-12)
                 m = with_couplings(m0, mu_a, mu_b)
-                direct = populations(ground_state(build_frame_hamiltonian(m, b, branch), b))
+                direct = populations(ground_state(build_hamiltonian(m, b, branch), b))
                 assert np.max(np.abs(np.array(row[2:], dtype=float) - direct)) < 1e-10
 
 
@@ -307,6 +307,10 @@ class TestRunConfigFile:
             ("separatrix", {"configuration": "v", "omega2": "1"}, "omega2 must be a finite real number"),
             ("rotate-check", {"na": "2"}, "na must be an integer"),
             ("phase-diagram", {"configuration": "xi", "rays": 2.0}, "rays must be an integer"),
+            ("spectrum", {"configuration": 5}, "configuration must be a string or null, got 5"),
+            ("spectrum", {"configuration": "xi", "rotated": 1}, "rotated must be a string, got 1"),
+            ("populations", {"configuration": "v", "frame": 3}, "frame must be a string or null, got 3"),
+            ("spectrum", {"configuration": "lambda", "band_labels": "no"}, "band_labels must be true or false"),
         ],
     )
     def test_non_numeric_config_values_rejected(self, tmp_path, capsys, command, values, message):

@@ -10,7 +10,6 @@ from dicke3.model import (
     ModelConfig,
     build_effective_two_level,
     build_hamiltonian,
-    build_rotated_hamiltonian,
     detuning,
     effective_coupling,
     rotated_parameters,
@@ -22,7 +21,7 @@ from dicke3.operators import (
     collective_A,
     photon_ladder_matrix,
 )
-from dicke3.rotations import Branch, UndefinedAngleError, decoupling_angle, plane_rotation
+from dicke3.rotations import Branch, UndefinedAngleError, decoupling_angle, rotation_matrix
 
 from conftest import random_model
 
@@ -193,7 +192,7 @@ class TestAssemblyOracle:
         for na, nmax in ((1, 0), (1, 5), (2, 7), (3, 4), (4, 3)):
             m = random_model(rng, cfg, na=na, nmax=nmax, Omega=rng.uniform(0.5, 2.0))
             b = enumerate_basis(na, nmax)
-            H = d3.build_frame_hamiltonian(m, b, branch).matrix
+            H = d3.build_hamiltonian(m, b, branch).matrix
             assert np.max(np.abs(H - _oracle_hamiltonian(m, b, branch))) < 1e-12
 
     @pytest.mark.parametrize("cfg", list(Configuration))
@@ -212,7 +211,7 @@ class TestAssemblyOracle:
                 assert m.equal_detuning()
             b = enumerate_basis(m.na, m.nmax)
             for branch in (None, *Branch):
-                H = d3.build_frame_hamiltonian(m, b, branch).matrix
+                H = d3.build_hamiltonian(m, b, branch).matrix
                 assert H.tobytes() == _kron_hamiltonian(m, b, branch).tobytes()
 
 
@@ -220,11 +219,11 @@ class TestRotatedParameters:
     def test_three_four_five(self):
         m = xi(mu12=3.0, mu23=4.0)
         rp = rotated_parameters(m, Branch.FIRST)
-        assert rp.mu_t12 == pytest.approx(5.0, abs=1e-12)
-        assert rp.mu_t13 == rp.mu_t23 == 0.0
+        assert rp.mu_ts[(1, 2)] == pytest.approx(5.0, abs=1e-12)
+        assert rp.mu_ts[(1, 3)] == rp.mu_ts[(2, 3)] == 0.0
         rp2 = rotated_parameters(m, Branch.SECOND)
-        assert rp2.mu_t23 == pytest.approx(5.0, abs=1e-12)
-        assert rp2.mu_t12 == rp2.mu_t13 == 0.0
+        assert rp2.mu_ts[(2, 3)] == pytest.approx(5.0, abs=1e-12)
+        assert rp2.mu_ts[(1, 2)] == rp2.mu_ts[(1, 3)] == 0.0
 
     def test_lambda_equal_detuning_kills_one_body(self):
         # exactly zero, for Lambda and V at equal detuning and Xi at omega1 = omega3
@@ -278,15 +277,15 @@ class TestRotatedHamiltonian:
         for m in models:
             b = enumerate_basis(m.na, m.nmax)
             H = build_hamiltonian(m, b).matrix
-            Hp = build_rotated_hamiltonian(m, b, branch).matrix
-            U = plane_rotation(m.cfg, decoupling_angle(m, branch), b).matrix
+            Hp = build_hamiltonian(m, b, branch).matrix
+            U = rotation_matrix(m.cfg, decoupling_angle(m, branch), b).matrix
             assert np.max(np.abs(Hp - U @ H @ U.T)) < 1e-10
 
     def test_eliminated_coupling_is_zero(self):
         # the rotated frame carries no coupling on the cancelled pair
         m = xi(mu12=0.7, mu23=1.3, nmax=6)
         b = enumerate_basis(1, 6)
-        Hp = build_rotated_hamiltonian(m, b, Branch.FIRST).matrix
+        Hp = build_hamiltonian(m, b, Branch.FIRST).matrix
         # <1;0,0,1|H'|0;0,1,0>: photon +1 with a 2->3 transition
         i = b.index[BasisState(1, 0, 0, 1)]
         j = b.index[BasisState(0, 0, 1, 0)]
@@ -295,7 +294,7 @@ class TestRotatedHamiltonian:
     def test_lambda_equal_detuning_has_no_one_body_element(self):
         m = lam(nmax=3)
         b = enumerate_basis(1, 3)
-        Hp = build_rotated_hamiltonian(m, b, Branch.FIRST).matrix
+        Hp = build_hamiltonian(m, b, Branch.FIRST).matrix
         i = b.index[BasisState(0, 1, 0, 0)]
         j = b.index[BasisState(0, 0, 1, 0)]
         assert Hp[i, j] == 0.0
@@ -307,13 +306,13 @@ class TestRotatedHamiltonian:
             b = enumerate_basis(m.na, m.nmax)
             e0 = np.linalg.eigvalsh(build_hamiltonian(m, b).matrix)
             for br in Branch:
-                e1 = np.linalg.eigvalsh(build_rotated_hamiltonian(m, b, br).matrix)
+                e1 = np.linalg.eigvalsh(build_hamiltonian(m, b, br).matrix)
                 assert np.max(np.abs(e0 - e1)) < 1e-9
 
     def test_commutes_with_isolated_population_at_equal_detuning(self):
         m = lam(na=2, nmax=8)
         b = enumerate_basis(2, 8)
-        Hp = build_rotated_hamiltonian(m, b, Branch.FIRST).matrix
+        Hp = build_hamiltonian(m, b, Branch.FIRST).matrix
         rp = rotated_parameters(m, Branch.FIRST)
         A_iso = collective_A(b, rp.isolated_level, rp.isolated_level).matrix
         assert np.max(np.abs(Hp @ A_iso - A_iso @ Hp)) < 1e-12
@@ -326,7 +325,7 @@ class TestEffectiveTwoLevel:
         sector = fixed_level_sector(b, 1, 2)  # branch FIRST isolates level 1
         h = build_effective_two_level(m, sector, Branch.FIRST).matrix
         rp = rotated_parameters(m, Branch.FIRST)
-        expected = np.diag(np.arange(6) * m.Omega + rp.omega_t1 * 2)
+        expected = np.diag(np.arange(6) * m.Omega + rp.omega_ts[0] * 2)
         assert np.allclose(h, expected, atol=1e-12)
 
     def test_effective_coupling_dilution(self):
@@ -342,7 +341,7 @@ class TestEffectiveTwoLevel:
         m = lam(na=2, nmax=16)
         b = enumerate_basis(2, 16)
         full = np.linalg.eigvalsh(
-            build_rotated_hamiltonian(m, b, Branch.FIRST).matrix
+            build_hamiltonian(m, b, Branch.FIRST).matrix
         )[0]
         sector = fixed_level_sector(b, 1, 0)
         block = np.linalg.eigvalsh(

@@ -3,7 +3,7 @@ import pytest
 
 import dicke3 as d3
 from dicke3.basis import BasisState, enumerate_basis
-from dicke3.model import ModelConfig, build_hamiltonian, build_rotated_hamiltonian
+from dicke3.model import ModelConfig, build_hamiltonian
 from dicke3.operators import Configuration
 from dicke3.protocol import (
     DetuningWarning,
@@ -55,7 +55,7 @@ class TestStore:
         m = lam(na=1)
         b = enumerate_basis(m.na, m.nmax)
         stored, _ = store(m, _ground(m))
-        direct = ground_state(build_rotated_hamiltonian(m, b, Branch.FIRST), b)
+        direct = ground_state(build_hamiltonian(m, b, Branch.FIRST), b)
         overlap = abs(np.vdot(stored.amplitudes, direct.amplitudes)) ** 2
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
@@ -110,9 +110,9 @@ class TestRetrieve:
         b = enumerate_basis(m.na, m.nmax)
         a1 = d3.decoupling_angle(m, Branch.FIRST)
         a2 = d3.decoupling_angle(m, Branch.SECOND)
-        U1 = d3.rotation_matrix(d3.RotationSpec(1, 2, a1), b).matrix
-        U21 = d3.rotation_matrix(d3.RotationSpec(1, 2, a2 - a1), b).matrix
-        U2 = d3.rotation_matrix(d3.RotationSpec(1, 2, a2), b).matrix
+        U1 = d3.rotation_matrix(m.cfg, a1, b).matrix
+        U21 = d3.rotation_matrix(m.cfg, a2 - a1, b).matrix
+        U2 = d3.rotation_matrix(m.cfg, a2, b).matrix
         assert np.max(np.abs(U21 @ U1 - U2)) < 1e-12
 
     def test_frame_switch_spans_quarter_turn(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,11 +10,11 @@ from dicke3.model import ModelConfig
 from dicke3.operators import Configuration, boson_create, collective_A
 from dicke3.rotations import (
     Branch,
-    RotationSpec,
     UndefinedAngleError,
+    atomic_generator_matrix,
+    atomic_rotation_matrix,
     decoupling_angle,
     generator_K,
-    plane_rotation,
     rotate_amplitudes,
     rotation_matrix,
     transform_exact,
@@ -41,24 +42,24 @@ def test_antisymmetry_exact():
 
 def test_rotation_identity_and_inverse():
     b = enumerate_basis(2, 3)
-    assert np.allclose(rotation_matrix(RotationSpec(1, 2, 0.0), b).matrix, np.eye(b.dim), atol=1e-15)
-    U = rotation_matrix(RotationSpec(3, 1, 0.37), b).matrix
-    V = rotation_matrix(RotationSpec(3, 1, -0.37), b).matrix
+    assert np.allclose(rotation_matrix(Configuration.LAMBDA, 0.0, b).matrix, np.eye(b.dim), atol=1e-15)
+    U = rotation_matrix(Configuration.XI, 0.37, b).matrix
+    V = rotation_matrix(Configuration.XI, -0.37, b).matrix
     assert np.max(np.abs(U @ V - np.eye(b.dim))) < 1e-12
 
 
 def test_orthogonality():
     rng = np.random.default_rng(2)
     b = enumerate_basis(3, 4)
-    for j, k in PAIRS:
+    for cfg in Configuration:
         for alpha in rng.uniform(-np.pi, np.pi, 4):
-            U = rotation_matrix(RotationSpec(j, k, float(alpha)), b).matrix
+            U = rotation_matrix(cfg, float(alpha), b).matrix
             assert np.max(np.abs(U @ U.T - np.eye(b.dim))) < 1e-12
 
 
 def test_half_turn_flips_the_plane():
     b = enumerate_basis(1, 0)
-    U = rotation_matrix(RotationSpec(1, 2, np.pi), b).matrix
+    U = rotation_matrix(Configuration.LAMBDA, np.pi, b).matrix
     assert np.allclose(U[:2, :2], -np.eye(2), atol=1e-12)
     assert U[2, 2] == pytest.approx(1.0, abs=1e-12)
 
@@ -66,49 +67,45 @@ def test_half_turn_flips_the_plane():
 def test_commutes_with_photon_number():
     b = enumerate_basis(2, 3)
     n_op = boson_create(b).matrix @ boson_create(b).matrix.T
-    U = rotation_matrix(RotationSpec(1, 2, 0.81), b).matrix
+    U = rotation_matrix(Configuration.LAMBDA, 0.81, b).matrix
     assert np.max(np.abs(U @ n_op - n_op @ U)) == 0.0
 
 
 def test_preserves_total_atom_number():
     b = enumerate_basis(2, 2)
     total = sum(collective_A(b, j, j).matrix for j in (1, 2, 3))
-    U = rotation_matrix(RotationSpec(3, 2, -1.1), b).matrix
+    U = rotation_matrix(Configuration.V, -1.1, b).matrix
     assert np.max(np.abs(U @ total @ U.T - total)) < 1e-12
 
 
 class TestClosedForms:
-    @pytest.mark.parametrize("pair", PAIRS)
-    def test_matches_exponential_oracle(self, pair):
-        rng = np.random.default_rng(sum(pair))
+    @pytest.mark.parametrize("cfg", list(Configuration))
+    def test_matches_exponential_oracle(self, cfg):
+        rng = np.random.default_rng(sum(cfg.rotation_plane))
         b = enumerate_basis(2, 2)
-        for alpha in rng.uniform(-np.pi, np.pi, 6):
-            spec = RotationSpec(*pair, float(alpha))
+        for alpha in rng.uniform(-np.pi, np.pi, 6).tolist():
             for l in (1, 2, 3):
                 for m in (1, 2, 3):
-                    closed = transform_generator_closed_form(spec, l, m, b).matrix
-                    exact = transform_exact(spec, collective_A(b, l, m), b).matrix
+                    closed = transform_generator_closed_form(cfg, alpha, l, m, b).matrix
+                    exact = transform_exact(cfg, alpha, collective_A(b, l, m), b).matrix
                     assert np.max(np.abs(closed - exact)) < 1e-12
 
     def test_identity_rotation_is_transparent(self):
         b = enumerate_basis(1, 1)
-        spec = RotationSpec(1, 2, 0.0)
         for l in (1, 2, 3):
             for m in (1, 2, 3):
-                out = transform_generator_closed_form(spec, l, m, b).matrix
+                out = transform_generator_closed_form(Configuration.LAMBDA, 0.0, l, m, b).matrix
                 assert np.array_equal(out, collective_A(b, l, m).matrix)
 
     def test_quarter_turn_swaps_populations(self):
         b = enumerate_basis(1, 0)
-        spec = RotationSpec(1, 2, np.pi / 2)
-        out = transform_generator_closed_form(spec, 1, 1, b).matrix
+        out = transform_generator_closed_form(Configuration.LAMBDA, np.pi / 2, 1, 1, b).matrix
         assert np.allclose(out, collective_A(b, 2, 2).matrix, atol=1e-12)
 
     def test_preserves_total_population(self):
         b = enumerate_basis(2, 1)
-        spec = RotationSpec(3, 1, 0.93)
         total = sum(
-            transform_generator_closed_form(spec, j, j, b).matrix for j in (1, 2, 3)
+            transform_generator_closed_form(Configuration.XI, 0.93, j, j, b).matrix for j in (1, 2, 3)
         )
         assert np.max(np.abs(total - b.na * np.eye(b.dim))) < 1e-12
 
@@ -117,23 +114,20 @@ class TestClosedForms:
         a1, a2 = 0.31, -0.77
         for l in (1, 2, 3):
             for m in (1, 2, 3):
-                once = transform_generator_closed_form(
-                    RotationSpec(1, 2, a1 + a2), l, m, b
-                ).matrix
-                inner = transform_generator_closed_form(RotationSpec(1, 2, a2), l, m, b)
+                once = transform_generator_closed_form(Configuration.LAMBDA, a1 + a2, l, m, b).matrix
+                inner = transform_generator_closed_form(Configuration.LAMBDA, a2, l, m, b)
                 # rotate the rotated operator again by a1
-                U1 = rotation_matrix(RotationSpec(1, 2, a1), b).matrix
+                U1 = rotation_matrix(Configuration.LAMBDA, a1, b).matrix
                 twice = U1 @ inner.matrix @ U1.T
                 assert np.max(np.abs(once - twice)) < 1e-11
 
 
 def test_transform_exact_basics():
     b = enumerate_basis(1, 1)
-    spec = RotationSpec(1, 2, 0.4)
     eye = d3.OperatorMatrix(np.eye(b.dim), hermitian=True)
-    assert np.max(np.abs(transform_exact(spec, eye, b).matrix - np.eye(b.dim))) < 1e-14
+    assert np.max(np.abs(transform_exact(Configuration.LAMBDA, 0.4, eye, b).matrix - np.eye(b.dim))) < 1e-14
     K = generator_K(b, 1, 2)
-    assert np.max(np.abs(transform_exact(spec, K, b).matrix - K.matrix)) < 1e-13
+    assert np.max(np.abs(transform_exact(Configuration.LAMBDA, 0.4, K, b).matrix - K.matrix)) < 1e-13
 
 
 class TestDecouplingAngle:
@@ -169,7 +163,7 @@ class TestDecouplingAngle:
             b = enumerate_basis(1, 6)
             H = d3.build_hamiltonian(m, b).matrix
             for br in Branch:
-                U = plane_rotation(cfg, decoupling_angle(m, br), b).matrix
+                U = rotation_matrix(cfg, decoupling_angle(m, br), b).matrix
                 Hrot = U @ H @ U.T
                 rp = d3.rotated_parameters(m, br)
                 dead_pairs = [p for p, v in rp.mu_ts.items() if v == 0.0]
@@ -190,6 +184,24 @@ def test_rotation_pair_table():
         assert cfg.forbidden_pair == tuple(sorted(cfg.rotation_plane))
 
 
+# Angles on a dyadic grid of 2**-40: a + b and every phase alpha * lambda
+# (|lambda| <= na) are then exact, so the composition check sees only the
+# rotation's own rounding.
+_angle = st.floats(-2 * np.pi, 2 * np.pi).map(lambda x: float(np.ldexp(np.round(np.ldexp(x, 40)), -40)))
+
+
+class TestExactAtomicRotation:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(list(Configuration)), st.integers(1, 16), _angle, _angle)
+    def test_orthogonal_composes_and_matches_expm(self, cfg, na, a, b):
+        R = atomic_rotation_matrix(cfg, a, na)
+        assert np.max(np.abs(R @ R.T - np.eye(len(R)))) < 1e-14
+        composed = R @ atomic_rotation_matrix(cfg, b, na)
+        assert np.max(np.abs(composed - atomic_rotation_matrix(cfg, a + b, na))) < 1e-14
+        oracle = scipy.linalg.expm(-a * atomic_generator_matrix(na, *cfg.rotation_plane))
+        assert np.max(np.abs(R - oracle)) < 1e-12
+
+
 @st.composite
 def rotated_states(draw):
     """Configuration, angle, basis and normalized complex amplitudes."""
@@ -207,13 +219,11 @@ class TestRotateAmplitudes:
     def test_matches_dense_rotation(self, case):
         cfg, alpha, b, amps = case
         out = rotate_amplitudes(cfg, alpha, amps, b)
-        dense = plane_rotation(cfg, alpha, b).matrix @ amps
+        dense = rotation_matrix(cfg, alpha, b).matrix @ amps
         assert np.max(np.abs(out - dense)) < 1e-13
-        # scipy's expm factor is orthogonal only to about 1e-14 |alpha| ||K||:
-        # up to 2.2e-13 in 3000 draws with |alpha| <= 2 pi and na <= 3
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-14
         back = rotate_amplitudes(cfg, -alpha, out, b)
-        assert np.max(np.abs(back - amps)) < 1e-12
+        assert np.max(np.abs(back - amps)) < 1e-14
         # leading axes are independent states
         stacked = rotate_amplitudes(cfg, alpha, np.stack([amps, amps.conj()]), b)
         assert np.max(np.abs(stacked - np.stack([out, out.conj()]))) < 1e-15

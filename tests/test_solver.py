@@ -9,13 +9,11 @@ from dicke3 import solver
 from dicke3.basis import BasisState, enumerate_basis
 from dicke3.model import (
     ModelConfig,
-    build_frame_hamiltonian,
     build_hamiltonian,
-    build_rotated_hamiltonian,
     with_couplings,
 )
 from dicke3.operators import Configuration, OperatorMatrix, excitation_values, parity
-from dicke3.rotations import Branch, RotationSpec, transform_exact
+from dicke3.rotations import Branch, transform_exact
 from dicke3.solver import (
     NonConvergenceError,
     QuantumState,
@@ -83,7 +81,7 @@ class TestDiagonalize:
         m = random_model(rng, Configuration.LAMBDA, na=2, nmax=10)
         b = enumerate_basis(2, 10)
         e0 = diagonalize(build_hamiltonian(m, b), b).energies
-        e1 = diagonalize(build_rotated_hamiltonian(m, b, Branch.FIRST), b).energies
+        e1 = diagonalize(build_hamiltonian(m, b, Branch.FIRST), b).energies
         assert np.max(np.abs(e0 - e1)) < 1e-9
 
     def test_rejects_non_hermitian(self):
@@ -161,7 +159,7 @@ class TestPopulations:
     def test_isolated_level_empty_in_rotated_ground(self):
         m = lam(na=2, nmax=24)
         b = enumerate_basis(2, 24)
-        g = ground_state(build_rotated_hamiltonian(m, b, Branch.FIRST), b)
+        g = ground_state(build_hamiltonian(m, b, Branch.FIRST), b)
         assert populations(g)[0] < 1e-10
 
 
@@ -245,7 +243,7 @@ def framed_models(draw):
 def _framed_hamiltonian(model_frame):
     m, frame = model_frame
     b = enumerate_basis(m.na, m.nmax)
-    return m, b, build_frame_hamiltonian(m, b, frame)
+    return m, b, build_hamiltonian(m, b, frame)
 
 
 def _parity_value(state, m):
@@ -312,7 +310,7 @@ class TestParitySectors:
         m = random_model(rng, Configuration.LAMBDA, na=2, nmax=12)
         b = enumerate_basis(2, 12)
         H = build_hamiltonian(m, b)
-        rotated = transform_exact(RotationSpec(1, 2, 0.4), H, b)
+        rotated = transform_exact(Configuration.LAMBDA, 0.4, H, b)
         assert rotated.parity_labels is None
         g = ground_state(rotated, b)
         assert expectation(g, rotated) == pytest.approx(lowest_energy(H, b), abs=1e-10)
@@ -365,7 +363,7 @@ class TestEvolve:
     def test_frozen_level_stays_empty(self):
         m = lam(na=1, nmax=16)
         b = enumerate_basis(1, 16)
-        spec = diagonalize(build_rotated_hamiltonian(m, b, Branch.FIRST), b)
+        spec = diagonalize(build_hamiltonian(m, b, Branch.FIRST), b)
         amps = np.zeros(b.dim, dtype=complex)
         amps[b.index[BasisState(2, 0, 0, 1)]] = 1.0
         s0 = QuantumState(amps, b)

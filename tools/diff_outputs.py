@@ -5,8 +5,9 @@
 Meant for two ``tools/run_recipes.py`` output directories.  Prints one line
 per file: ``identical``, or for a ``.csv`` file the number of numeric cells
 that differ and their largest absolute difference, with cells where both
-values lie below 1e-20 (roundoff in exactly empty levels) counted apart.
-Exits 1 if a file is missing on one side, a CSV header, metadata line,
+values lie below 1e-20 (roundoff in exactly empty levels) counted apart,
+followed by one indented ``# key: old -> new`` line per differing metadata
+key.  Exits 1 if a file is missing on one side, a CSV header, metadata line,
 non-numeric cell or row count differs, or any other file differs at all;
 exits 0 otherwise.
 """
@@ -35,27 +36,43 @@ def _split(text: str) -> tuple[str, list[str], list[list[str]]]:
     return header, meta, rows
 
 
+def _metadata_changes(old_meta: list[str], new_meta: list[str]) -> list[str]:
+    """``# key: old -> new`` for every metadata key whose value differs."""
+    def values(lines):
+        return dict(line[2:].partition(" = ")[::2] for line in lines)
+
+    old, new = values(old_meta), values(new_meta)
+    return [
+        f"# {key}: {old.get(key, '(absent)')} -> {new.get(key, '(absent)')}"
+        for key in sorted(old.keys() | new.keys())
+        if old.get(key) != new.get(key)
+    ]
+
+
 def compare_csv(old: str, new: str) -> tuple[str, bool]:
-    """One-line verdict on two CSV texts and whether their structure matches."""
+    """Verdict on two CSV texts and whether their structure matches.
+
+    The first line counts the differing data cells; each differing metadata
+    key follows on a line of its own.
+    """
     old_header, old_meta, old_rows = _split(old)
     new_header, new_meta, new_rows = _split(new)
     if old_header != new_header:
         return "header differs", False
-    if old_meta != new_meta:
-        return "metadata differs", False
+    changes = "".join(f"\n    {line}" for line in _metadata_changes(old_meta, new_meta))
     if len(old_rows) != len(new_rows):
-        return f"row count differs ({len(old_rows)} vs {len(new_rows)})", False
+        return f"row count differs ({len(old_rows)} vs {len(new_rows)}){changes}", False
     count = tiny_count = 0
     largest = tiny_largest = 0.0
     for i, (a_row, b_row) in enumerate(zip(old_rows, new_rows)):
         if len(a_row) != len(b_row):
-            return f"row {i} has {len(a_row)} vs {len(b_row)} cells", False
+            return f"row {i} has {len(a_row)} vs {len(b_row)} cells{changes}", False
         for a, b in zip(a_row, b_row):
             if a == b:
                 continue
             x, y = _number(a), _number(b)
             if x is None or y is None:
-                return f"row {i}: non-numeric cell differs ({a!r} vs {b!r})", False
+                return f"row {i}: non-numeric cell differs ({a!r} vs {b!r}){changes}", False
             if abs(x) < TINY and abs(y) < TINY:
                 tiny_count += 1
                 tiny_largest = max(tiny_largest, abs(x - y))
@@ -64,8 +81,8 @@ def compare_csv(old: str, new: str) -> tuple[str, bool]:
                 largest = max(largest, abs(x - y))
     return (
         f"{count} numeric cells differ, max |diff| {largest:.3g}; "
-        f"{tiny_count} cells below {TINY:g} differ, max |diff| {tiny_largest:.3g}",
-        True,
+        f"{tiny_count} cells below {TINY:g} differ, max |diff| {tiny_largest:.3g}{changes}",
+        old_meta == new_meta,
     )
 
 
