@@ -16,15 +16,7 @@ from .basis import (
     fixed_level_sector,
     index_of,
 )
-from .operators import (
-    Configuration,
-    OperatorMatrix,
-    boson_annihilate,
-    boson_create,
-    collective_A,
-    excitation_number,
-    parity,
-)
+from .operators import Configuration, OperatorMatrix
 from .model import (
     ModelConfig,
     RotatedParameters,
@@ -39,10 +31,8 @@ from .rotations import (
     Branch,
     UndefinedAngleError,
     decoupling_angle,
-    generator_K,
     rotate_amplitudes,
     rotation_matrix,
-    transform_exact,
     transform_generator_closed_form,
 )
 from .solver import (

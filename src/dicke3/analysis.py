@@ -16,8 +16,8 @@ import numpy as np
 
 from .basis import enumerate_basis
 from .model import ModelConfig, build_hamiltonian, coupling_name, with_couplings
-from .operators import Configuration, OperatorMatrix
-from .rotations import Branch, UndefinedAngleError, rotate_amplitudes
+from .operators import Configuration
+from .rotations import Branch, UndefinedAngleError, atomic_generator_matrix, rotate_amplitudes
 from .solver import (
     DEFAULT_ENERGY_TOL,
     DEFAULT_TAIL_TOL,
@@ -71,26 +71,27 @@ def _real_bracket(value: complex, label: str) -> float:
 def fidelity_rot_second_order(
     s_mu: QuantumState,
     s_mu_dmu: QuantumState,
-    K: OperatorMatrix,
+    cfg: Configuration,
     dalpha: float,
     dmu: float,
 ) -> float:
     """Second-order expansion of the rotated-frame fidelity.
 
     F ~ |<psi'|psi>|^2 + (dmu dalpha)^2 [<psi'|psi><psi'|K^2|psi> +
-    |<psi'|K|psi>|^2], with psi' the neighbouring ground state.  All three
-    brackets are checked to be real.
+    |<psi'|K|psi>|^2], with psi' the neighbouring ground state and K cfg's
+    generator, applied to the atomic factor as in ``rotate_amplitudes``.  All
+    three brackets are checked to be real.
     """
-    if not s_mu.basis.compatible_with(s_mu_dmu.basis):
+    basis = s_mu.basis
+    if not basis.compatible_with(s_mu_dmu.basis):
         raise ValueError("states live on different bases")
-    if K.dim != s_mu.basis.dim:
-        raise ValueError("generator dimension does not match the states")
+    K = atomic_generator_matrix(basis.na, *cfg.rotation_plane)
     psi = s_mu.amplitudes
     psi_p = s_mu_dmu.amplitudes
-    k_psi = K.matrix @ psi
+    k_psi = psi.reshape(basis.nmax + 1, basis.atomic_dim) @ K.T  # np.vdot flattens it
     overlap = _real_bracket(np.vdot(psi_p, psi), "<psi'|psi>")
     k1 = _real_bracket(np.vdot(psi_p, k_psi), "<psi'|K|psi>")
-    k2 = _real_bracket(np.vdot(psi_p, K.matrix @ k_psi), "<psi'|K^2|psi>")
+    k2 = _real_bracket(np.vdot(psi_p, k_psi @ K.T), "<psi'|K^2|psi>")
     return overlap**2 + (dmu * dalpha) ** 2 * (overlap * k2 + k1 * k1)
 
 
@@ -259,11 +260,11 @@ class PhaseDiagram:
     minima: tuple[DiagramLocus, ...]
 
 
-def ray_pencil(count: int = DEFAULT_RAY_COUNT, span: tuple[float, float] = (0.0, np.pi / 2)) -> np.ndarray:
+def ray_pencil(count: int = DEFAULT_RAY_COUNT) -> np.ndarray:
     """Evenly spaced ray angles across the first quadrant."""
     if count < 1:
         raise ValueError("need at least one ray")
-    return np.linspace(span[0], span[1], count)
+    return np.linspace(0.0, np.pi / 2, count)
 
 
 def _ray_task(args) -> RaySweep:

@@ -7,7 +7,7 @@ atomic factor has dimension (N_a + 1)(N_a + 2)/2 instead of 3**N_a.
 
 The enumeration is photon-major (nu ascending, then n1 descending, then n2
 descending), which keeps photon blocks contiguous: every operator built here
-factorizes as kron(photon part, atomic part), and photon-cutoff convergence
+factorizes as (photon part) (x) (atomic part), and photon-cutoff convergence
 checks are block local.
 """
 
@@ -47,6 +47,7 @@ def atomic_occupations(na: int) -> tuple[tuple[int, int, int], ...]:
     """All (n1, n2, n3) with n1 + n2 + n3 = na, n1 then n2 descending."""
     if na < 1:
         raise ValueError(f"atom count must be >= 1, got {na}")
+    _check_dimension("atomic", atomic_dimension(na))  # every m x m atomic matrix starts here
     out = []
     for n1 in range(na, -1, -1):
         for n2 in range(na - n1, -1, -1):
@@ -63,13 +64,14 @@ def basis_dimension(na: int, nmax: int) -> int:
     return (nmax + 1) * atomic_dimension(na)
 
 
-def _resolved_max_dim(max_dim: int | None) -> int:
-    if max_dim is not None:
-        return max_dim
-    env = os.environ.get(MAX_DIM_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_MAX_DIM
+def _check_dimension(what: str, dim: int, max_dim: int | None = None) -> None:
+    """Refuse a dense dim x dim matrix above max_dim, else DICKE3_MAX_DIM, else the default."""
+    limit = max_dim if max_dim is not None else int(os.environ.get(MAX_DIM_ENV_VAR, DEFAULT_MAX_DIM))
+    if dim > limit:
+        raise DimensionLimitError(
+            f"{what} dimension {dim} exceeds the guard {limit}; "
+            f"raise {MAX_DIM_ENV_VAR} or pass max_dim to override"
+        )
 
 
 @dataclass(frozen=True)
@@ -114,14 +116,7 @@ def enumerate_basis(na: int, nmax: int, max_dim: int | None = None) -> BasisSet:
         raise ValueError(f"atom count must be >= 1, got {na}")
     if nmax < 0:
         raise ValueError(f"photon cutoff must be >= 0, got {nmax}")
-    dim = basis_dimension(na, nmax)
-    limit = _resolved_max_dim(max_dim)
-    if dim > limit:
-        raise DimensionLimitError(
-            f"basis dimension {dim} exceeds the guard {limit}; "
-            f"raise {MAX_DIM_ENV_VAR} or pass max_dim to override"
-        )
-
+    _check_dimension("basis", basis_dimension(na, nmax), max_dim)
     atoms = atomic_occupations(na)
     states = tuple(
         BasisState(nu, *occ) for nu in range(nmax + 1) for occ in atoms

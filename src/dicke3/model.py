@@ -12,8 +12,7 @@ built by ``build_hamiltonian`` (``rotated=None`` for the lab frame, else a
 branch) through one routine: the field and level terms are the diagonal,
 read from the basis's photon numbers and level counts, and the couplings are
 atomic (m x m) blocks placed in the photon blocks of the photon-major basis.
-The similarity transform U H U.T is kept in :mod:`dicke3.rotations` as a
-test oracle.
+The similarity transform U H U.T is left to the tests, as an oracle.
 """
 
 from __future__ import annotations
@@ -120,8 +119,8 @@ class ModelConfig:
         lo, hi = self.cfg.forbidden_pair
         return self.omegas[hi - 1] - self.omegas[lo - 1]
 
-    def equal_detuning(self, tol: float = EQUAL_DETUNING_TOL) -> bool:
-        return abs(self.one_body_gap) <= tol
+    def equal_detuning(self) -> bool:
+        return abs(self.one_body_gap) <= EQUAL_DETUNING_TOL
 
 
 def with_couplings(config: ModelConfig, mu_a: float, mu_b: float) -> ModelConfig:
@@ -153,8 +152,8 @@ def _assemble(
     tridiagonal over photon number with atomic (m x m) blocks: the dipolar
     couplings fill the blocks next to the diagonal, the one-body term the
     diagonal blocks.  Every entry rounds exactly as in the term-by-term sum
-    of photon (x) atomic kron products (the tests pin this bitwise, signed
-    zeros included), and the result is bitwise symmetric.  Every term
+    of photon (x) atomic products (the tests pin this bitwise, signed zeros
+    included), and the result is bitwise symmetric.  Every term
     conserves the excitation-number parity, in the rotated frames too (each
     rotation plane joins two levels of equal weight parity), so the result
     carries the parity of every basis state for the sector solver.

@@ -1,11 +1,10 @@
-"""Field operators, collective three-level operators, and symmetry operators.
+"""Configurations, the operator container, and the collective atomic operators.
 
 All matrices are real and dense.  The Hamiltonians assembled from these are
 real symmetric in the occupation basis, so complex storage is only needed for
-states under time evolution.  The full-basis operators here factorize as
-kron(photon, atomic) thanks to the photon-major enumeration of
-:mod:`dicke3.basis`; the Hamiltonian assembly in :mod:`dicke3.model` skips
-that product and uses the atomic factors as photon blocks directly.
+states under time evolution.  Collective operators are the identity on the
+photon factor, so only their m x m atomic factors are built; :mod:`dicke3.model`
+places them as photon blocks.  Diagonal operators are occupation-array vectors.
 """
 
 from __future__ import annotations
@@ -157,50 +156,7 @@ def _atomic_collective_matrix(na: int, j: int, k: int) -> np.ndarray:
     return out
 
 
-def photon_ladder_matrix(nmax: int) -> np.ndarray:
-    """Creation operator on the photon factor, truncated at nmax."""
-    ad = np.zeros((nmax + 1, nmax + 1))
-    for nu in range(nmax):
-        ad[nu + 1, nu] = np.sqrt(nu + 1)
-    return ad
-
-
-def boson_create(basis: BasisSet) -> OperatorMatrix:
-    """Photon creation operator, identity on the atoms; kills |nmax> by truncation."""
-    full = np.kron(photon_ladder_matrix(basis.nmax), np.eye(basis.atomic_dim))
-    return OperatorMatrix(full, hermitian=False)
-
-
-def boson_annihilate(basis: BasisSet) -> OperatorMatrix:
-    full = np.kron(photon_ladder_matrix(basis.nmax).T, np.eye(basis.atomic_dim))
-    return OperatorMatrix(full, hermitian=False)
-
-
-def collective_A(basis: BasisSet, j: int, k: int) -> OperatorMatrix:
-    """Collective operator A_jk on the full basis (identity on photons)."""
-    atomic = atomic_collective_matrix(basis.na, j, k)
-    full = np.kron(np.eye(basis.nmax + 1), atomic)
-    return OperatorMatrix(full, hermitian=(j == k))
-
-
 def excitation_values(basis: BasisSet, cfg: Configuration) -> np.ndarray:
     """Excitation count M of every basis state for a configuration."""
     w = np.array(cfg.excitation_weights, dtype=np.int64)
     return basis.photon_numbers + basis.level_counts @ w
-
-
-def excitation_number(basis: BasisSet, cfg: Configuration) -> OperatorMatrix:
-    """Diagonal excitation-number operator M for a configuration."""
-    return OperatorMatrix(
-        np.diag(excitation_values(basis, cfg).astype(float)), hermitian=True
-    )
-
-
-def parity(basis: BasisSet, cfg: Configuration) -> OperatorMatrix:
-    """Diagonal parity operator with entries (-1)**M.
-
-    Commutes with the matching configuration Hamiltonian and splits the
-    space into even and odd excitation sectors.
-    """
-    signs = np.where(excitation_values(basis, cfg) % 2 == 0, 1.0, -1.0)
-    return OperatorMatrix(np.diag(signs), hermitian=True)

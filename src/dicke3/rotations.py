@@ -8,12 +8,11 @@ plane couplings alone, so no caller names the plane.
 
 ``atomic_rotation_matrix`` is the one place exp(-alpha K_jk) is computed,
 from the cached eigendecomposition of i K_jk, whose spectrum is integer.
-``rotate_amplitudes`` applies it to states.  ``rotation_matrix`` builds the
-dense dim x dim U: the oracle for ``rotate-check`` and the tests, still
-applied by ``protocol.store``/``retrieve`` because the benchmark's tracing
-self-test expects the store workload to build it.  The adjoint action on
-every collective operator has a closed form, a plane rotation in operator
-space.
+``rotate_amplitudes`` applies it to states.  The adjoint action on every
+collective operator has a closed form, a plane rotation in operator space,
+built on the m x m atomic factor.  ``rotation_matrix``, the dense dim x dim
+U, is the only full-basis matrix here; ``protocol.store``/``retrieve`` apply
+it.
 """
 
 from __future__ import annotations
@@ -58,12 +57,6 @@ def atomic_generator_matrix(na: int, j: int, k: int) -> np.ndarray:
     return atomic_collective_matrix(na, j, k) - atomic_collective_matrix(na, k, j)
 
 
-def generator_K(basis: BasisSet, j: int, k: int) -> OperatorMatrix:
-    """K_jk on the full basis; real antisymmetric, K.T = -K."""
-    full = np.kron(np.eye(basis.nmax + 1), atomic_generator_matrix(basis.na, j, k))
-    return OperatorMatrix(full, hermitian=False)
-
-
 @functools.lru_cache(maxsize=None)
 def _generator_eigensystem(cfg: Configuration, na: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of the Hermitian i K_jk in cfg's plane.
@@ -89,57 +82,45 @@ def rotation_matrix(cfg: Configuration, alpha: float, basis: BasisSet) -> Operat
     """U = exp(-alpha K_jk) on the full basis, in the configuration's plane.
 
     U is orthogonal (U U.T = I) and commutes with the photon number, since
-    the generator lives on the atomic factor.
+    the generator lives on the atomic factor.  Its only caller in the package
+    is ``protocol._switch_frame``: the benchmark's tracing self-test expects
+    the store workload to build this matrix, so store and retrieve apply U
+    instead of ``rotate_amplitudes``, which gives the same state to roundoff.
     """
     block = atomic_rotation_matrix(cfg, alpha, basis.na)
     return OperatorMatrix(np.kron(np.eye(basis.nmax + 1), block), hermitian=False)
 
 
-def transform_exact(
-    cfg: Configuration, alpha: float, X: OperatorMatrix, basis: BasisSet
-) -> OperatorMatrix:
-    """U X U.T with the dense U; oracle for the closed forms."""
-    if X.dim != basis.dim:
-        raise ValueError(f"operator dim {X.dim} does not match basis dim {basis.dim}")
-    U = rotation_matrix(cfg, alpha, basis).matrix
-    out = U @ X.matrix @ U.T
-    if X.hermitian:
-        out = (out + out.T) / 2.0
-    return OperatorMatrix(out, hermitian=X.hermitian)
-
-
 def transform_generator_closed_form(
-    cfg: Configuration, alpha: float, l: int, m: int, basis: BasisSet
-) -> OperatorMatrix:
+    cfg: Configuration, alpha: float, l: int, m: int, na: int
+) -> np.ndarray:
     """Adjoint action of exp(-alpha K_jk) on A_lm, in closed form.
 
     Generators sharing no index with the rotation plane are untouched; the
     rest mix pairwise like components of a vector under a plane rotation.
-    The mixing is done on the atomic factor, then lifted to the full basis.
+    Returns the m x m atomic factor R A_lm R.T, R = ``atomic_rotation_matrix``.
     """
     j, k = cfg.rotation_plane
     c, s = np.cos(alpha), np.sin(alpha)
-    A = functools.partial(atomic_collective_matrix, basis.na)
+    A = functools.partial(atomic_collective_matrix, na)
     if l not in (j, k) and m not in (j, k):
-        out = A(l, m)
+        return A(l, m)
     elif (l, m) == (j, j):
-        out = c * c * A(j, j) + s * s * A(k, k) + c * s * (A(j, k) + A(k, j))
+        return c * c * A(j, j) + s * s * A(k, k) + c * s * (A(j, k) + A(k, j))
     elif (l, m) == (k, k):
-        out = c * c * A(k, k) + s * s * A(j, j) - c * s * (A(j, k) + A(k, j))
+        return c * c * A(k, k) + s * s * A(j, j) - c * s * (A(j, k) + A(k, j))
     elif (l, m) == (j, k):
-        out = c * c * A(j, k) - s * s * A(k, j) + c * s * (A(k, k) - A(j, j))
+        return c * c * A(j, k) - s * s * A(k, j) + c * s * (A(k, k) - A(j, j))
     elif (l, m) == (k, j):
-        out = c * c * A(k, j) - s * s * A(j, k) + c * s * (A(k, k) - A(j, j))
+        return c * c * A(k, j) - s * s * A(j, k) + c * s * (A(k, k) - A(j, j))
     elif l == j:
-        out = c * A(j, m) + s * A(k, m)
+        return c * A(j, m) + s * A(k, m)
     elif l == k:
-        out = c * A(k, m) - s * A(j, m)
+        return c * A(k, m) - s * A(j, m)
     elif m == j:
-        out = c * A(l, j) + s * A(l, k)
+        return c * A(l, j) + s * A(l, k)
     else:  # m == k
-        out = c * A(l, k) - s * A(l, j)
-    full = np.kron(np.eye(basis.nmax + 1), out)
-    return OperatorMatrix(full, hermitian=(l == m))
+        return c * A(l, k) - s * A(l, j)
 
 
 def decoupling_angle(config: "ModelConfig", branch: Branch) -> float:

@@ -1,0 +1,75 @@
+"""Dense full-basis kron(photon, atomic) operators: the oracles for the
+package's m x m atomic factors."""
+
+import numpy as np
+
+from dicke3.basis import BasisSet
+from dicke3.operators import Configuration, OperatorMatrix, atomic_collective_matrix, excitation_values
+from dicke3.rotations import atomic_generator_matrix, rotation_matrix
+
+
+def lift(atomic: np.ndarray, basis: BasisSet) -> np.ndarray:
+    """An atomic-factor matrix on the full basis: kron(I_photon, atomic)."""
+    return np.kron(np.eye(basis.nmax + 1), atomic)
+
+
+def photon_ladder_matrix(nmax: int) -> np.ndarray:
+    """Creation operator on the photon factor, truncated at nmax."""
+    ad = np.zeros((nmax + 1, nmax + 1))
+    for nu in range(nmax):
+        ad[nu + 1, nu] = np.sqrt(nu + 1)
+    return ad
+
+
+def boson_create(basis: BasisSet) -> OperatorMatrix:
+    """Photon creation operator, identity on the atoms; kills |nmax> by truncation."""
+    full = np.kron(photon_ladder_matrix(basis.nmax), np.eye(basis.atomic_dim))
+    return OperatorMatrix(full, hermitian=False)
+
+
+def boson_annihilate(basis: BasisSet) -> OperatorMatrix:
+    full = np.kron(photon_ladder_matrix(basis.nmax).T, np.eye(basis.atomic_dim))
+    return OperatorMatrix(full, hermitian=False)
+
+
+def collective_A(basis: BasisSet, j: int, k: int) -> OperatorMatrix:
+    """Collective operator A_jk on the full basis (identity on photons)."""
+    atomic = atomic_collective_matrix(basis.na, j, k)
+    full = np.kron(np.eye(basis.nmax + 1), atomic)
+    return OperatorMatrix(full, hermitian=(j == k))
+
+
+def generator_K(basis: BasisSet, j: int, k: int) -> OperatorMatrix:
+    """K_jk on the full basis; real antisymmetric, K.T = -K."""
+    full = np.kron(np.eye(basis.nmax + 1), atomic_generator_matrix(basis.na, j, k))
+    return OperatorMatrix(full, hermitian=False)
+
+
+def excitation_number(basis: BasisSet, cfg: Configuration) -> OperatorMatrix:
+    """Diagonal excitation-number operator M for a configuration."""
+    return OperatorMatrix(
+        np.diag(excitation_values(basis, cfg).astype(float)), hermitian=True
+    )
+
+
+def parity(basis: BasisSet, cfg: Configuration) -> OperatorMatrix:
+    """Diagonal parity operator with entries (-1)**M.
+
+    Commutes with the matching configuration Hamiltonian and splits the
+    space into even and odd excitation sectors.
+    """
+    signs = np.where(excitation_values(basis, cfg) % 2 == 0, 1.0, -1.0)
+    return OperatorMatrix(np.diag(signs), hermitian=True)
+
+
+def transform_exact(
+    cfg: Configuration, alpha: float, X: OperatorMatrix, basis: BasisSet
+) -> OperatorMatrix:
+    """U X U.T with the dense U; oracle for the closed forms."""
+    if X.dim != basis.dim:
+        raise ValueError(f"operator dim {X.dim} does not match basis dim {basis.dim}")
+    U = rotation_matrix(cfg, alpha, basis).matrix
+    out = U @ X.matrix @ U.T
+    if X.hermitian:
+        out = (out + out.T) / 2.0
+    return OperatorMatrix(out, hermitian=X.hermitian)

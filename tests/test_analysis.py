@@ -23,6 +23,7 @@ from dicke3.rotations import Branch, UndefinedAngleError, decoupling_angle
 from dicke3.solver import QuantumState, ground_state
 
 from conftest import random_model
+from oracles import generator_K
 
 
 def xi_resonant(na=1, nmax=8, mu12=0.0, mu23=0.0):
@@ -126,28 +127,26 @@ class TestSecondOrderFidelity:
 
     def test_zero_angle_derivative_reduces_to_fidelity(self):
         b, s1, s2 = self._states(0.9, 0.01)
-        K = d3.generator_K(b, *Configuration.XI.rotation_plane)
-        out = fidelity_rot_second_order(s1, s2, K, 0.0, 0.01)
+        out = fidelity_rot_second_order(s1, s2, Configuration.XI, 0.0, 0.01)
         assert out == pytest.approx(fidelity(s1, s2), abs=1e-14)
 
     def test_zero_step_gives_unity(self):
         b, s1, _ = self._states(0.9, 0.01)
-        K = d3.generator_K(b, *Configuration.XI.rotation_plane)
-        assert fidelity_rot_second_order(s1, s1, K, -0.3, 0.0) == pytest.approx(
+        assert fidelity_rot_second_order(s1, s1, Configuration.XI, -0.3, 0.0) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_correction_term_value(self):
         # the implementation must equal its defining quadratic expression
         b, s1, s2 = self._states(0.8, 0.02)
-        K = d3.generator_K(b, *Configuration.XI.rotation_plane)
+        K = generator_K(b, *Configuration.XI.rotation_plane)
         psi, psip = s1.amplitudes, s2.amplitudes
         o = np.vdot(psip, psi).real
         k1 = np.vdot(psip, K.matrix @ psi).real
         k2 = np.vdot(psip, K.matrix @ (K.matrix @ psi)).real
         da = -0.4
         expected = o**2 + (0.02 * da) ** 2 * (o * k2 + k1**2)
-        got = fidelity_rot_second_order(s1, s2, K, da, 0.02)
+        got = fidelity_rot_second_order(s1, s2, Configuration.XI, da, 0.02)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_exact_oracle_difference_shrinks_with_step(self):
@@ -157,7 +156,6 @@ class TestSecondOrderFidelity:
         mu12, mu23 = 0.9, 0.7
         m = xi_resonant(nmax=24, mu23=mu23)
         b = enumerate_basis(1, 24)
-        K = d3.generator_K(b, *Configuration.XI.rotation_plane)
         s1 = ground_state(d3.build_hamiltonian(with_couplings(m, mu12, mu23), b), b)
         da_dmu = dalpha_dmu(Configuration.XI, "mu12", (mu12, mu23))
         residuals = []
@@ -165,7 +163,7 @@ class TestSecondOrderFidelity:
             s2 = ground_state(
                 d3.build_hamiltonian(with_couplings(m, mu12 + dmu, mu23), b), b
             )
-            approx = fidelity_rot_second_order(s1, s2, K, da_dmu, dmu)
+            approx = fidelity_rot_second_order(s1, s2, Configuration.XI, da_dmu, dmu)
             delta = decoupling_angle(
                 with_couplings(m, mu12 + dmu, mu23), Branch.FIRST
             ) - decoupling_angle(with_couplings(m, mu12, mu23), Branch.FIRST)

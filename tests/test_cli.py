@@ -227,7 +227,7 @@ class TestStoreRetrieveCommand:
 class TestRotateCheckCommand:
     def test_closed_forms_within_tolerance(self, tmp_path):
         out = tmp_path / "rc.csv"
-        rc = run("rotate-check", "--na", "2", "--nmax", "2", "--samples", "10",
+        rc = run("rotate-check", "--na", "2", "--samples", "10",
                  "--seed", "3", "--out", str(out))
         assert rc == 0
         _, meta, rows = read_csv(out)
@@ -311,6 +311,12 @@ class TestRunConfigFile:
             ("spectrum", {"configuration": "xi", "rotated": 1}, "rotated must be a string, got 1"),
             ("populations", {"configuration": "v", "frame": 3}, "frame must be a string or null, got 3"),
             ("spectrum", {"configuration": "lambda", "band_labels": "no"}, "band_labels must be true or false"),
+            ("spectrum", {"configuration": "v", "rotated": "unrotated", "nmax": 2},
+             "rotated must be one of ['none', 'first', 'second'], got 'unrotated'"),
+            ("populations", {"configuration": "v", "frame": "bogus"},
+             "frame must be one of ['unrotated', 'first', 'second'] or null, got 'bogus'"),
+            ("spectrum", {"configuration": "LAMBDA", "mu13": 0.6, "mu23": 0.8, "nmax": 2},
+             "configuration must be one of ['xi', 'lambda', 'v'] or null, got 'LAMBDA'"),
         ],
     )
     def test_non_numeric_config_values_rejected(self, tmp_path, capsys, command, values, message):
@@ -378,7 +384,7 @@ class TestOneParameterTable:
             ("separatrix", {"configuration": "v", "omega2": 1.0}, "samples", 5),
             ("store-retrieve", {"configuration": "lambda", "mu13": 0.6, "mu23": 0.8,
                                 "nmax": 6}, "Omega", 1.5),
-            ("rotate-check", {"na": 1, "nmax": 1}, "samples", 3),
+            ("rotate-check", {"na": 1}, "samples", 3),
             ("evolve", {"configuration": "lambda", "mu13": 0.3, "mu23": 0.4, "nmax": 4},
              "t_max", 2.5),
         ],
@@ -443,3 +449,10 @@ class TestExitCodes:
             "--out", str(tmp_path / "x.csv"),
         )
         assert rc == 3
+
+    def test_rotate_check_atomic_dimension_guard(self, tmp_path, monkeypatch, capsys):
+        # atomic matrices are cached per process: no other test may use na = 40
+        monkeypatch.setenv("DICKE3_MAX_DIM", "100")
+        rc = run("rotate-check", "--na", "40", "--out", str(tmp_path / "x.csv"))
+        assert rc == 2
+        assert "atomic dimension 861 exceeds the guard 100" in capsys.readouterr().err

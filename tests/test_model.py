@@ -15,15 +15,11 @@ from dicke3.model import (
     rotated_parameters,
     with_couplings,
 )
-from dicke3.operators import (
-    Configuration,
-    atomic_collective_matrix,
-    collective_A,
-    photon_ladder_matrix,
-)
+from dicke3.operators import Configuration, atomic_collective_matrix
 from dicke3.rotations import Branch, UndefinedAngleError, decoupling_angle, rotation_matrix
 
 from conftest import random_model
+from oracles import boson_annihilate, boson_create, collective_A, photon_ladder_matrix
 
 
 def xi(na=1, nmax=4, **kw):
@@ -145,8 +141,8 @@ def _oracle_hamiltonian(m, b, branch):
     """Omega a+a + sum_l w_l A_ll - (a + a+) sum mu_jk (A_jk + A_kj) / sqrt(N)
     + lambda (A_jk + A_kj), from the full-basis operators."""
     omegas, mus, lam, lam_pair = _frame_terms(m, branch)
-    ad = d3.boson_create(b).matrix
-    a = d3.boson_annihilate(b).matrix
+    ad = boson_create(b).matrix
+    a = boson_annihilate(b).matrix
 
     def pair(j, k):
         return collective_A(b, j, k).matrix + collective_A(b, k, j).matrix

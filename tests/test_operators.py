@@ -3,18 +3,10 @@ import pytest
 
 import dicke3 as d3
 from dicke3.basis import BasisState, enumerate_basis
-from dicke3.operators import (
-    Configuration,
-    OperatorMatrix,
-    boson_annihilate,
-    atomic_collective_matrix,
-    boson_create,
-    collective_A,
-    excitation_number,
-    parity,
-)
+from dicke3.operators import Configuration, OperatorMatrix, atomic_collective_matrix
 
 from conftest import random_model
+from oracles import boson_annihilate, boson_create, collective_A, excitation_number, parity
 
 
 def test_operator_matrix_contract():

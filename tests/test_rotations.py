@@ -7,19 +7,19 @@ from hypothesis import strategies as st
 import dicke3 as d3
 from dicke3.basis import enumerate_basis
 from dicke3.model import ModelConfig
-from dicke3.operators import Configuration, boson_create, collective_A
+from dicke3.operators import Configuration, atomic_collective_matrix
 from dicke3.rotations import (
     Branch,
     UndefinedAngleError,
     atomic_generator_matrix,
     atomic_rotation_matrix,
     decoupling_angle,
-    generator_K,
     rotate_amplitudes,
     rotation_matrix,
-    transform_exact,
     transform_generator_closed_form,
 )
+
+from oracles import boson_create, collective_A, generator_K, lift, transform_exact
 
 PAIRS = ((3, 1), (1, 2), (3, 2))
 
@@ -78,34 +78,39 @@ def test_preserves_total_atom_number():
     assert np.max(np.abs(U @ total @ U.T - total)) < 1e-12
 
 
+# Angles on a dyadic grid of 2**-40: a + b and every phase alpha * lambda
+# (|lambda| <= na) are then exact, so the composition check sees only the
+# rotation's own rounding.
+_angle = st.floats(-2 * np.pi, 2 * np.pi).map(lambda x: float(np.ldexp(np.round(np.ldexp(x, 40)), -40)))
+
+
 class TestClosedForms:
-    @pytest.mark.parametrize("cfg", list(Configuration))
-    def test_matches_exponential_oracle(self, cfg):
-        rng = np.random.default_rng(sum(cfg.rotation_plane))
-        b = enumerate_basis(2, 2)
-        for alpha in rng.uniform(-np.pi, np.pi, 6).tolist():
-            for l in (1, 2, 3):
-                for m in (1, 2, 3):
-                    closed = transform_generator_closed_form(cfg, alpha, l, m, b).matrix
-                    exact = transform_exact(cfg, alpha, collective_A(b, l, m), b).matrix
-                    assert np.max(np.abs(closed - exact)) < 1e-12
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(list(Configuration)), st.integers(1, 12), _angle)
+    def test_matches_exponential_oracle(self, cfg, na, alpha):
+        R = atomic_rotation_matrix(cfg, alpha, na)
+        for l in (1, 2, 3):
+            for m in (1, 2, 3):
+                closed = transform_generator_closed_form(cfg, alpha, l, m, na)
+                exact = R @ atomic_collective_matrix(na, l, m) @ R.T
+                assert np.max(np.abs(closed - exact)) < 1e-13
 
     def test_identity_rotation_is_transparent(self):
         b = enumerate_basis(1, 1)
         for l in (1, 2, 3):
             for m in (1, 2, 3):
-                out = transform_generator_closed_form(Configuration.LAMBDA, 0.0, l, m, b).matrix
+                out = lift(transform_generator_closed_form(Configuration.LAMBDA, 0.0, l, m, b.na), b)
                 assert np.array_equal(out, collective_A(b, l, m).matrix)
 
     def test_quarter_turn_swaps_populations(self):
         b = enumerate_basis(1, 0)
-        out = transform_generator_closed_form(Configuration.LAMBDA, np.pi / 2, 1, 1, b).matrix
+        out = lift(transform_generator_closed_form(Configuration.LAMBDA, np.pi / 2, 1, 1, b.na), b)
         assert np.allclose(out, collective_A(b, 2, 2).matrix, atol=1e-12)
 
     def test_preserves_total_population(self):
         b = enumerate_basis(2, 1)
         total = sum(
-            transform_generator_closed_form(Configuration.XI, 0.93, j, j, b).matrix for j in (1, 2, 3)
+            lift(transform_generator_closed_form(Configuration.XI, 0.93, j, j, b.na), b) for j in (1, 2, 3)
         )
         assert np.max(np.abs(total - b.na * np.eye(b.dim))) < 1e-12
 
@@ -114,11 +119,11 @@ class TestClosedForms:
         a1, a2 = 0.31, -0.77
         for l in (1, 2, 3):
             for m in (1, 2, 3):
-                once = transform_generator_closed_form(Configuration.LAMBDA, a1 + a2, l, m, b).matrix
-                inner = transform_generator_closed_form(Configuration.LAMBDA, a2, l, m, b)
+                once = lift(transform_generator_closed_form(Configuration.LAMBDA, a1 + a2, l, m, b.na), b)
+                inner = lift(transform_generator_closed_form(Configuration.LAMBDA, a2, l, m, b.na), b)
                 # rotate the rotated operator again by a1
                 U1 = rotation_matrix(Configuration.LAMBDA, a1, b).matrix
-                twice = U1 @ inner.matrix @ U1.T
+                twice = U1 @ inner @ U1.T
                 assert np.max(np.abs(once - twice)) < 1e-11
 
 
@@ -182,12 +187,6 @@ def test_rotation_pair_table():
     assert Configuration.V.rotation_plane == (3, 2)
     for cfg in Configuration:
         assert cfg.forbidden_pair == tuple(sorted(cfg.rotation_plane))
-
-
-# Angles on a dyadic grid of 2**-40: a + b and every phase alpha * lambda
-# (|lambda| <= na) are then exact, so the composition check sees only the
-# rotation's own rounding.
-_angle = st.floats(-2 * np.pi, 2 * np.pi).map(lambda x: float(np.ldexp(np.round(np.ldexp(x, 40)), -40)))
 
 
 class TestExactAtomicRotation:

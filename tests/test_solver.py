@@ -12,8 +12,8 @@ from dicke3.model import (
     build_hamiltonian,
     with_couplings,
 )
-from dicke3.operators import Configuration, OperatorMatrix, excitation_values, parity
-from dicke3.rotations import Branch, transform_exact
+from dicke3.operators import Configuration, OperatorMatrix, excitation_values
+from dicke3.rotations import Branch
 from dicke3.solver import (
     NonConvergenceError,
     QuantumState,
@@ -28,6 +28,7 @@ from dicke3.solver import (
 )
 
 from conftest import random_model
+from oracles import parity, transform_exact
 
 
 def lam(na=1, nmax=8, mu13=0.6, mu23=0.8):
