@@ -6,6 +6,15 @@ ground-state observables, fidelity-based phase-diagram scans, and the
 store/retrieve qubit-exchange procedure.
 """
 
+import os
+
+# Every solve is too small for a second BLAS thread, which only spin-waits.
+# OpenBLAS reads these once, when numpy loads it, so they are set before the
+# first import below; a value already in the environment wins.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 from .basis import (
     BasisSet,
     BasisState,

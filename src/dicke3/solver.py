@@ -283,19 +283,9 @@ def converged_ground_state(
     )
 
 
-def converge_cutoff(
-    config: ModelConfig,
-    etol: float = DEFAULT_ENERGY_TOL,
-    ptol: float = DEFAULT_TAIL_TOL,
-    *,
-    start: int = CUTOFF_START,
-    hard_cap: int = CUTOFF_HARD_CAP,
-) -> int:
-    """Smallest tested photon cutoff meeting the convergence criteria."""
-    cutoff, _ = converged_ground_state(
-        config, etol, ptol, start=start, hard_cap=hard_cap
-    )
-    return cutoff
+def converge_cutoff(config: ModelConfig) -> int:
+    """``converged_ground_state(config)[0]``; ``perfbench/make_references.py`` calls it."""
+    return converged_ground_state(config)[0]
 
 
 def evolve(spectrum: Spectrum, state: QuantumState, t: float) -> QuantumState:

@@ -28,7 +28,7 @@ from dicke3.protocol import content_overlap, rabi_demo, retrieve, store
 from dicke3.rotations import Branch, decoupling_angle
 from dicke3.solver import (
     QuantumState,
-    converge_cutoff,
+    converged_ground_state,
     diagonalize,
     expectation,
     ground_state,
@@ -98,8 +98,8 @@ def _isolated_population_grid(template, branch, grid_values):
     cutoffs = []
     start = 8
     for r in probe_radii:
-        c = converge_cutoff(with_couplings(template, r / np.sqrt(2), r / np.sqrt(2)),
-                            start=start)
+        c = converged_ground_state(with_couplings(template, r / np.sqrt(2), r / np.sqrt(2)),
+                                   start=start)[0]
         cutoffs.append(c)
         start = c
     assigned = np.array(
@@ -136,7 +136,7 @@ def test_c03_off_detuning_robustness():
     template = ModelConfig(
         Configuration.V, 0.0, 0.8, 1.0, mu12=0.0, mu13=0.0, mu23=0.0, na=1, nmax=8
     )
-    nmax = converge_cutoff(with_couplings(template, 2.0, 2.0))
+    nmax = converged_ground_state(with_couplings(template, 2.0, 2.0))[0]
     basis = enumerate_basis(1, nmax)
     worst_iso = 0.0
     worst_frame_gap = 0.0
@@ -202,7 +202,7 @@ def test_c05_second_order_expansion_scaling():
             which = int(rng.integers(0, 2))
             m0 = random_model(rng, cfg, na=2, nmax=8, omega_span=(0.0, 1.5))
             m0 = with_couplings(m0, *mu_pair)
-            nmax = converge_cutoff(with_couplings(m0, mu_pair[0] + 0.02, mu_pair[1] + 0.02))
+            nmax = converged_ground_state(with_couplings(m0, mu_pair[0] + 0.02, mu_pair[1] + 0.02))[0]
             basis = enumerate_basis(2, nmax)
             m = dataclasses.replace(m0, nmax=nmax)
             psi = ground_state(build_hamiltonian(m, basis), basis)
@@ -293,7 +293,7 @@ def test_c08_store_retrieve_unit_fidelity():
             angle = rng.uniform(0.1, np.pi / 2 - 0.1)
             template = _lambda_equal(na)
             m = with_couplings(template, radius * np.cos(angle), radius * np.sin(angle))
-            nmax = converge_cutoff(m)
+            nmax = converged_ground_state(m)[0]
             m = dataclasses.replace(m, nmax=nmax)
             basis = enumerate_basis(na, nmax)
             g = ground_state(build_hamiltonian(m, basis), basis)

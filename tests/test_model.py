@@ -3,6 +3,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dicke3 as d3
 from dicke3.basis import BasisState, enumerate_basis, fixed_level_sector
@@ -304,6 +306,26 @@ class TestRotatedHamiltonian:
             for br in Branch:
                 e1 = np.linalg.eigvalsh(build_hamiltonian(m, b, br).matrix)
                 assert np.max(np.abs(e0 - e1)) < 1e-9
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(list(Configuration)),
+        st.sampled_from(list(Branch)),
+        st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 2.0)), min_size=3, max_size=3),
+        st.integers(1, 3),
+        st.integers(0, 12),
+        st.one_of(st.just(0.0), st.floats(0.05, 2.0)),
+        st.floats(0.05, 2.0),
+        st.booleans(),
+    )
+    def test_rotation_keeps_spectrum(self, cfg, branch, omegas, na, nmax, mu, mu_other, swap):
+        # one plane coupling may vanish, never both: the angle needs one
+        couplings = (mu_other, mu) if swap else (mu, mu_other)
+        m = with_couplings(ModelConfig(cfg, *sorted(omegas), 0.0, 0.0, 0.0, na=na, nmax=nmax), *couplings)
+        b = enumerate_basis(na, nmax)
+        e0 = np.linalg.eigvalsh(build_hamiltonian(m, b).matrix)
+        e1 = np.linalg.eigvalsh(build_hamiltonian(m, b, branch).matrix)
+        assert np.max(np.abs(e0 - e1)) < 1e-12 * max(1.0, np.max(np.abs(e0)))
 
     def test_commutes_with_isolated_population_at_equal_detuning(self):
         m = lam(na=2, nmax=8)

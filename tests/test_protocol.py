@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dicke3 as d3
 from dicke3.basis import BasisState, enumerate_basis
-from dicke3.model import ModelConfig, build_hamiltonian
+from dicke3.model import ModelConfig, build_hamiltonian, with_couplings
 from dicke3.operators import Configuration
 from dicke3.protocol import (
     DetuningWarning,
@@ -96,6 +98,24 @@ class TestRetrieve:
         assert c_out.pair == (1, 3)
         assert c_out.isolated_level == 2
         assert populations(retrieved)[1] < 1e-10
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from([Configuration.LAMBDA, Configuration.V]),
+        st.floats(0.0, 2.0),
+        st.integers(1, 3),
+        st.integers(4, 16),
+        st.floats(0.05, 1.5),
+        st.floats(0.05, 1.5),
+    )
+    def test_round_trip_keeps_content(self, cfg, w, na, nmax, mu_a, mu_b):
+        # equal detuning: the forbidden pair, (1, 2) or (2, 3), shares a frequency
+        omegas = (0.0, 0.0, w) if cfg is Configuration.LAMBDA else (0.0, w, w)
+        m = with_couplings(ModelConfig(cfg, *omegas, 0.0, 0.0, 0.0, na=na, nmax=nmax), mu_a, mu_b)
+        assert m.equal_detuning()
+        stored, c_in = store(m, _ground(m))
+        _, c_out = retrieve(m, stored)
+        assert content_overlap(c_in, c_out) > 1 - 1e-10
 
     def test_sector_mapping(self):
         # the stored frame's empty level maps onto the retrieved frame's

@@ -187,33 +187,34 @@ class TestParityPurity:
 class TestConvergeCutoff:
     def test_zero_coupling_converges_immediately(self):
         m = ModelConfig(Configuration.XI, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0, na=1, nmax=4)
-        assert converge_cutoff(m) == 8
+        assert converged_ground_state(m)[0] == 8
 
     def test_monotone_along_coupling_line(self):
         m = lam(na=2)
-        cuts = [converge_cutoff(with_couplings(m, 0.3 * s, 0.4 * s)) for s in (1, 3, 6)]
+        cuts = [converged_ground_state(with_couplings(m, 0.3 * s, 0.4 * s))[0] for s in (1, 3, 6)]
         assert cuts == sorted(cuts)
         assert cuts[-1] > cuts[0]
 
     def test_growth_with_coupling(self):
         m = lam(na=1)
-        weak = converge_cutoff(with_couplings(m, 0.1, 0.1))
-        strong = converge_cutoff(with_couplings(m, 1.8, 1.8))
+        weak = converged_ground_state(with_couplings(m, 0.1, 0.1))[0]
+        strong = converged_ground_state(with_couplings(m, 1.8, 1.8))[0]
         assert strong > weak
 
     def test_nonconvergence_error(self):
         m = lam(na=1)
         with pytest.raises(NonConvergenceError):
-            converge_cutoff(with_couplings(m, 1.5, 1.5), etol=1e-18, hard_cap=32)
+            converged_ground_state(with_couplings(m, 1.5, 1.5), etol=1e-18, hard_cap=32)[0]
 
     def test_rejects_bad_tolerances(self):
         with pytest.raises(ValueError):
-            converge_cutoff(lam(), etol=-1.0)
+            converged_ground_state(lam(), etol=-1.0)[0]
 
     def test_converged_state_matches_cutoff(self):
         m = lam(na=1, mu13=0.9, mu23=0.9)
         nmax, state = converged_ground_state(m)
         assert state.basis.nmax == nmax
+        # the cutoff-only name perfbench/make_references.py calls
         assert converge_cutoff(m) == nmax
 
 

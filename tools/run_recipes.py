@@ -7,7 +7,9 @@ time, against the ``src/`` of the checkout holding this script.  The command
 comes from the recipe's file-name prefix.  For every recipe OUTDIR receives
 the CSV output(s) under the recipe's name, plus ``<name>.exit`` (the exit
 code) and ``<name>.stderr``.  Running it in two checkouts and comparing the
-directories with ``diff -r`` shows whether a change moved any output.
+directories with ``diff -r`` shows whether a change moved any output.  Each
+recipe's line on standard output also gives the process's wall time and its
+own CPU time (user + system, from ``os.wait4``); nothing of it goes to OUTDIR.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,10 +50,15 @@ def main(argv: list[str]) -> int:
         name = recipe.stem
         argv = [sys.executable, "-m", "dicke3.cli", command_for(name),
                 "--config", str(recipe), "--out", str(out / f"{name}.csv")]
-        result = subprocess.run(argv, env=env, cwd=out, capture_output=True, text=True)
-        (out / f"{name}.exit").write_text(f"{result.returncode}\n")
-        (out / f"{name}.stderr").write_text(result.stderr)
-        print(f"{name}: exit {result.returncode}", flush=True)
+        with open(out / f"{name}.stderr", "wb") as err:
+            start = time.perf_counter()
+            proc = subprocess.Popen(argv, env=env, cwd=out, stdout=subprocess.DEVNULL, stderr=err)
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - start
+        code = os.waitstatus_to_exitcode(status)
+        (out / f"{name}.exit").write_text(f"{code}\n")
+        cpu = usage.ru_utime + usage.ru_stime
+        print(f"{name}: exit {code}, wall {wall:.2f} s, cpu {cpu:.2f} s", flush=True)
     return 0
 
 
