@@ -25,7 +25,7 @@ from .basis import (
     fixed_level_sector,
     index_of,
 )
-from .operators import Configuration, OperatorMatrix
+from .operators import BlockHamiltonian, Configuration, OperatorMatrix
 from .model import (
     ModelConfig,
     RotatedParameters,

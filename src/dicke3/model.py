@@ -9,10 +9,12 @@ root sum square of the originals).  One plane-rotation rule in
 ``rotated_parameters`` derives that bundle for every configuration from the
 geometry table on :class:`dicke3.operators.Configuration`.  Every frame is
 built by ``build_hamiltonian`` (``rotated=None`` for the lab frame, else a
-branch) through one routine: the field and level terms are the diagonal,
-read from the basis's photon numbers and level counts, and the couplings are
-atomic (m x m) blocks placed in the photon blocks of the photon-major basis.
-The similarity transform U H U.T is left to the tests, as an oracle.
+branch) through one routine, in photon-block form
+(:class:`dicke3.operators.BlockHamiltonian`): the field and level terms are
+the diagonal, read from the basis's photon numbers and level counts, and the
+couplings are atomic (m x m) blocks between and on the photon blocks of the
+photon-major basis.  No dim x dim array is built unless the dense view is
+read.  The similarity transform U H U.T is left to the tests, as an oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 
 from .basis import BasisSet, LevelSector
 from .operators import (
+    BlockHamiltonian,
     Configuration,
     OperatorMatrix,
     atomic_collective_matrix,
@@ -144,46 +147,39 @@ def _assemble(
     level_terms: tuple[float, float, float],
     couplings: dict[tuple[int, int], float],
     one_body: tuple[tuple[int, int], float] | None = None,
-) -> OperatorMatrix:
+) -> BlockHamiltonian:
     """Common assembly: field term + level terms + dipolar couplings.
 
     The field and level terms form the diagonal, read from the basis's
-    occupation arrays.  In the photon-major enumeration H is block
-    tridiagonal over photon number with atomic (m x m) blocks: the dipolar
-    couplings fill the blocks next to the diagonal, the one-body term the
-    diagonal blocks.  Every entry rounds exactly as in the term-by-term sum
-    of photon (x) atomic products (the tests pin this bitwise, signed zeros
-    included), and the result is bitwise symmetric.  Every term
-    conserves the excitation-number parity, in the rotated frames too (each
-    rotation plane joins two levels of equal weight parity), so the result
-    carries the parity of every basis state for the sector solver.
+    occupation arrays.  The dipolar couplings make the hop blocks between
+    photon blocks nu and nu + 1, the one-body term the on-site block.  Every
+    entry of the dense view rounds exactly as in the term-by-term sum of
+    photon (x) atomic products (the tests pin this bitwise, signed zeros
+    included).  Every term conserves the excitation-number parity, in the
+    rotated frames too (each rotation plane joins two levels of equal weight
+    parity), so the result carries the parity of every basis state for the
+    sector solver.
     """
-    nph, m = basis.nmax + 1, basis.atomic_dim
     diagonal = config.Omega * basis.photon_numbers
     for lvl, w in enumerate(level_terms, start=1):
         if w != 0.0:
             diagonal = diagonal + w * basis.level_counts[:, lvl - 1]
-    H = np.zeros((basis.dim, basis.dim))
-    np.fill_diagonal(H, diagonal)
-    blocks = H.reshape(nph, m, nph, m)
-    nu = np.arange(nph)
 
-    atomic_coupling = np.zeros((m, m))
+    atomic_coupling = np.zeros((basis.atomic_dim, basis.atomic_dim))
     for (j, k), mu in couplings.items():
         if mu != 0.0:
             atomic_coupling += mu * _symmetric_pair(basis.na, j, k)
-    if atomic_coupling.any():
-        # (a + a^dagger) joins photon blocks nu and nu + 1 with sqrt(nu + 1)
-        hop = np.sqrt(nu[1:])[:, None, None] * atomic_coupling / np.sqrt(basis.na)
-        blocks[nu[:-1], :, nu[1:], :] -= hop
-        blocks[nu[1:], :, nu[:-1], :] -= hop
+    # -(a + a^dagger) joins photon blocks nu and nu + 1 with sqrt(nu + 1)
+    root = np.sqrt(np.arange(1, basis.nmax + 1))[:, None, None]
+    hops = 0.0 - root * atomic_coupling / np.sqrt(basis.na)
 
+    on_site = None
     if one_body is not None:
         (j, k), lam = one_body
         if lam != 0.0:
-            blocks[nu, :, nu, :] += lam * _symmetric_pair(basis.na, j, k)
+            on_site = lam * _symmetric_pair(basis.na, j, k)
     labels = excitation_values(basis, config.cfg) % 2
-    return OperatorMatrix(H, hermitian=True, parity_labels=labels)
+    return BlockHamiltonian(diagonal, on_site, hops, labels)
 
 
 def _symmetric_pair(na: int, j: int, k: int) -> np.ndarray:
@@ -257,7 +253,7 @@ def rotated_parameters(config: ModelConfig, branch: Branch) -> RotatedParameters
 
 def build_hamiltonian(
     config: ModelConfig, basis: BasisSet, rotated: Branch | None = None
-) -> OperatorMatrix:
+) -> BlockHamiltonian:
     """Hamiltonian in the lab frame (``rotated=None``) or a decoupled frame.
 
     The lab frame holds field + level terms - (a t + a) dipolar couplings; a
@@ -316,5 +312,4 @@ def build_effective_two_level(
         params.omega_ts,
         {params.coupled_pair: params.coupled_mu},
     )
-    sub = full.matrix[np.ix_(sector.parent_indices, sector.parent_indices)].copy()
-    return OperatorMatrix(sub, hermitian=True)
+    return OperatorMatrix(full.dense_block(sector.parent_indices), hermitian=True)

@@ -1,10 +1,12 @@
-"""Configurations, the operator container, and the collective atomic operators.
+"""Configurations, the operator containers, and the collective atomic operators.
 
-All matrices are real and dense.  The Hamiltonians assembled from these are
-real symmetric in the occupation basis, so complex storage is only needed for
-states under time evolution.  Collective operators are the identity on the
-photon factor, so only their m x m atomic factors are built; :mod:`dicke3.model`
-places them as photon blocks.  Diagonal operators are occupation-array vectors.
+All matrices are real.  Hamiltonians are real symmetric in the occupation
+basis and held in photon-block form (:class:`BlockHamiltonian`), whose dense
+view is built only on demand; other operators are dense
+(:class:`OperatorMatrix`).  Complex storage is only needed for states under
+time evolution.  Collective operators are the identity on the photon factor,
+so only their m x m atomic factors are built; :mod:`dicke3.model` places them
+as photon blocks.  Diagonal operators are occupation-array vectors.
 """
 
 from __future__ import annotations
@@ -80,18 +82,13 @@ class OperatorMatrix:
     """Dense real operator over a basis, with an explicit hermiticity flag.
 
     Construction with ``hermitian=True`` demands exact (bitwise) symmetry;
-    all builders in this package assemble symmetric matrices exactly, so any
-    asymmetry is a bug, not roundoff.  ``parity_labels``, when present, holds
-    the excitation-number parity (0 even, 1 odd) of every basis state.  Only
-    the Hamiltonian builders of :mod:`dicke3.model` attach it, and the
-    ground-state solver relies on what they guarantee: no entry joins states
-    of different parity, and the matrix is block tridiagonal over photon
-    number.  Operators without labels are solved as one dense sector.
+    every operator built in this package is symmetric exactly, so any
+    asymmetry is a bug, not roundoff.  The ground-state solver treats an
+    operator of this type as one dense sector.
     """
 
     matrix: np.ndarray
     hermitian: bool = False
-    parity_labels: np.ndarray | None = None
 
     def __post_init__(self):
         m = self.matrix
@@ -99,13 +96,6 @@ class OperatorMatrix:
             raise ValueError(f"operator matrix must be square, got {m.shape}")
         if self.hermitian and not _is_symmetric(m):
             raise ValueError("hermitian flag set but matrix is not symmetric")
-        if self.parity_labels is not None:
-            if self.parity_labels.shape != (m.shape[0],):
-                raise ValueError(
-                    f"parity labels of shape {self.parity_labels.shape} do not "
-                    f"match operator dimension {m.shape[0]}"
-                )
-            self.parity_labels.setflags(write=False)
         m.setflags(write=False)
 
     @property
@@ -121,6 +111,104 @@ def _is_symmetric(m: np.ndarray) -> bool:
             if not np.array_equal(m[i : i + t, j : j + t], m[j : j + t, i : i + t].T):
                 return False
     return True
+
+
+@dataclass(frozen=True)
+class BlockHamiltonian:
+    """Real symmetric Hamiltonian in photon-block form.
+
+    In the photon-major basis H is block tridiagonal over photon number with
+    atomic (m x m) blocks.  Photon block nu holds ``diagonal`` on its
+    diagonal plus the ``on_site`` block (None for none); blocks nu and
+    nu + 1 are joined both ways by ``hops[nu]``.  Every block is symmetric
+    by construction, so H is too and nothing checks it at run time.
+    ``parity_labels`` holds the excitation-number parity (0 even, 1 odd) of
+    every basis state; no entry joins states of different parity, so the
+    ground-state solver builds each parity sector from the blocks.  The
+    dense view ``matrix`` is built only when read, and kept.
+    """
+
+    diagonal: np.ndarray
+    on_site: np.ndarray | None
+    hops: np.ndarray
+    parity_labels: np.ndarray
+
+    def __post_init__(self):
+        dim = (self.hops.shape[0] + 1) * self.hops.shape[1]
+        if self.diagonal.shape != (dim,) or self.parity_labels.shape != (dim,):
+            raise ValueError(
+                f"diagonal {self.diagonal.shape} and parity labels "
+                f"{self.parity_labels.shape} do not match photon blocks {self.hops.shape}"
+            )
+        for a in (self.diagonal, self.on_site, self.hops, self.parity_labels):
+            if a is not None:
+                a.setflags(write=False)
+
+    @property
+    def hermitian(self) -> bool:
+        return True
+
+    @property
+    def dim(self) -> int:
+        return self.diagonal.shape[0]
+
+    @functools.cached_property
+    def _diagonal_blocks(self) -> np.ndarray:
+        """The (nmax + 1, m, m) photon-diagonal blocks of H."""
+        m = self.hops.shape[1]
+        out = np.zeros((self.dim // m, m, m))
+        out.reshape(-1, m * m)[:, :: m + 1] = self.diagonal.reshape(-1, m)
+        if self.on_site is not None:
+            out += self.on_site
+        out.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense read-only view, dim x dim, scattered from the blocks."""
+        m = self.hops.shape[1]
+        nph = self.dim // m
+        out = np.zeros((self.dim, self.dim))
+        blocks = out.reshape(nph, m, nph, m)
+        nu = np.arange(nph)
+        blocks[nu, :, nu, :] = self._diagonal_blocks
+        blocks[nu[:-1], :, nu[1:], :] = self.hops
+        blocks[nu[1:], :, nu[:-1], :] = self.hops
+        out.setflags(write=False)
+        return out
+
+    def _entries(self, idx: np.ndarray):
+        """(rows, cols, values) of H[np.ix_(idx, idx)] in local indices, for
+        the diagonal blocks and for the upper hop blocks, whose mirror
+        images are the lower ones."""
+        local = np.full(self.dim, -1)
+        local[idx] = np.arange(idx.size)
+        local = local.reshape(-1, self.hops.shape[1])
+        kept = local >= 0
+        out = []
+        for values, shift in ((self._diagonal_blocks, 0), (self.hops, 1)):
+            nu, i, j = np.nonzero(kept[: len(kept) - shift, :, None] & kept[shift:, None, :])
+            out.append((local[nu, i], local[nu + shift, j], values[nu, i, j]))
+        return out
+
+    def dense_block(self, idx: np.ndarray) -> np.ndarray:
+        """Fresh Fortran-order copy of H[np.ix_(idx, idx)], bitwise equal."""
+        (rd, cd, vd), (ru, cu, vu) = self._entries(idx)
+        out = np.zeros((idx.size, idx.size), order="F")
+        out[rd, cd] = vd
+        out[ru, cu] = vu
+        out[cu, ru] = vu
+        return out
+
+    def sparse_block(self, idx: np.ndarray):
+        """H[np.ix_(idx, idx)] as canonical CSR, zeros (of either sign) dropped."""
+        import scipy.sparse
+
+        (rd, cd, vd), (ru, cu, vu) = self._entries(idx)
+        rows, cols = np.concatenate([rd, ru, cu]), np.concatenate([cd, cu, ru])
+        vals = np.concatenate([vd, vu, vu])
+        nz = vals != 0.0
+        return scipy.sparse.csr_matrix((vals[nz], (rows[nz], cols[nz])), shape=(idx.size,) * 2)
 
 
 def atomic_collective_matrix(na: int, j: int, k: int) -> np.ndarray:

@@ -122,7 +122,10 @@ def _switch_frame(
     alpha_source = 0.0 if source is None else decoupling_angle(config, source)
     params = rotated_parameters(config, target)
     U = rotation_matrix(config.cfg, params.alpha - alpha_source, state.basis)
-    switched = QuantumState(U.matrix @ state.amplitudes, state.basis)
+    # U is real: applied to the (real, imaginary) pairs of the amplitudes as
+    # one dim x 2 block, it needs no complex copy of itself.
+    pairs = np.ascontiguousarray(state.amplitudes, dtype=complex).view(np.float64).reshape(-1, 2)
+    switched = QuantumState((U.matrix @ pairs).view(complex).ravel(), state.basis)
     content = _extract_content(
         switched, params.coupled_pair, params.isolated_level, n_ell=0, detuned=detuned
     )

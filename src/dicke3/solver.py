@@ -2,13 +2,13 @@
 
 Full spectra come from dense symmetric diagonalization.  Ground states and
 ground energies are solved per parity sector: every Hamiltonian built by
-this package conserves the excitation-number parity and says so through its
-``parity_labels``, so the two sectors are solved apart for their lowest two
-eigenpairs.  Sectors up to DENSE_SECTOR_MAX states go to dense LAPACK;
-larger ones to ARPACK's Lanczos solver in shift-invert mode on a sparse
-copy read from the three photon block diagonals (every Hamiltonian built
-here is block tridiagonal over photon number in the photon-major
-ordering).  Operators without parity labels are solved dense, whole.
+this package is a :class:`BlockHamiltonian`, which conserves the
+excitation-number parity and says so through its ``parity_labels``, so the
+two sectors are solved apart for their lowest two eigenpairs.  Each sector
+is built straight from the photon blocks: up to DENSE_SECTOR_MAX states as
+a dense block for LAPACK, larger ones as a sparse matrix for ARPACK's
+Lanczos solver in shift-invert mode.  No dim x dim array is built on this
+path.  Dense operators (:class:`OperatorMatrix`) are solved dense, whole.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import scipy.linalg
 
 from .basis import BasisSet, DimensionLimitError, enumerate_basis
 from .model import ModelConfig, build_hamiltonian
-from .operators import OperatorMatrix
+from .operators import BlockHamiltonian, OperatorMatrix
 
 DEGENERACY_GAP = 1e-10
 # Sector size above which shift-invert Lanczos beats dense LAPACK on a
@@ -31,6 +31,8 @@ DEFAULT_ENERGY_TOL = 1e-8
 DEFAULT_TAIL_TOL = 1e-10
 CUTOFF_START = 8
 CUTOFF_HARD_CAP = 512
+
+Operator = BlockHamiltonian | OperatorMatrix
 
 
 class NonConvergenceError(RuntimeError):
@@ -88,14 +90,14 @@ def _require_same_basis(a: BasisSet, b: BasisSet) -> None:
         )
 
 
-def _require_solvable(H: OperatorMatrix, basis: BasisSet, caller: str) -> None:
+def _require_solvable(H: Operator, basis: BasisSet, caller: str) -> None:
     if not H.hermitian:
         raise ValueError(f"{caller} requires a hermitian operator")
     if H.dim != basis.dim:
         raise ValueError(f"operator dim {H.dim} does not match basis dim {basis.dim}")
 
 
-def diagonalize(H: OperatorMatrix, basis: BasisSet) -> Spectrum:
+def diagonalize(H: Operator, basis: BasisSet) -> Spectrum:
     """Full spectrum of a real symmetric operator."""
     _require_solvable(H, basis, "diagonalize")
     energies, vectors = scipy.linalg.eigh(H.matrix)
@@ -104,27 +106,6 @@ def diagonalize(H: OperatorMatrix, basis: BasisSet) -> Spectrum:
     energies.setflags(write=False)
     vectors.setflags(write=False)
     return Spectrum(energies, vectors, basis)
-
-
-def _photon_band_csr(mat: np.ndarray, m: int):
-    """CSR copy of a Hamiltonian built here, read from its photon-diagonal
-    and upper photon blocks of size m; the builders write no other blocks,
-    and the lower ones mirror the upper ones."""
-    import scipy.sparse
-
-    nph = mat.shape[0] // m
-    blocks = mat.reshape(nph, m, nph, m)
-    nu = np.arange(nph)
-    diag = blocks[nu, :, nu, :]
-    upper = blocks[nu[:-1], :, nu[1:], :]
-    b, i, j = np.nonzero(diag)
-    bu, iu, ju = np.nonzero(upper)
-    rows_u, cols_u = bu * m + iu, (bu + 1) * m + ju
-    vals_u = upper[bu, iu, ju]
-    rows = np.concatenate([b * m + i, rows_u, cols_u])
-    cols = np.concatenate([b * m + j, cols_u, rows_u])
-    vals = np.concatenate([diag[b, i, j], vals_u, vals_u])
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=mat.shape)
 
 
 def _shift_invert_pair(A):
@@ -148,41 +129,35 @@ def _shift_invert_pair(A):
 
 def _dense_pair(block: np.ndarray, scratch: bool = False):
     """Lowest two eigenpairs by LAPACK.  A ``scratch`` block is a private
-    copy: its transpose, the same symmetric matrix in Fortran order, is
-    handed to LAPACK to overwrite, so no second copy is made."""
-    if scratch:
-        block = block.T
+    Fortran-order copy, handed to LAPACK to overwrite."""
     return scipy.linalg.eigh(
         block, subset_by_index=(0, min(1, block.shape[0] - 1)), overwrite_a=scratch
     )
 
 
-def _sector_pairs(H: OperatorMatrix, basis: BasisSet):
+def _sector_pairs(H: Operator):
     """(basis indices, lowest energies, eigenvectors) of every parity sector,
     the vacuum's (basis state 0) first.
 
     Each sector yields its lowest two eigenpairs (one for a single state):
     dense LAPACK up to DENSE_SECTOR_MAX states, shift-invert Lanczos above.
-    An operator without parity labels is one sector, solved dense.
+    A dense operator is one sector, solved dense.
     """
-    if H.parity_labels is None:
+    if not isinstance(H, BlockHamiltonian):
         return [(np.arange(H.dim), *_dense_pair(H.matrix))]
     in_vacuum_sector = H.parity_labels == H.parity_labels[0]
-    band = None
     out = []
     for idx in (np.flatnonzero(in_vacuum_sector), np.flatnonzero(~in_vacuum_sector)):
         if idx.size == 0:
             continue
         if idx.size <= DENSE_SECTOR_MAX:
-            out.append((idx, *_dense_pair(H.matrix[np.ix_(idx, idx)], scratch=True)))
-            continue
-        if band is None:
-            band = _photon_band_csr(H.matrix, basis.atomic_dim)
-        out.append((idx, *_shift_invert_pair(band[idx][:, idx])))
+            out.append((idx, *_dense_pair(H.dense_block(idx), scratch=True)))
+        else:
+            out.append((idx, *_shift_invert_pair(H.sparse_block(idx))))
     return out
 
 
-def ground_state(H: OperatorMatrix, basis: BasisSet) -> QuantumState:
+def ground_state(H: Operator, basis: BasisSet) -> QuantumState:
     """Lowest eigenvector under the sign convention, of pure parity.
 
     The lowest level over the parity sectors wins; when the sectors' ground
@@ -191,7 +166,7 @@ def ground_state(H: OperatorMatrix, basis: BasisSet) -> QuantumState:
     over both sectors) is flagged on the returned state rather than raised.
     """
     _require_solvable(H, basis, "ground_state")
-    pairs = _sector_pairs(H, basis)
+    pairs = _sector_pairs(H)
     lowest = min(energies[0] for _, energies, _ in pairs)
     # The vacuum's sector comes first, so it wins a tie within DEGENERACY_GAP.
     idx, _, vectors = next(p for p in pairs if p[1][0] < lowest + DEGENERACY_GAP)
@@ -204,7 +179,7 @@ def ground_state(H: OperatorMatrix, basis: BasisSet) -> QuantumState:
     return QuantumState(vec.astype(complex), basis, degenerate=degenerate)
 
 
-def expectation(state: QuantumState, op: OperatorMatrix) -> float:
+def expectation(state: QuantumState, op: Operator) -> float:
     """Real expectation value of a hermitian operator."""
     if op.dim != state.basis.dim:
         raise ValueError("operator and state dimensions differ")
@@ -229,10 +204,10 @@ def populations(state: QuantumState) -> tuple[float, float, float, float]:
     )
 
 
-def lowest_energy(H: OperatorMatrix, basis: BasisSet) -> float:
+def lowest_energy(H: Operator, basis: BasisSet) -> float:
     """Ground energy only: the lowest level over the parity sectors."""
     _require_solvable(H, basis, "lowest_energy")
-    return float(min(energies[0] for _, energies, _ in _sector_pairs(H, basis)))
+    return float(min(energies[0] for _, energies, _ in _sector_pairs(H)))
 
 
 def converged_ground_state(

@@ -1,7 +1,9 @@
 """Dense full-basis kron(photon, atomic) operators: the oracles for the
-package's m x m atomic factors."""
+package's m x m atomic factors; and the sparse read-back of a dense
+Hamiltonian, the oracle for the solver's sector matrices."""
 
 import numpy as np
+import scipy.sparse
 
 from dicke3.basis import BasisSet
 from dicke3.operators import Configuration, OperatorMatrix, atomic_collective_matrix, excitation_values
@@ -73,3 +75,22 @@ def transform_exact(
     if X.hermitian:
         out = (out + out.T) / 2.0
     return OperatorMatrix(out, hermitian=X.hermitian)
+
+
+def photon_band_csr(mat: np.ndarray, m: int) -> scipy.sparse.csr_matrix:
+    """CSR copy of a Hamiltonian built by the package, read from its
+    photon-diagonal and upper photon blocks of size m; the builders write no
+    other blocks, and the lower ones mirror the upper ones."""
+    nph = mat.shape[0] // m
+    blocks = mat.reshape(nph, m, nph, m)
+    nu = np.arange(nph)
+    diag = blocks[nu, :, nu, :]
+    upper = blocks[nu[:-1], :, nu[1:], :]
+    b, i, j = np.nonzero(diag)
+    bu, iu, ju = np.nonzero(upper)
+    rows_u, cols_u = bu * m + iu, (bu + 1) * m + ju
+    vals_u = upper[bu, iu, ju]
+    rows = np.concatenate([b * m + i, rows_u, cols_u])
+    cols = np.concatenate([b * m + j, cols_u, rows_u])
+    vals = np.concatenate([diag[b, i, j], vals_u, vals_u])
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=mat.shape)

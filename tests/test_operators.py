@@ -3,7 +3,7 @@ import pytest
 
 import dicke3 as d3
 from dicke3.basis import BasisState, enumerate_basis
-from dicke3.operators import Configuration, OperatorMatrix, atomic_collective_matrix
+from dicke3.operators import BlockHamiltonian, Configuration, OperatorMatrix, atomic_collective_matrix
 
 from conftest import random_model
 from oracles import boson_annihilate, boson_create, collective_A, excitation_number, parity
@@ -43,11 +43,14 @@ def test_symmetry_check_matches_full_comparison(dim):
 
 
 def test_parity_labels_contract():
+    # Two photon blocks of one atomic state each, joined by one hop.
     labels = np.array([0, 1])
-    op = OperatorMatrix(np.eye(2), hermitian=True, parity_labels=labels)
+    op = BlockHamiltonian(np.array([0.0, 1.0]), None, np.full((1, 1, 1), -0.5), labels)
+    assert op.dim == 2 and op.hermitian
     assert not op.parity_labels.flags.writeable
+    assert np.array_equal(op.matrix, [[0.0, -0.5], [-0.5, 1.0]])
     with pytest.raises(ValueError, match="parity labels"):
-        OperatorMatrix(np.eye(3), hermitian=True, parity_labels=labels)
+        BlockHamiltonian(np.zeros(2), None, np.zeros((1, 1, 1)), np.zeros(3, dtype=int))
 
 
 def test_atomic_matrices_cached_read_only():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,21 @@ def _ground(m):
 
 
 class TestStore:
+    def test_peak_memory_is_one_rotation_matrix(self):
+        # The real U meets the complex state without a complex copy of U;
+        # numpy reports its buffers to tracemalloc.
+        m = lam(na=8, nmax=64)
+        psi = _ground(m)
+        u_bytes = (psi.basis.dim**2) * 8
+        tracemalloc.start()
+        try:
+            stored, content = store(m, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * u_bytes
+        assert content.sector_weight == pytest.approx(1.0, abs=1e-10)
+
     def test_isolates_level_one_in_lambda(self):
         m = lam()
         stored, content = store(m, _ground(m))

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,7 @@ from dicke3.solver import (
 )
 
 from conftest import random_model
-from oracles import parity, transform_exact
+from oracles import parity, photon_band_csr, transform_exact
 
 
 def lam(na=1, nmax=8, mu13=0.6, mu23=0.8):
@@ -313,7 +314,7 @@ class TestParitySectors:
         b = enumerate_basis(2, 12)
         H = build_hamiltonian(m, b)
         rotated = transform_exact(Configuration.LAMBDA, 0.4, H, b)
-        assert rotated.parity_labels is None
+        assert isinstance(rotated, OperatorMatrix)  # dense: no parity labels
         g = ground_state(rotated, b)
         assert expectation(g, rotated) == pytest.approx(lowest_energy(H, b), abs=1e-10)
 
@@ -326,6 +327,89 @@ class TestParitySectors:
         assert lowest_energy(H, b) == pytest.approx(np.linalg.eigvalsh(H.matrix)[0], abs=1e-10)
         g = ground_state(H, b)
         assert expectation(g, H) == pytest.approx(lowest_energy(H, b), abs=1e-10)
+
+
+@st.composite
+def block_models(draw):
+    """Random model and frame on a coupling ray: the theta = 0 and pi/2 rays
+    (one coupling exactly zero) and the origin (lab frame only) included,
+    and detuned frequencies, which leave a one-body term in the rotated
+    frames."""
+    cfg = draw(st.sampled_from(list(Configuration)))
+    omegas = sorted(draw(st.lists(_frequency, min_size=3, max_size=3)))
+    frame = draw(st.sampled_from([Branch.FIRST, Branch.SECOND, None]))
+    ray = draw(st.sampled_from(["inside", "theta=0", "theta=pi/2", "origin"]))
+    r = 0.0 if ray == "origin" and frame is None else draw(st.floats(0.05, 2.0))
+    if ray in ("theta=0", "theta=pi/2"):
+        mu_a, mu_b = (r, 0.0) if ray == "theta=0" else (0.0, r)
+    else:
+        theta = draw(st.floats(0.05, np.pi / 2 - 0.05))
+        mu_a, mu_b = r * np.cos(theta), r * np.sin(theta)
+    m = ModelConfig(
+        cfg, *omegas, 0.0, 0.0, 0.0,
+        na=draw(st.integers(1, 4)), nmax=draw(st.integers(0, 40)),
+        Omega=draw(st.sampled_from([1.0, 0.7])),
+    )
+    return with_couplings(m, mu_a, mu_b), frame
+
+
+class TestSectorBuilders:
+    """Both sector builders, on both sectors whatever their size, against
+    the dense view: bitwise, signed zeros included."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(block_models())
+    def test_bitwise_equal_to_dense_read_back(self, model_frame):
+        m, b, H = _framed_hamiltonian(model_frame)
+        band = photon_band_csr(H.matrix, b.atomic_dim)
+        for idx in (np.flatnonzero(H.parity_labels == p) for p in (0, 1)):
+            block = H.dense_block(idx)
+            assert block.flags.f_contiguous
+            assert block.tobytes() == H.matrix[np.ix_(idx, idx)].tobytes()
+            csr, ref = H.sparse_block(idx), band[idx][:, idx]
+            assert csr.has_canonical_format and ref.has_canonical_format
+            for name in ("data", "indices", "indptr"):
+                got, want = getattr(csr, name), getattr(ref, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestMemory:
+    """numpy reports its buffers to tracemalloc, so the traced peak bounds
+    every array a call makes."""
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_ground_state_path_builds_no_dense_matrix(self):
+        # dim 5805: the dense view alone would take 270 MB.
+        m = lam(na=8, nmax=128)
+        b = enumerate_basis(8, 128)
+
+        def solve():
+            H = build_hamiltonian(m, b)
+            return H, lowest_energy(H, b), ground_state(H, b)
+
+        (H, _, _), peak = self._peak(solve)
+        assert peak < 32 * 2**20
+        assert "matrix" not in vars(H)
+
+    def test_cutoff_search_builds_no_dense_matrix(self):
+        built = []
+        real = solver.build_hamiltonian
+
+        def record(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        with mock.patch.object(solver, "build_hamiltonian", record):
+            converged_ground_state(lam(na=4, mu13=0.9, mu23=0.9))
+        assert built and not any("matrix" in vars(H) for H in built)
 
 
 class TestEvolve:

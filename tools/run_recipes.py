@@ -8,8 +8,9 @@ comes from the recipe's file-name prefix.  For every recipe OUTDIR receives
 the CSV output(s) under the recipe's name, plus ``<name>.exit`` (the exit
 code) and ``<name>.stderr``.  Running it in two checkouts and comparing the
 directories with ``diff -r`` shows whether a change moved any output.  Each
-recipe's line on standard output also gives the process's wall time and its
-own CPU time (user + system, from ``os.wait4``); nothing of it goes to OUTDIR.
+recipe's line on standard output also gives the process's wall time, its
+own CPU time (user + system) and its peak resident set size (``ru_maxrss``,
+both from ``os.wait4``); nothing of it goes to OUTDIR.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def main(argv: list[str]) -> int:
         code = os.waitstatus_to_exitcode(status)
         (out / f"{name}.exit").write_text(f"{code}\n")
         cpu = usage.ru_utime + usage.ru_stime
-        print(f"{name}: exit {code}, wall {wall:.2f} s, cpu {cpu:.2f} s", flush=True)
+        rss = usage.ru_maxrss / 1024  # kilobytes on Linux
+        print(f"{name}: exit {code}, wall {wall:.2f} s, cpu {cpu:.2f} s, peak rss {rss:.1f} MB", flush=True)
     return 0
 
 
