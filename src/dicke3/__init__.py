@@ -52,7 +52,6 @@ from .solver import (
     converged_ground_state,
     diagonalize,
     evolve,
-    expectation,
     ground_state,
     populations,
 )

@@ -223,7 +223,8 @@ def cmd_spectrum(params: dict, out: str | None) -> int:
                 f"(lambda_t = {rp.lambda_t:g})"
             )
         counts = basis.level_counts[:, rp.isolated_level - 1]
-        label_values = np.rint((spec.vectors**2).T @ counts).astype(int)
+        labels = [np.rint((v**2).T @ counts[idx]) for idx, _, v in spec.sectors]
+        label_values = spec.merged(labels).astype(int)
         header.append("n_isolated")
         meta["isolated_level"] = rp.isolated_level
     rows = []

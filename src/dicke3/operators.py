@@ -83,8 +83,7 @@ class OperatorMatrix:
 
     Construction with ``hermitian=True`` demands exact (bitwise) symmetry;
     every operator built in this package is symmetric exactly, so any
-    asymmetry is a bug, not roundoff.  The ground-state solver treats an
-    operator of this type as one dense sector.
+    asymmetry is a bug, not roundoff.
     """
 
     matrix: np.ndarray
@@ -124,8 +123,8 @@ class BlockHamiltonian:
     by construction, so H is too and nothing checks it at run time.
     ``parity_labels`` holds the excitation-number parity (0 even, 1 odd) of
     every basis state; no entry joins states of different parity, so the
-    ground-state solver builds each parity sector from the blocks.  The
-    dense view ``matrix`` is built only when read, and kept.
+    solver builds each parity sector from the blocks.  The dense view
+    ``matrix`` is built only when read, and kept.
     """
 
     diagonal: np.ndarray
@@ -145,10 +144,6 @@ class BlockHamiltonian:
                 a.setflags(write=False)
 
     @property
-    def hermitian(self) -> bool:
-        return True
-
-    @property
     def dim(self) -> int:
         return self.diagonal.shape[0]
 
@@ -165,7 +160,10 @@ class BlockHamiltonian:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """Dense read-only view, dim x dim, scattered from the blocks."""
+        """Dense read-only view, dim x dim, scattered from the blocks.
+
+        Nothing in the package reads it; only the tests (as an oracle) and
+        the benchmark's tracer do."""
         m = self.hops.shape[1]
         nph = self.dim // m
         out = np.zeros((self.dim, self.dim))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisState, enumerate_basis, fixed_level_sector
+from .basis import BasisState, enumerate_basis
 from .model import ModelConfig, build_hamiltonian, rotated_parameters
 from .operators import Configuration
 from .rotations import Branch, decoupling_angle, rotate_amplitudes, rotation_matrix
@@ -74,11 +74,11 @@ def _extract_content(
     detuned: bool,
 ) -> QubitContent:
     basis = state.basis
-    sector = fixed_level_sector(basis, isolated, n_ell)
-    n_active = basis.na - n_ell
-    table = np.zeros((basis.nmax + 1, n_active + 1), dtype=complex)
-    for s, parent_idx in zip(sector.states, sector.parent_indices):
-        table[s.nu, s.occupation(pair[0])] = state.amplitudes[parent_idx]
+    table = np.zeros((basis.nmax + 1, basis.na - n_ell + 1), dtype=complex)
+    # (nu, n_pair[0]) fixes a state of the sector, so no cell is written twice
+    counts = basis.level_counts
+    sector = counts[:, isolated - 1] == n_ell
+    table[basis.photon_numbers[sector], counts[sector, pair[0] - 1]] = state.amplitudes[sector]
     table.setflags(write=False)
     weight = float(np.sum(np.abs(table) ** 2))
     pops = populations(state)

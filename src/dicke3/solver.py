@@ -1,14 +1,14 @@
 """Eigensolver, ground states, observables, cutoff convergence, evolution.
 
-Full spectra come from dense symmetric diagonalization.  Ground states and
-ground energies are solved per parity sector: every Hamiltonian built by
-this package is a :class:`BlockHamiltonian`, which conserves the
-excitation-number parity and says so through its ``parity_labels``, so the
-two sectors are solved apart for their lowest two eigenpairs.  Each sector
-is built straight from the photon blocks: up to DENSE_SECTOR_MAX states as
-a dense block for LAPACK, larger ones as a sparse matrix for ARPACK's
-Lanczos solver in shift-invert mode.  No dim x dim array is built on this
-path.  Dense operators (:class:`OperatorMatrix`) are solved dense, whole.
+Every Hamiltonian built by this package is a :class:`BlockHamiltonian`,
+which conserves the excitation-number parity and says so through its
+``parity_labels``, so every eigenproblem is solved per parity sector, each
+sector built straight from the photon blocks; no dim x dim array is built.
+Full spectra solve every sector dense, and evolution works in the sectors
+its state touches.  Ground states and ground energies need each sector's
+lowest two eigenpairs: up to DENSE_SECTOR_MAX states from a dense block by
+LAPACK, larger ones from a sparse matrix by ARPACK's Lanczos solver in
+shift-invert mode.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import scipy.linalg
 
 from .basis import BasisSet, DimensionLimitError, enumerate_basis
 from .model import ModelConfig, build_hamiltonian
-from .operators import BlockHamiltonian, OperatorMatrix
+from .operators import BlockHamiltonian
 
 DEGENERACY_GAP = 1e-10
 # Sector size above which shift-invert Lanczos beats dense LAPACK on a
@@ -32,8 +32,6 @@ DEFAULT_TAIL_TOL = 1e-10
 CUTOFF_START = 8
 CUTOFF_HARD_CAP = 512
 
-Operator = BlockHamiltonian | OperatorMatrix
-
 
 class NonConvergenceError(RuntimeError):
     """Photon-cutoff convergence failed within the hard cap."""
@@ -41,15 +39,29 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full eigendecomposition: ascending energies, orthonormal columns.
+    """Full eigendecomposition, one entry of ``sectors`` per parity sector.
 
-    Sign convention: the largest-magnitude component of every eigenvector is
-    positive (ties broken by the lowest index).
+    Each entry is (basis indices, ascending energies, orthonormal eigenvector
+    columns over those indices), the vacuum's sector first; every eigenvector
+    is zero outside its sector.  Sign convention: the largest-magnitude
+    component of every eigenvector is positive (ties broken by the lowest
+    index).
     """
 
-    energies: np.ndarray
-    vectors: np.ndarray
+    sectors: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     basis: BasisSet
+
+    def merged(self, per_sector) -> np.ndarray:
+        """One array per sector, in its eigenvector order, as one array in
+        the order of ``energies``."""
+        order = np.argsort(np.concatenate([e for _, e, _ in self.sectors]), kind="stable")
+        return np.concatenate(per_sector)[order]
+
+    @property
+    def energies(self) -> np.ndarray:
+        """Every level in ascending order; tied levels keep the vacuum's
+        sector first."""
+        return self.merged([e for _, e, _ in self.sectors])
 
 
 @dataclass(frozen=True)
@@ -78,34 +90,32 @@ class QuantumState:
         self.amplitudes.setflags(write=False)
 
 
-def _fix_sign(column: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(column)))
-    return column if column[i] > 0 else -column
+def _fix_sign(columns: np.ndarray) -> None:
+    """Flip every column in place so that its largest-magnitude component is
+    positive (ties broken by the lowest index)."""
+    peak = np.argmax(np.abs(columns), axis=0)
+    columns *= np.sign(np.take_along_axis(columns, peak[None], axis=0))
 
 
-def _require_same_basis(a: BasisSet, b: BasisSet) -> None:
-    if not a.compatible_with(b):
-        raise ValueError(
-            f"basis mismatch: (na={a.na}, nmax={a.nmax}) vs (na={b.na}, nmax={b.nmax})"
-        )
-
-
-def _require_solvable(H: Operator, basis: BasisSet, caller: str) -> None:
-    if not H.hermitian:
-        raise ValueError(f"{caller} requires a hermitian operator")
+def _sectors(H: BlockHamiltonian, basis: BasisSet) -> list[np.ndarray]:
+    """Basis indices of every nonempty parity sector, the vacuum's (basis
+    state 0) first; H must match the basis."""
     if H.dim != basis.dim:
         raise ValueError(f"operator dim {H.dim} does not match basis dim {basis.dim}")
+    in_vacuum = H.parity_labels == H.parity_labels[0]
+    return [idx for idx in (np.flatnonzero(in_vacuum), np.flatnonzero(~in_vacuum)) if idx.size]
 
 
-def diagonalize(H: Operator, basis: BasisSet) -> Spectrum:
-    """Full spectrum of a real symmetric operator."""
-    _require_solvable(H, basis, "diagonalize")
-    energies, vectors = scipy.linalg.eigh(H.matrix)
-    for col in range(vectors.shape[1]):
-        vectors[:, col] = _fix_sign(vectors[:, col])
-    energies.setflags(write=False)
-    vectors.setflags(write=False)
-    return Spectrum(energies, vectors, basis)
+def diagonalize(H: BlockHamiltonian, basis: BasisSet) -> Spectrum:
+    """Full spectrum, every parity sector solved dense by LAPACK."""
+    sectors = []
+    for idx in _sectors(H, basis):
+        energies, vectors = scipy.linalg.eigh(H.dense_block(idx), overwrite_a=True)
+        _fix_sign(vectors)
+        for a in (energies, vectors):
+            a.setflags(write=False)
+        sectors.append((idx, energies, vectors))
+    return Spectrum(tuple(sectors), basis)
 
 
 def _shift_invert_pair(A):
@@ -127,37 +137,26 @@ def _shift_invert_pair(A):
     return energies[order], vectors[:, order]
 
 
-def _dense_pair(block: np.ndarray, scratch: bool = False):
-    """Lowest two eigenpairs by LAPACK.  A ``scratch`` block is a private
-    Fortran-order copy, handed to LAPACK to overwrite."""
-    return scipy.linalg.eigh(
-        block, subset_by_index=(0, min(1, block.shape[0] - 1)), overwrite_a=scratch
-    )
-
-
-def _sector_pairs(H: Operator):
+def _sector_pairs(H: BlockHamiltonian, basis: BasisSet):
     """(basis indices, lowest energies, eigenvectors) of every parity sector,
-    the vacuum's (basis state 0) first.
+    the vacuum's first.
 
     Each sector yields its lowest two eigenpairs (one for a single state):
     dense LAPACK up to DENSE_SECTOR_MAX states, shift-invert Lanczos above.
-    A dense operator is one sector, solved dense.
+    Every dense block is a private Fortran-order copy for LAPACK to overwrite.
     """
-    if not isinstance(H, BlockHamiltonian):
-        return [(np.arange(H.dim), *_dense_pair(H.matrix))]
-    in_vacuum_sector = H.parity_labels == H.parity_labels[0]
     out = []
-    for idx in (np.flatnonzero(in_vacuum_sector), np.flatnonzero(~in_vacuum_sector)):
-        if idx.size == 0:
-            continue
+    for idx in _sectors(H, basis):
         if idx.size <= DENSE_SECTOR_MAX:
-            out.append((idx, *_dense_pair(H.dense_block(idx), scratch=True)))
+            lowest_two = (0, min(1, idx.size - 1))
+            pair = scipy.linalg.eigh(H.dense_block(idx), subset_by_index=lowest_two, overwrite_a=True)
         else:
-            out.append((idx, *_shift_invert_pair(H.sparse_block(idx))))
+            pair = _shift_invert_pair(H.sparse_block(idx))
+        out.append((idx, *pair))
     return out
 
 
-def ground_state(H: Operator, basis: BasisSet) -> QuantumState:
+def ground_state(H: BlockHamiltonian, basis: BasisSet) -> QuantumState:
     """Lowest eigenvector under the sign convention, of pure parity.
 
     The lowest level over the parity sectors wins; when the sectors' ground
@@ -165,26 +164,17 @@ def ground_state(H: Operator, basis: BasisSet) -> QuantumState:
     Near-degeneracy (gap below DEGENERACY_GAP between the two lowest levels
     over both sectors) is flagged on the returned state rather than raised.
     """
-    _require_solvable(H, basis, "ground_state")
-    pairs = _sector_pairs(H)
+    pairs = _sector_pairs(H, basis)
     lowest = min(energies[0] for _, energies, _ in pairs)
     # The vacuum's sector comes first, so it wins a tie within DEGENERACY_GAP.
     idx, _, vectors = next(p for p in pairs if p[1][0] < lowest + DEGENERACY_GAP)
     vec = np.zeros(H.dim)
     vec[idx] = vectors[:, 0]
-    vec = _fix_sign(vec)
+    _fix_sign(vec)
     vec = vec / np.linalg.norm(vec)
     levels = np.sort(np.concatenate([energies for _, energies, _ in pairs]))
     degenerate = bool(levels.size > 1 and levels[1] - levels[0] < DEGENERACY_GAP)
     return QuantumState(vec.astype(complex), basis, degenerate=degenerate)
-
-
-def expectation(state: QuantumState, op: Operator) -> float:
-    """Real expectation value of a hermitian operator."""
-    if op.dim != state.basis.dim:
-        raise ValueError("operator and state dimensions differ")
-    val = np.vdot(state.amplitudes, op.matrix @ state.amplitudes)
-    return float(val.real)
 
 
 def populations(state: QuantumState) -> tuple[float, float, float, float]:
@@ -204,10 +194,9 @@ def populations(state: QuantumState) -> tuple[float, float, float, float]:
     )
 
 
-def lowest_energy(H: Operator, basis: BasisSet) -> float:
+def lowest_energy(H: BlockHamiltonian, basis: BasisSet) -> float:
     """Ground energy only: the lowest level over the parity sectors."""
-    _require_solvable(H, basis, "lowest_energy")
-    return float(min(energies[0] for _, energies, _ in _sector_pairs(H)))
+    return float(min(energies[0] for _, energies, _ in _sector_pairs(H, basis)))
 
 
 def converged_ground_state(
@@ -264,10 +253,21 @@ def converge_cutoff(config: ModelConfig) -> int:
 
 
 def evolve(spectrum: Spectrum, state: QuantumState, t: float) -> QuantumState:
-    """Unitary evolution by time t through the eigendecomposition."""
-    _require_same_basis(spectrum.basis, state.basis)
-    coeffs = spectrum.vectors.T @ state.amplitudes
-    evolved = spectrum.vectors @ (np.exp(-1j * spectrum.energies * t) * coeffs)
+    """Unitary evolution by time t through the eigendecomposition, in the
+    parity sectors the state touches."""
+    a, b = spectrum.basis, state.basis
+    if not a.compatible_with(b):
+        raise ValueError(
+            f"basis mismatch: (na={a.na}, nmax={a.nmax}) vs (na={b.na}, nmax={b.nmax})"
+        )
+    evolved = np.zeros(state.basis.dim, dtype=complex)
+    for idx, energies, vectors in spectrum.sectors:
+        amps = state.amplitudes[idx]
+        if amps.any():
+            # real and imaginary parts apart: no complex copy of the vectors
+            coeffs = vectors.T @ amps.real + 1j * (vectors.T @ amps.imag)
+            coeffs *= np.exp(-1j * energies * t)
+            evolved[idx] = vectors @ coeffs.real + 1j * (vectors @ coeffs.imag)
     norm = np.linalg.norm(evolved)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(

@@ -1,13 +1,16 @@
 """Dense full-basis kron(photon, atomic) operators: the oracles for the
-package's m x m atomic factors; and the sparse read-back of a dense
-Hamiltonian, the oracle for the solver's sector matrices."""
+package's m x m atomic factors; the sparse read-back of a dense Hamiltonian,
+the oracle for the solver's sector matrices; and whole-matrix expectation
+values, eigenvectors and evolution, the oracles for the per-sector solver."""
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from dicke3.basis import BasisSet
 from dicke3.operators import Configuration, OperatorMatrix, atomic_collective_matrix, excitation_values
 from dicke3.rotations import atomic_generator_matrix, rotation_matrix
+from dicke3.solver import QuantumState, Spectrum
 
 
 def lift(atomic: np.ndarray, basis: BasisSet) -> np.ndarray:
@@ -94,3 +97,28 @@ def photon_band_csr(mat: np.ndarray, m: int) -> scipy.sparse.csr_matrix:
     cols = np.concatenate([b * m + j, cols_u, rows_u])
     vals = np.concatenate([diag[b, i, j], vals_u, vals_u])
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=mat.shape)
+
+
+def expectation(state: QuantumState, op) -> float:
+    """Real expectation value of a hermitian operator, through its dense view."""
+    if op.dim != state.basis.dim:
+        raise ValueError("operator and state dimensions differ")
+    val = np.vdot(state.amplitudes, op.matrix @ state.amplitudes)
+    return float(val.real)
+
+
+def full_vectors(spectrum: Spectrum) -> np.ndarray:
+    """The sector eigenvectors as dim x dim columns, in the order of
+    ``spectrum.energies``."""
+    lifted = []
+    for idx, _, vectors in spectrum.sectors:
+        full = np.zeros((spectrum.basis.dim, vectors.shape[1]))
+        full[idx] = vectors
+        lifted.append(full.T)
+    return spectrum.merged(lifted).T
+
+
+def eigh_evolve(H, state: QuantumState, t: float) -> np.ndarray:
+    """exp(-iHt) applied to a state through one dense eigh of the whole H."""
+    energies, vectors = scipy.linalg.eigh(H.matrix)
+    return vectors @ (np.exp(-1j * energies * t) * (vectors.T @ state.amplitudes))

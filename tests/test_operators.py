@@ -46,7 +46,7 @@ def test_parity_labels_contract():
     # Two photon blocks of one atomic state each, joined by one hop.
     labels = np.array([0, 1])
     op = BlockHamiltonian(np.array([0.0, 1.0]), None, np.full((1, 1, 1), -0.5), labels)
-    assert op.dim == 2 and op.hermitian
+    assert op.dim == 2
     assert not op.parity_labels.flags.writeable
     assert np.array_equal(op.matrix, [[0.0, -0.5], [-0.5, 1.0]])
     with pytest.raises(ValueError, match="parity labels"):

@@ -13,7 +13,7 @@ from dicke3.model import (
     build_hamiltonian,
     with_couplings,
 )
-from dicke3.operators import Configuration, OperatorMatrix, excitation_values
+from dicke3.operators import BlockHamiltonian, Configuration, excitation_values
 from dicke3.rotations import Branch
 from dicke3.solver import (
     NonConvergenceError,
@@ -22,14 +22,13 @@ from dicke3.solver import (
     converged_ground_state,
     diagonalize,
     evolve,
-    expectation,
     ground_state,
     lowest_energy,
     populations,
 )
 
 from conftest import random_model
-from oracles import parity, photon_band_csr, transform_exact
+from oracles import eigh_evolve, expectation, full_vectors, parity, photon_band_csr
 
 
 def lam(na=1, nmax=8, mu13=0.6, mu23=0.8):
@@ -46,8 +45,9 @@ class TestDiagonalize:
         assert np.allclose(spec.energies, [0.0, 1.0, 2.0], atol=1e-14)
 
     def test_two_by_two_closed_form(self):
+        # Two photon blocks of one state each, of one parity, joined by one hop.
         g = 0.37
-        H = OperatorMatrix(np.array([[0.0, -g], [-g, 1.0]]), hermitian=True)
+        H = BlockHamiltonian(np.array([0.0, 1.0]), None, np.full((1, 1, 1), -g), np.zeros(2, dtype=int))
         b = _FakeBasis(2)
         spec = diagonalize(H, b)
         lo = (1 - np.sqrt(1 + 4 * g * g)) / 2
@@ -62,20 +62,21 @@ class TestDiagonalize:
         H = build_hamiltonian(m, b)
         spec = diagonalize(H, b)
         scale = np.max(np.abs(H.matrix))
+        vectors = full_vectors(spec)
         for k in range(b.dim):
-            r = H.matrix @ spec.vectors[:, k] - spec.energies[k] * spec.vectors[:, k]
+            r = H.matrix @ vectors[:, k] - spec.energies[k] * vectors[:, k]
             assert np.linalg.norm(r) < 1e-9 * scale
         # orthonormal columns
-        overlap = spec.vectors.T @ spec.vectors
+        overlap = vectors.T @ vectors
         assert np.max(np.abs(overlap - np.eye(b.dim))) < 1e-12
 
     def test_sign_convention(self):
         rng = np.random.default_rng(5)
         m = random_model(rng, Configuration.XI, na=1, nmax=6)
         b = enumerate_basis(1, 6)
-        spec = diagonalize(build_hamiltonian(m, b), b)
+        vectors = full_vectors(diagonalize(build_hamiltonian(m, b), b))
         for k in range(b.dim):
-            v = spec.vectors[:, k]
+            v = vectors[:, k]
             assert v[np.argmax(np.abs(v))] > 0
 
     def test_unitary_invariance(self):
@@ -86,10 +87,12 @@ class TestDiagonalize:
         e1 = diagonalize(build_hamiltonian(m, b, Branch.FIRST), b).energies
         assert np.max(np.abs(e0 - e1)) < 1e-9
 
-    def test_rejects_non_hermitian(self):
-        b = _FakeBasis(2)
-        with pytest.raises(ValueError):
-            diagonalize(OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])), b)
+    def test_rejects_basis_mismatch(self):
+        m = lam(na=1, nmax=4)
+        H = build_hamiltonian(m, enumerate_basis(1, 4))
+        for solve in (diagonalize, ground_state, lowest_energy):
+            with pytest.raises(ValueError, match="does not match basis dim"):
+                solve(H, enumerate_basis(1, 5))
 
 
 class _FakeBasis:
@@ -172,6 +175,7 @@ class TestParityPurity:
             m = random_model(rng, cfg, na=2, nmax=12)
             b = enumerate_basis(2, 12)
             spec = diagonalize(build_hamiltonian(m, b), b)
+            vectors = full_vectors(spec)
             P = parity(b, cfg)
             gaps = np.diff(spec.energies)
             for k in range(b.dim):
@@ -181,7 +185,7 @@ class TestParityPurity:
                 )
                 if gap < 1e-8:
                     continue
-                state = QuantumState(spec.vectors[:, k].astype(complex), b)
+                state = QuantumState(vectors[:, k].astype(complex), b)
                 assert abs(expectation(state, P)) > 1 - 1e-10
 
 
@@ -308,25 +312,28 @@ class TestParitySectors:
         assert g.degenerate
         assert _parity_value(g, m) == pytest.approx(1.0, abs=1e-10)
 
-    def test_unlabelled_operator_is_one_sector(self):
-        rng = np.random.default_rng(61)
-        m = random_model(rng, Configuration.LAMBDA, na=2, nmax=12)
-        b = enumerate_basis(2, 12)
-        H = build_hamiltonian(m, b)
-        rotated = transform_exact(Configuration.LAMBDA, 0.4, H, b)
-        assert isinstance(rotated, OperatorMatrix)  # dense: no parity labels
-        g = ground_state(rotated, b)
-        assert expectation(g, rotated) == pytest.approx(lowest_energy(H, b), abs=1e-10)
-
-    def test_unlabelled_operator_above_crossover_solved_dense(self):
-        rng = np.random.default_rng(62)
-        dim = solver.DENSE_SECTOR_MAX + 10
-        a = rng.standard_normal((dim, dim))
-        H = OperatorMatrix(a + a.T, hermitian=True)
-        b = _FakeBasis(dim)
-        assert lowest_energy(H, b) == pytest.approx(np.linalg.eigvalsh(H.matrix)[0], abs=1e-10)
-        g = ground_state(H, b)
-        assert expectation(g, H) == pytest.approx(lowest_energy(H, b), abs=1e-10)
+    @_hypothesis
+    @given(framed_models())
+    def test_full_spectrum_matches_dense(self, model_frame):
+        m, b, H = _framed_hamiltonian(model_frame)
+        spec = diagonalize(H, b)
+        exact = np.linalg.eigvalsh(H.matrix)
+        assert np.max(np.abs(spec.energies - exact)) < 1e-11 * max(1.0, np.max(np.abs(exact)))
+        assert np.all(np.diff(spec.energies) >= 0)
+        # a stable merge: within a tie the vacuum's sector (number 0) comes first
+        sector_of = spec.merged([np.full(len(e), k) for k, (_, e, _) in enumerate(spec.sectors)])
+        ties = np.diff(spec.energies) == 0
+        assert np.all(np.diff(sector_of)[ties] >= 0)
+        assert sorted(np.concatenate([idx for idx, _, _ in spec.sectors])) == list(range(b.dim))
+        scale = max(1.0, np.max(np.abs(H.matrix)))
+        for idx, energies, vectors in spec.sectors:
+            assert np.array_equal(H.parity_labels[idx], np.full(idx.size, H.parity_labels[idx[0]]))
+            assert np.max(np.abs(vectors.T @ vectors - np.eye(idx.size))) < 1e-12
+            residual = H.matrix[:, idx] @ vectors
+            residual[idx] -= vectors * energies
+            assert np.max(np.abs(residual)) < 1e-11 * scale
+            peak = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(idx.size)]
+            assert np.all(peak > 0)
 
 
 @st.composite
@@ -399,6 +406,24 @@ class TestMemory:
         assert peak < 32 * 2**20
         assert "matrix" not in vars(H)
 
+    def test_spectrum_and_evolution_build_no_dense_matrix(self):
+        # dim 2925: the dense view alone would take 68 MB; each parity
+        # sector's eigenvectors take 17 MB.
+        m = lam(na=8, nmax=64)
+        b = enumerate_basis(8, 64)
+        amps = np.zeros(b.dim, dtype=complex)
+        odd = np.flatnonzero(excitation_values(b, m.cfg) % 2)[0]
+        amps[[0, odd]] = np.sqrt(0.5)  # the vacuum and a state of the other parity
+
+        def solve():
+            H = build_hamiltonian(m, b)
+            spec = diagonalize(H, b)
+            return H, spec, evolve(spec, QuantumState(amps, b), 1.0)
+
+        (H, _, _), peak = self._peak(solve)
+        assert "matrix" not in vars(H)
+        assert peak < 8 * b.dim**2
+
     def test_cutoff_search_builds_no_dense_matrix(self):
         built = []
         real = solver.build_hamiltonian
@@ -421,13 +446,13 @@ class TestEvolve:
 
     def test_time_zero_is_identity(self):
         _, b, spec = self._setup()
-        g = QuantumState(spec.vectors[:, 3].astype(complex), b)
+        g = QuantumState(full_vectors(spec)[:, 3].astype(complex), b)
         out = evolve(spec, g, 0.0)
         assert np.max(np.abs(out.amplitudes - g.amplitudes)) < 1e-12
 
     def test_eigenstate_is_stationary(self):
         _, b, spec = self._setup()
-        g = QuantumState(spec.vectors[:, 0].astype(complex), b)
+        g = QuantumState(full_vectors(spec)[:, 0].astype(complex), b)
         for t in (0.7, 5.0, 21.3):
             out = evolve(spec, g, t)
             assert np.allclose(populations(out), populations(g), atol=1e-10)
@@ -455,6 +480,21 @@ class TestEvolve:
         s0 = QuantumState(amps, b)
         for t in np.linspace(0, 20, 9):
             assert populations(evolve(spec, s0, t))[0] < 1e-10
+
+    @_hypothesis
+    @given(framed_models(), st.sampled_from(["basis state", "both parities"]),
+           st.integers(0, 2**32 - 1), st.floats(0.0, 30.0))
+    def test_matches_dense_eigh(self, model_frame, start, seed, t):
+        m, b, H = _framed_hamiltonian(model_frame)
+        rng = np.random.default_rng(seed)
+        amps = np.zeros(b.dim, dtype=complex)
+        if start == "basis state":
+            amps[rng.integers(b.dim)] = 1.0
+        else:
+            amps = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)
+        s0 = QuantumState(amps / np.linalg.norm(amps), b)
+        out = evolve(diagonalize(H, b), s0, t)
+        assert np.max(np.abs(out.amplitudes - eigh_evolve(H, s0, t))) < 1e-9
 
     def test_basis_mismatch(self):
         _, b, spec = self._setup(nmax=12)

@@ -1,11 +1,13 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "diff_outputs", Path(__file__).resolve().parents[1] / "tools" / "diff_outputs.py"
-)
+_SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "diff_outputs.py"
+_SPEC = importlib.util.spec_from_file_location("diff_outputs", _SCRIPT)
 diff_outputs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(diff_outputs)
 
@@ -36,3 +38,20 @@ def _dirs(tmp_path, old_files, new_files):
 def test_diff_outputs(tmp_path, capsys, old_files, new_files, expected, code):
     assert diff_outputs.main(_dirs(tmp_path, old_files, new_files)) == code
     assert expected in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("files", [1, 2000], ids=["flush-at-exit", "write-in-loop"])
+def test_diff_outputs_closed_pipe_is_quiet(tmp_path, files):
+    # The read end is closed before the script starts, so its first write to
+    # standard output fails, from the final flush (one line) or from a print
+    # once the buffer fills (two thousand lines), as under `| head`.
+    texts = {f"f{i:04d}.csv": CSV for i in range(files)}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, str(_SCRIPT), *_dirs(tmp_path, texts, texts)],
+                              stdout=write, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.stderr == ""
+    assert proc.returncode == 1

@@ -9,11 +9,13 @@ values lie below 1e-20 (roundoff in exactly empty levels) counted apart,
 followed by one indented ``# key: old -> new`` line per differing metadata
 key.  Exits 1 if a file is missing on one side, a CSV header, metadata line,
 non-numeric cell or row count differs, or any other file differs at all;
-exits 0 otherwise.
+exits 0 otherwise.  If standard output closes early (piped into ``head``),
+it stops quietly with exit code 1.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -112,4 +114,12 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: send what is still buffered nowhere, so that
+        # the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
