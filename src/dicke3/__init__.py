@@ -19,10 +19,8 @@ from .basis import (
     BasisSet,
     BasisState,
     DimensionLimitError,
-    LevelSector,
     basis_dimension,
     enumerate_basis,
-    fixed_level_sector,
     index_of,
 )
 from .operators import BlockHamiltonian, Configuration, OperatorMatrix

@@ -77,10 +77,12 @@ def fidelity_rot_second_order(
 ) -> float:
     """Second-order expansion of the rotated-frame fidelity.
 
-    F ~ |<psi'|psi>|^2 + (dmu dalpha)^2 [<psi'|psi><psi'|K^2|psi> +
-    |<psi'|K|psi>|^2], with psi' the neighbouring ground state and K cfg's
-    generator, applied to the atomic factor as in ``rotate_amplitudes``.  All
-    three brackets are checked to be real.
+    F ~ |<psi'|psi>|^2 + 2 <psi'|psi> (dmu dalpha) <psi'|K|psi> +
+    (dmu dalpha)^2 [<psi'|psi><psi'|K^2|psi> + |<psi'|K|psi>|^2], the square
+    of <psi'|exp(dmu dalpha K)|psi> to second order in the angle step, with
+    psi' the neighbouring ground state and K cfg's generator, applied to the
+    atomic factor as in ``rotate_amplitudes``.  All three brackets are
+    checked to be real.
     """
     basis = s_mu.basis
     if not basis.compatible_with(s_mu_dmu.basis):
@@ -92,7 +94,8 @@ def fidelity_rot_second_order(
     overlap = _real_bracket(np.vdot(psi_p, psi), "<psi'|psi>")
     k1 = _real_bracket(np.vdot(psi_p, k_psi), "<psi'|K|psi>")
     k2 = _real_bracket(np.vdot(psi_p, k_psi @ K.T), "<psi'|K^2|psi>")
-    return overlap**2 + (dmu * dalpha) ** 2 * (overlap * k2 + k1 * k1)
+    step = dmu * dalpha
+    return overlap**2 + 2.0 * overlap * step * k1 + step**2 * (overlap * k2 + k1 * k1)
 
 
 def fidelity_rotated_exact(

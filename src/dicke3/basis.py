@@ -135,52 +135,3 @@ def index_of(basis: BasisSet, state: BasisState) -> int:
         return basis.index[state]
     except KeyError:
         raise ValueError(f"state {state} is not in the basis") from None
-
-
-@dataclass(frozen=True)
-class LevelSector:
-    """States of a parent basis with one atomic level frozen at a fixed count.
-
-    ``parent_indices[i]`` is the position of ``states[i]`` in the parent
-    enumeration, so parent-basis operators and amplitudes restrict by fancy
-    indexing.  Note this is not a ``BasisSet``: its dimension is
-    (nmax+1)(na - n_fixed + 1).
-    """
-
-    parent: BasisSet
-    level: int
-    n_fixed: int
-    states: tuple[BasisState, ...]
-    parent_indices: np.ndarray
-
-    @property
-    def na(self) -> int:
-        return self.parent.na
-
-    @property
-    def nmax(self) -> int:
-        return self.parent.nmax
-
-    @property
-    def dim(self) -> int:
-        return len(self.states)
-
-    @property
-    def active_atoms(self) -> int:
-        """Atoms left in the two unfrozen levels."""
-        return self.na - self.n_fixed
-
-
-def fixed_level_sector(basis: BasisSet, level: int, n_fixed: int) -> LevelSector:
-    """Select the |nu; ...> states with exactly ``n_fixed`` atoms in ``level``."""
-    if level not in (1, 2, 3):
-        raise ValueError(f"level must be 1, 2 or 3, got {level}")
-    if not 0 <= n_fixed <= basis.na:
-        raise ValueError(
-            f"fixed occupation {n_fixed} outside [0, {basis.na}]"
-        )
-    mask = basis.level_counts[:, level - 1] == n_fixed
-    parent_indices = np.nonzero(mask)[0]
-    parent_indices.setflags(write=False)
-    states = tuple(basis.states[i] for i in parent_indices)
-    return LevelSector(basis, level, n_fixed, states, parent_indices)

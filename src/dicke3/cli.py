@@ -222,9 +222,9 @@ def cmd_spectrum(params: dict, out: str | None) -> int:
                 "band labels require a vanishing one-body coupling "
                 f"(lambda_t = {rp.lambda_t:g})"
             )
+        # every sector holds one isolated-level count: read it off its first state
         counts = basis.level_counts[:, rp.isolated_level - 1]
-        labels = [np.rint((v**2).T @ counts[idx]) for idx, _, v in spec.sectors]
-        label_values = spec.merged(labels).astype(int)
+        label_values = spec.merged([np.full(e.size, counts[idx[0]]) for idx, e, _ in spec.sectors])
         header.append("n_isolated")
         meta["isolated_level"] = rp.isolated_level
     rows = []
@@ -419,10 +419,8 @@ def cmd_evolve(params: dict, out: str | None) -> int:
         amps = np.zeros(basis.dim, dtype=complex)
         amps[pos] = 1.0
         state = QuantumState(amps, basis)
-    rows = []
-    for t in np.linspace(0.0, params["t_max"], params["t_steps"]):
-        a11, a22, a33, nph = populations(evolve(spec, state, t))
-        rows.append([t, a11, a22, a33, nph])
+    times = np.linspace(0.0, params["t_max"], params["t_steps"])
+    rows = [[t, *populations(psi)] for t, psi in zip(times, evolve(spec, state, times))]
     meta = {**params, "nmax": m.nmax}
     _emit(out, _render_csv(["t", "a11", "a22", "a33", "nphot"], meta, rows))
     return EXIT_OK

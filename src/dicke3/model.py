@@ -26,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSet, LevelSector
+from .basis import BasisSet, enumerate_basis
 from .operators import (
     BlockHamiltonian,
     Configuration,
-    OperatorMatrix,
     atomic_collective_matrix,
     excitation_values,
 )
@@ -147,6 +146,7 @@ def _assemble(
     level_terms: tuple[float, float, float],
     couplings: dict[tuple[int, int], float],
     one_body: tuple[tuple[int, int], float] | None = None,
+    isolated: int | None = None,
 ) -> BlockHamiltonian:
     """Common assembly: field term + level terms + dipolar couplings.
 
@@ -157,8 +157,9 @@ def _assemble(
     photon (x) atomic products (the tests pin this bitwise, signed zeros
     included).  Every term conserves the excitation-number parity, in the
     rotated frames too (each rotation plane joins two levels of equal weight
-    parity), so the result carries the parity of every basis state for the
-    sector solver.
+    parity), so the result labels every basis state with its parity for the
+    sector solver; when the couplings leave level ``isolated`` out, its
+    occupation is conserved too and joins the label.
     """
     diagonal = config.Omega * basis.photon_numbers
     for lvl, w in enumerate(level_terms, start=1):
@@ -179,6 +180,8 @@ def _assemble(
         if lam != 0.0:
             on_site = lam * _symmetric_pair(basis.na, j, k)
     labels = excitation_values(basis, config.cfg) % 2
+    if isolated is not None:
+        labels += 2 * basis.level_counts[:, isolated - 1]
     return BlockHamiltonian(diagonal, on_site, hops, labels)
 
 
@@ -259,7 +262,9 @@ def build_hamiltonian(
     The lab frame holds field + level terms - (a t + a) dipolar couplings; a
     branch's frame is assembled from its parameter bundle, which agrees with
     U H U.T from the similarity transform and exposes the parameter table
-    itself to tests.
+    itself to tests.  Without a one-body term (lambda_t exactly 0, as at
+    equal detuning) the isolated level's occupation is conserved and labels
+    the solver's sectors along with the parity.
     """
     if basis.na != config.na or basis.nmax != config.nmax:
         raise ValueError(
@@ -276,6 +281,7 @@ def build_hamiltonian(
         params.omega_ts,
         {params.coupled_pair: params.coupled_mu},
         one_body=(params.lambda_pair, params.lambda_t),
+        isolated=params.isolated_level if params.lambda_t == 0.0 else None,
     )
 
 
@@ -287,29 +293,25 @@ def effective_coupling(config: ModelConfig, branch: Branch, n_active: int) -> fl
     return float(np.sqrt(n_active / config.na) * params.coupled_mu)
 
 
-def build_effective_two_level(
-    config: ModelConfig, sector: LevelSector, branch: Branch
-) -> OperatorMatrix:
-    """Two-level block Hamiltonian on a frozen-level sector.
+def build_effective_two_level(config: ModelConfig, branch: Branch, n_fixed: int) -> np.ndarray:
+    """Two-level block Hamiltonian with ``n_fixed`` atoms in the isolated level.
 
     The surviving coupled pair forms a reduced collective model whose
     coupling carries the sqrt(n_active / N_a) dilution; the frozen level
     contributes only the constant shift omega_t * n_fixed.  The residual
     one-body term is deliberately absent: this is the decoupled block, exact
-    when the one-body coupling vanishes.
+    when the one-body coupling vanishes.  Rows and columns follow the basis
+    enumeration.
     """
-    if sector.na != config.na or sector.nmax != config.nmax:
-        raise ValueError("sector does not match the model configuration")
+    if not 0 <= n_fixed <= config.na:
+        raise ValueError(f"fixed occupation {n_fixed} outside [0, {config.na}]")
     params = rotated_parameters(config, branch)
-    if sector.level != params.isolated_level:
-        raise ValueError(
-            f"sector freezes level {sector.level} but branch {branch.value} "
-            f"isolates level {params.isolated_level}"
-        )
-    full = _assemble(
+    basis = enumerate_basis(config.na, config.nmax)
+    H = _assemble(
         config,
-        sector.parent,
+        basis,
         params.omega_ts,
         {params.coupled_pair: params.coupled_mu},
+        isolated=params.isolated_level,
     )
-    return OperatorMatrix(full.dense_block(sector.parent_indices), hermitian=True)
+    return H.dense_block(np.flatnonzero(H.sector_labels // 2 == n_fixed))

@@ -121,25 +121,36 @@ class BlockHamiltonian:
     diagonal plus the ``on_site`` block (None for none); blocks nu and
     nu + 1 are joined both ways by ``hops[nu]``.  Every block is symmetric
     by construction, so H is too and nothing checks it at run time.
-    ``parity_labels`` holds the excitation-number parity (0 even, 1 odd) of
-    every basis state; no entry joins states of different parity, so the
-    solver builds each parity sector from the blocks.  The dense view
-    ``matrix`` is built only when read, and kept.
+    ``sector_labels`` holds one integer per basis state: the excitation-number
+    parity (0 even, 1 odd), plus twice the isolated level's occupation in a
+    frame that conserves it.  The solver solves each set of equal labels as
+    one sector, in the order of the sectors' lowest basis indices, so the
+    vacuum's (basis state 0) comes first and wins ties.  Construction
+    refuses labels that a nonzero entry of ``on_site`` or ``hops`` crosses.
+    The dense view ``matrix`` is built only when read, and kept.
     """
 
     diagonal: np.ndarray
     on_site: np.ndarray | None
     hops: np.ndarray
-    parity_labels: np.ndarray
+    sector_labels: np.ndarray
 
     def __post_init__(self):
-        dim = (self.hops.shape[0] + 1) * self.hops.shape[1]
-        if self.diagonal.shape != (dim,) or self.parity_labels.shape != (dim,):
+        m = self.hops.shape[1]
+        dim = (self.hops.shape[0] + 1) * m
+        if self.diagonal.shape != (dim,) or self.sector_labels.shape != (dim,):
             raise ValueError(
-                f"diagonal {self.diagonal.shape} and parity labels "
-                f"{self.parity_labels.shape} do not match photon blocks {self.hops.shape}"
+                f"diagonal {self.diagonal.shape} and sector labels "
+                f"{self.sector_labels.shape} do not match photon blocks {self.hops.shape}"
             )
-        for a in (self.diagonal, self.on_site, self.hops, self.parity_labels):
+        labels = self.sector_labels.reshape(-1, m)
+        joined = [(self.hops, labels[:-1], labels[1:])]
+        if self.on_site is not None:
+            joined.append((self.on_site, labels, labels))
+        for block, rows, cols in joined:
+            if np.any((block != 0.0) & (rows[:, :, None] != cols[:, None, :])):
+                raise ValueError("a nonzero entry joins states of different sector labels")
+        for a in (self.diagonal, self.on_site, self.hops, self.sector_labels):
             if a is not None:
                 a.setflags(write=False)
 

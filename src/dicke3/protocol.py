@@ -199,15 +199,10 @@ def rabi_demo(config: ModelConfig, nu0: int, t_grid) -> RabiSeries:
     alpha_retrieve = decoupling_angle(config, Branch.SECOND)
 
     times = np.asarray(t_grid, dtype=float)
-    stored = np.empty((len(times), 4))
-    evolved = np.empty((len(times), basis.dim), dtype=complex)
-    for i, t in enumerate(times):
-        psi_t = evolve(spectrum, psi0, t)
-        stored[i] = populations(psi_t)
-        evolved[i] = psi_t.amplitudes
+    states = evolve(spectrum, psi0, times)
+    stored = np.array([populations(psi_t) for psi_t in states]).reshape(-1, 4)
     # one rotation switches the states of every time
+    evolved = np.array([psi_t.amplitudes for psi_t in states]).reshape(-1, basis.dim)
     after_switch = rotate_amplitudes(config.cfg, alpha_retrieve - alpha_store, evolved, basis)
-    switched = np.empty((len(times), 4))
-    for i, rotated in enumerate(after_switch):
-        switched[i] = populations(QuantumState(rotated, basis))
+    switched = np.array([populations(QuantumState(psi, basis)) for psi in after_switch]).reshape(-1, 4)
     return RabiSeries(times, stored, switched)

@@ -1,11 +1,14 @@
 """Eigensolver, ground states, observables, cutoff convergence, evolution.
 
 Every Hamiltonian built by this package is a :class:`BlockHamiltonian`,
-which conserves the excitation-number parity and says so through its
-``parity_labels``, so every eigenproblem is solved per parity sector, each
-sector built straight from the photon blocks; no dim x dim array is built.
-Full spectra solve every sector dense, and evolution works in the sectors
-its state touches.  Ground states and ground energies need each sector's
+whose ``sector_labels`` name the conserved quantities: the excitation-number
+parity always, and the isolated level's occupation in a frame without a
+one-body term.  Every eigenproblem is solved per sector of equal labels,
+each built straight from the photon blocks; no dim x dim array is built.
+Sectors come in the order of their lowest basis indices, so the vacuum's
+comes first, and a tie between sectors goes to the earlier one.  Full
+spectra solve every sector dense, and evolution works in the sectors its
+state touches.  Ground states and ground energies need each sector's
 lowest two eigenpairs: up to DENSE_SECTOR_MAX states from a dense block by
 LAPACK, larger ones from a sparse matrix by ARPACK's Lanczos solver in
 shift-invert mode.
@@ -39,13 +42,14 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full eigendecomposition, one entry of ``sectors`` per parity sector.
+    """Full eigendecomposition, one entry of ``sectors`` per sector of the
+    Hamiltonian's labels.
 
     Each entry is (basis indices, ascending energies, orthonormal eigenvector
-    columns over those indices), the vacuum's sector first; every eigenvector
-    is zero outside its sector.  Sign convention: the largest-magnitude
-    component of every eigenvector is positive (ties broken by the lowest
-    index).
+    columns over those indices), in the solver's sector order, the vacuum's
+    first; every eigenvector is zero outside its sector.  Sign convention:
+    the largest-magnitude component of every eigenvector is positive (ties
+    broken by the lowest index).
     """
 
     sectors: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
@@ -59,8 +63,8 @@ class Spectrum:
 
     @property
     def energies(self) -> np.ndarray:
-        """Every level in ascending order; tied levels keep the vacuum's
-        sector first."""
+        """Every level in ascending order; tied levels keep the sector order,
+        the vacuum's first."""
         return self.merged([e for _, e, _ in self.sectors])
 
 
@@ -70,8 +74,9 @@ class QuantumState:
 
     ``degenerate`` marks ground states extracted within DEGENERACY_GAP of the
     next level, where the returned representative is convention, not physics.
-    The solver's convention: a state of pure parity, from the sector of the
-    vacuum |0; na,0,0> when the two sectors' ground energies tie.
+    The solver's convention: a state of one sector, the earliest in sector
+    order (lowest first basis index; the vacuum |0; na,0,0>'s sector before
+    all) among those whose ground energies tie.
     """
 
     amplitudes: np.ndarray
@@ -98,16 +103,18 @@ def _fix_sign(columns: np.ndarray) -> None:
 
 
 def _sectors(H: BlockHamiltonian, basis: BasisSet) -> list[np.ndarray]:
-    """Basis indices of every nonempty parity sector, the vacuum's (basis
-    state 0) first; H must match the basis."""
+    """Basis indices of every sector of equal labels, in the order of their
+    lowest basis indices, so the vacuum's (basis state 0) comes first; H
+    must match the basis."""
     if H.dim != basis.dim:
         raise ValueError(f"operator dim {H.dim} does not match basis dim {basis.dim}")
-    in_vacuum = H.parity_labels == H.parity_labels[0]
-    return [idx for idx in (np.flatnonzero(in_vacuum), np.flatnonzero(~in_vacuum)) if idx.size]
+    labels = H.sector_labels
+    _, first = np.unique(labels, return_index=True)
+    return [np.flatnonzero(labels == labels[i]) for i in np.sort(first)]
 
 
 def diagonalize(H: BlockHamiltonian, basis: BasisSet) -> Spectrum:
-    """Full spectrum, every parity sector solved dense by LAPACK."""
+    """Full spectrum, every sector solved dense by LAPACK."""
     sectors = []
     for idx in _sectors(H, basis):
         energies, vectors = scipy.linalg.eigh(H.dense_block(idx), overwrite_a=True)
@@ -138,8 +145,8 @@ def _shift_invert_pair(A):
 
 
 def _sector_pairs(H: BlockHamiltonian, basis: BasisSet):
-    """(basis indices, lowest energies, eigenvectors) of every parity sector,
-    the vacuum's first.
+    """(basis indices, lowest energies, eigenvectors) of every sector, in
+    sector order.
 
     Each sector yields its lowest two eigenpairs (one for a single state):
     dense LAPACK up to DENSE_SECTOR_MAX states, shift-invert Lanczos above.
@@ -157,16 +164,17 @@ def _sector_pairs(H: BlockHamiltonian, basis: BasisSet):
 
 
 def ground_state(H: BlockHamiltonian, basis: BasisSet) -> QuantumState:
-    """Lowest eigenvector under the sign convention, of pure parity.
+    """Lowest eigenvector under the sign convention, from one sector.
 
-    The lowest level over the parity sectors wins; when the sectors' ground
-    energies lie within DEGENERACY_GAP, the vacuum's sector does.
-    Near-degeneracy (gap below DEGENERACY_GAP between the two lowest levels
-    over both sectors) is flagged on the returned state rather than raised.
+    The lowest level over the sectors wins; when several sectors' ground
+    energies lie within DEGENERACY_GAP of it, the earliest in sector order
+    does, the vacuum's before all.  Near-degeneracy (gap below
+    DEGENERACY_GAP between the two lowest levels over all sectors) is
+    flagged on the returned state rather than raised.
     """
     pairs = _sector_pairs(H, basis)
     lowest = min(energies[0] for _, energies, _ in pairs)
-    # The vacuum's sector comes first, so it wins a tie within DEGENERACY_GAP.
+    # Sector order decides a tie within DEGENERACY_GAP.
     idx, _, vectors = next(p for p in pairs if p[1][0] < lowest + DEGENERACY_GAP)
     vec = np.zeros(H.dim)
     vec[idx] = vectors[:, 0]
@@ -195,7 +203,7 @@ def populations(state: QuantumState) -> tuple[float, float, float, float]:
 
 
 def lowest_energy(H: BlockHamiltonian, basis: BasisSet) -> float:
-    """Ground energy only: the lowest level over the parity sectors."""
+    """Ground energy only: the lowest level over the sectors."""
     return float(min(energies[0] for _, energies, _ in _sector_pairs(H, basis)))
 
 
@@ -252,26 +260,36 @@ def converge_cutoff(config: ModelConfig) -> int:
     return converged_ground_state(config)[0]
 
 
-def evolve(spectrum: Spectrum, state: QuantumState, t: float) -> QuantumState:
-    """Unitary evolution by time t through the eigendecomposition, in the
-    parity sectors the state touches."""
+def evolve(spectrum: Spectrum, state: QuantumState, times) -> list[QuantumState]:
+    """Unitary evolution through the eigendecomposition, one state per time.
+
+    The state is projected once on each sector it touches; every time then
+    costs one phase and one sum over the eigenvectors.
+    """
     a, b = spectrum.basis, state.basis
     if not a.compatible_with(b):
         raise ValueError(
             f"basis mismatch: (na={a.na}, nmax={a.nmax}) vs (na={b.na}, nmax={b.nmax})"
         )
-    evolved = np.zeros(state.basis.dim, dtype=complex)
+    times = np.asarray(times, dtype=float)
+    # real and imaginary parts apart: no complex copy of the vectors
+    parts = np.zeros((times.size, b.dim, 2))
     for idx, energies, vectors in spectrum.sectors:
         amps = state.amplitudes[idx]
         if amps.any():
-            # real and imaginary parts apart: no complex copy of the vectors
             coeffs = vectors.T @ amps.real + 1j * (vectors.T @ amps.imag)
-            coeffs *= np.exp(-1j * energies * t)
-            evolved[idx] = vectors @ coeffs.real + 1j * (vectors @ coeffs.imag)
-    norm = np.linalg.norm(evolved)
-    if abs(norm - 1.0) > 1e-10:
+            phased = np.outer(times, -1j * energies)
+            np.exp(phased, out=phased)
+            phased *= coeffs
+            parts[:, idx, 0] = phased.real @ vectors.T
+            parts[:, idx, 1] = phased.imag @ vectors.T
+    evolved = parts.view(complex)[..., 0]
+    norms = np.linalg.norm(evolved, axis=1)
+    worst = np.max(np.abs(norms - 1.0), initial=0.0)
+    if worst > 1e-10:
         raise ValueError(
-            f"evolution lost unitarity: |norm - 1| = {abs(norm - 1):.3e}; "
+            f"evolution lost unitarity: |norm - 1| = {worst:.3e}; "
             "the spectrum's eigenvectors are not orthonormal"
         )
-    return QuantumState(evolved / norm, state.basis)
+    evolved /= norms[:, None]
+    return [QuantumState(psi, b) for psi in evolved]

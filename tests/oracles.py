@@ -1,15 +1,17 @@
 """Dense full-basis kron(photon, atomic) operators: the oracles for the
-package's m x m atomic factors; the sparse read-back of a dense Hamiltonian,
-the oracle for the solver's sector matrices; and whole-matrix expectation
-values, eigenvectors and evolution, the oracles for the per-sector solver."""
+package's m x m atomic factors and its effective two-level block; the sparse
+read-back of a dense Hamiltonian, the oracle for the solver's sector
+matrices; and whole-matrix expectation values, eigenvectors, evolution and
+band labels, the oracles for the per-sector solver."""
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from dicke3.basis import BasisSet
+from dicke3.basis import BasisSet, enumerate_basis
+from dicke3.model import ModelConfig, rotated_parameters
 from dicke3.operators import Configuration, OperatorMatrix, atomic_collective_matrix, excitation_values
-from dicke3.rotations import atomic_generator_matrix, rotation_matrix
+from dicke3.rotations import Branch, atomic_generator_matrix, rotation_matrix
 from dicke3.solver import QuantumState, Spectrum
 
 
@@ -80,6 +82,23 @@ def transform_exact(
     return OperatorMatrix(out, hermitian=X.hermitian)
 
 
+def effective_two_level_block(config: ModelConfig, branch: Branch, n_fixed: int) -> np.ndarray:
+    """A rotated frame's field, level and surviving coupling terms, with no
+    one-body term, from the kron operators, restricted to the states with
+    ``n_fixed`` atoms in the branch's isolated level."""
+    basis = enumerate_basis(config.na, config.nmax)
+    params = rotated_parameters(config, branch)
+    a, ad = boson_annihilate(basis).matrix, boson_create(basis).matrix
+    H = config.Omega * (ad @ a)
+    for level, w in enumerate(params.omega_ts, start=1):
+        H = H + w * collective_A(basis, level, level).matrix
+    j, k = params.coupled_pair
+    pair = collective_A(basis, j, k).matrix + collective_A(basis, k, j).matrix
+    H = H - params.coupled_mu / np.sqrt(config.na) * ((a + ad) @ pair)
+    keep = basis.level_counts[:, params.isolated_level - 1] == n_fixed
+    return H[np.ix_(keep, keep)]
+
+
 def photon_band_csr(mat: np.ndarray, m: int) -> scipy.sparse.csr_matrix:
     """CSR copy of a Hamiltonian built by the package, read from its
     photon-diagonal and upper photon blocks of size m; the builders write no
@@ -122,3 +141,11 @@ def eigh_evolve(H, state: QuantumState, t: float) -> np.ndarray:
     """exp(-iHt) applied to a state through one dense eigh of the whole H."""
     energies, vectors = scipy.linalg.eigh(H.matrix)
     return vectors @ (np.exp(-1j * energies * t) * (vectors.T @ state.amplitudes))
+
+
+def rint_band_labels(spectrum: Spectrum, level: int) -> np.ndarray:
+    """Every eigenvector's occupation of ``level``, rounded to an integer, in
+    the order of ``spectrum.energies``."""
+    counts = spectrum.basis.level_counts[:, level - 1]
+    labels = [np.rint((v**2).T @ counts[idx]) for idx, _, v in spectrum.sectors]
+    return spectrum.merged(labels).astype(int)

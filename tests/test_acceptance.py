@@ -183,12 +183,12 @@ def test_c05_second_order_expansion_scaling():
 
     Asserted window: a halving 1e-2 -> 5e-3 shrinks the remainder by [5, 20]
     (cubic scaling would give ~8), and the full drop to 1e-3 by ~10^3 within
-    a factor of 3.  Measured behaviour is quadratic (factor ~4 per halving,
-    ~10^2 overall): the expansion drops a symmetric cross term
-    2 <psi'|psi> dalpha <psi'|K|psi> whose bracket is itself O(dmu), leaving
-    a genuine second-order residual that the dropped term reproduces to ~1%.
-    The assertion is kept at the stated window rather than loosened to match
-    the implementation, so this test documents the known failure.
+    a factor of 3.  With the cross term 2 <psi'|psi> dmu dalpha <psi'|K|psi>
+    in the expansion, most samples scale cubically, but the measured halving
+    ratios span [2.95, 10.40] and the overall ratios [244.8, 1715.6]: at a
+    few samples the cubic coefficient nearly cancels, so the next order
+    shows.  The assertion is kept at the stated window rather than loosened
+    to match the implementation, so this test documents the known failure.
     """
     rng = np.random.default_rng(505)
     steps = (1e-2, 5e-3, 1e-3)

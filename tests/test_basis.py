@@ -7,7 +7,6 @@ from dicke3.basis import (
     atomic_occupations,
     basis_dimension,
     enumerate_basis,
-    fixed_level_sector,
     index_of,
 )
 
@@ -93,18 +92,3 @@ def test_dimension_guard(monkeypatch):
 def test_atomic_occupations_order():
     occs = atomic_occupations(2)
     assert occs == ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
-
-
-def test_fixed_level_sector():
-    b = enumerate_basis(3, 2)
-    sector = fixed_level_sector(b, 1, 0)
-    assert sector.dim == 3 * 4  # (nmax+1)(n_active+1)
-    assert sector.active_atoms == 3
-    assert all(s.n1 == 0 for s in sector.states)
-    for s, pi in zip(sector.states, sector.parent_indices):
-        assert b.states[pi] == s
-    full = fixed_level_sector(b, 2, 3)
-    assert all(s.n2 == 3 for s in full.states)
-    assert full.active_atoms == 0
-    with pytest.raises(ValueError):
-        fixed_level_sector(b, 1, 4)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dicke3 as d3
-from dicke3.basis import BasisState, enumerate_basis, fixed_level_sector
+from dicke3.basis import BasisState, enumerate_basis
 from dicke3.model import (
     ModelConfig,
     build_effective_two_level,
@@ -21,7 +21,7 @@ from dicke3.operators import Configuration, atomic_collective_matrix
 from dicke3.rotations import Branch, UndefinedAngleError, decoupling_angle, rotation_matrix
 
 from conftest import random_model
-from oracles import boson_annihilate, boson_create, collective_A, photon_ladder_matrix
+from oracles import boson_annihilate, boson_create, collective_A, effective_two_level_block, photon_ladder_matrix
 
 
 def xi(na=1, nmax=4, **kw):
@@ -338,12 +338,23 @@ class TestRotatedHamiltonian:
 class TestEffectiveTwoLevel:
     def test_all_frozen_is_pure_field(self):
         m = lam(na=2, nmax=5)
-        b = enumerate_basis(2, 5)
-        sector = fixed_level_sector(b, 1, 2)  # branch FIRST isolates level 1
-        h = build_effective_two_level(m, sector, Branch.FIRST).matrix
+        h = build_effective_two_level(m, Branch.FIRST, 2)  # branch FIRST isolates level 1
         rp = rotated_parameters(m, Branch.FIRST)
         expected = np.diag(np.arange(6) * m.Omega + rp.omega_ts[0] * 2)
         assert np.allclose(h, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("model", [
+        lam(na=2, nmax=5), lam(na=3, nmax=4, omega2=0.4), vee(na=2, nmax=5),
+        vee(na=3, nmax=4, omega2=1.0), xi(na=2, nmax=5),
+    ])
+    @pytest.mark.parametrize("branch", list(Branch))
+    def test_matches_restricted_dense_oracle(self, model, branch):
+        # equal and unequal detuning: the block never holds the one-body term
+        for n_fixed in range(model.na + 1):
+            h = build_effective_two_level(model, branch, n_fixed)
+            expected = effective_two_level_block(model, branch, n_fixed)
+            assert h.shape == ((model.nmax + 1) * (model.na - n_fixed + 1),) * 2
+            assert np.max(np.abs(h - expected)) < 1e-12
 
     def test_effective_coupling_dilution(self):
         m = lam(na=4, nmax=5)
@@ -360,17 +371,14 @@ class TestEffectiveTwoLevel:
         full = np.linalg.eigvalsh(
             build_hamiltonian(m, b, Branch.FIRST).matrix
         )[0]
-        sector = fixed_level_sector(b, 1, 0)
-        block = np.linalg.eigvalsh(
-            build_effective_two_level(m, sector, Branch.FIRST).matrix
-        )[0]
+        block = np.linalg.eigvalsh(build_effective_two_level(m, Branch.FIRST, 0))[0]
         assert full == pytest.approx(block, abs=1e-10)
 
-    def test_rejects_wrong_sector_level(self):
+    def test_rejects_fixed_occupation_out_of_range(self):
         m = lam(na=2, nmax=4)
-        b = enumerate_basis(2, 4)
-        with pytest.raises(ValueError):
-            build_effective_two_level(m, fixed_level_sector(b, 3, 0), Branch.FIRST)
+        for n_fixed in (-1, 3):
+            with pytest.raises(ValueError, match="fixed occupation"):
+                build_effective_two_level(m, Branch.FIRST, n_fixed)
 
 
 def test_with_couplings_maps_plane_order():

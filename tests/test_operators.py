@@ -42,15 +42,25 @@ def test_symmetry_check_matches_full_comparison(dim):
     OperatorMatrix(signed, hermitian=True)  # -0.0 == 0.0, as in array_equal
 
 
-def test_parity_labels_contract():
-    # Two photon blocks of one atomic state each, joined by one hop.
-    labels = np.array([0, 1])
-    op = BlockHamiltonian(np.array([0.0, 1.0]), None, np.full((1, 1, 1), -0.5), labels)
+def test_sector_labels_contract():
+    # Two photon blocks of one atomic state each, joined by one hop: one sector.
+    op = BlockHamiltonian(np.array([0.0, 1.0]), None, np.full((1, 1, 1), -0.5), np.array([2, 2]))
     assert op.dim == 2
-    assert not op.parity_labels.flags.writeable
+    assert not op.sector_labels.flags.writeable
     assert np.array_equal(op.matrix, [[0.0, -0.5], [-0.5, 1.0]])
-    with pytest.raises(ValueError, match="parity labels"):
+    with pytest.raises(ValueError, match="sector labels"):
         BlockHamiltonian(np.zeros(2), None, np.zeros((1, 1, 1)), np.zeros(3, dtype=int))
+    # Different labels joined by the hop: its eigenvalues are -0.207 and
+    # 1.207, not the diagonal's 0 and 1, so the labels are refused.
+    with pytest.raises(ValueError, match="joins states of different sector labels"):
+        BlockHamiltonian(np.array([0.0, 1.0]), None, np.full((1, 1, 1), -0.5), np.array([0, 1]))
+    # A zero hop (of either sign) joins nothing.
+    BlockHamiltonian(np.array([0.0, 1.0]), None, np.full((1, 1, 1), -0.0), np.array([0, 1]))
+    # Within one photon block, the on-site term is checked the same way.
+    on_site = np.array([[0.0, 0.3], [0.3, 0.0]])
+    with pytest.raises(ValueError, match="joins states of different sector labels"):
+        BlockHamiltonian(np.zeros(2), on_site, np.zeros((0, 2, 2)), np.array([0, 1]))
+    BlockHamiltonian(np.zeros(2), on_site, np.zeros((0, 2, 2)), np.array([1, 1]))
 
 
 def test_atomic_matrices_cached_read_only():

@@ -1,3 +1,6 @@
+import contextlib
+import dataclasses
+import io
 import tracemalloc
 from unittest import mock
 
@@ -6,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicke3 import solver
+from dicke3 import cli, solver
 from dicke3.basis import BasisState, enumerate_basis
 from dicke3.model import (
     ModelConfig,
     build_hamiltonian,
+    rotated_parameters,
     with_couplings,
 )
 from dicke3.operators import BlockHamiltonian, Configuration, excitation_values
@@ -28,7 +32,7 @@ from dicke3.solver import (
 )
 
 from conftest import random_model
-from oracles import eigh_evolve, expectation, full_vectors, parity, photon_band_csr
+from oracles import eigh_evolve, expectation, full_vectors, parity, photon_band_csr, rint_band_labels
 
 
 def lam(na=1, nmax=8, mu13=0.6, mu23=0.8):
@@ -165,7 +169,7 @@ class TestPopulations:
         m = lam(na=2, nmax=24)
         b = enumerate_basis(2, 24)
         g = ground_state(build_hamiltonian(m, b, Branch.FIRST), b)
-        assert populations(g)[0] < 1e-10
+        assert populations(g)[0] == 0.0
 
 
 class TestParityPurity:
@@ -235,9 +239,13 @@ _hypothesis = settings(
 
 @st.composite
 def framed_models(draw):
-    """Random model and frame; zero and single-axis couplings included."""
+    """Random model and frame; zero and single-axis couplings included, and
+    equal detuning, whose rotated frames conserve the isolated level."""
     cfg = draw(st.sampled_from(list(Configuration)))
     omegas = sorted(draw(st.lists(_frequency, min_size=3, max_size=3)))
+    if draw(st.booleans()):  # the forbidden pair's levels equal: no one-body term
+        lo, hi = cfg.forbidden_pair
+        omegas[lo:hi] = [omegas[lo - 1]] * (hi - lo)
     na = draw(st.integers(1, 3))
     nmax = draw(st.integers(0, 24))
     mu_a, mu_b = draw(_coupling), draw(_coupling)
@@ -253,6 +261,16 @@ def _framed_hamiltonian(model_frame):
     return m, b, build_hamiltonian(m, b, frame)
 
 
+def _expected_labels(m, frame, b):
+    """Parity, plus twice the isolated level's occupation in a rotated frame
+    without a one-body term."""
+    labels = excitation_values(b, m.cfg) % 2
+    params = None if frame is None else rotated_parameters(m, frame)
+    if params is not None and params.lambda_t == 0.0:
+        labels += 2 * b.level_counts[:, params.isolated_level - 1]
+    return labels
+
+
 def _parity_value(state, m):
     return expectation(state, parity(state.basis, m.cfg))
 
@@ -260,11 +278,10 @@ def _parity_value(state, m):
 class TestParitySectors:
     @_hypothesis
     @given(framed_models())
-    def test_no_entry_joins_parity_sectors(self, model_frame):
+    def test_no_entry_joins_sectors(self, model_frame):
         m, b, H = _framed_hamiltonian(model_frame)
-        labels = excitation_values(b, m.cfg) % 2
-        assert np.array_equal(H.parity_labels, labels)
-        assert not H.matrix[np.ix_(labels == 0, labels == 1)].any()
+        assert np.array_equal(H.sector_labels, _expected_labels(m, model_frame[1], b))
+        assert not H.matrix[H.sector_labels[:, None] != H.sector_labels].any()
 
     # The small crossover sends every sector above 8 states to shift-invert
     # Lanczos, so both solver paths meet the same random models.
@@ -293,7 +310,7 @@ class TestParitySectors:
         m = with_couplings(ModelConfig(cfg, *omegas, 0.0, 0.0, 0.0, na=4, nmax=64), *couplings)
         b = enumerate_basis(4, 64)
         H = build_hamiltonian(m, b)
-        assert min(np.bincount(H.parity_labels)) > solver.DENSE_SECTOR_MAX
+        assert min(np.bincount(H.sector_labels)) > solver.DENSE_SECTOR_MAX
         exact = np.linalg.eigvalsh(H.matrix)[0]
         assert lowest_energy(H, b) == pytest.approx(exact, abs=1e-11)
         assert expectation(ground_state(H, b), H) == pytest.approx(exact, abs=1e-11)
@@ -327,13 +344,60 @@ class TestParitySectors:
         assert sorted(np.concatenate([idx for idx, _, _ in spec.sectors])) == list(range(b.dim))
         scale = max(1.0, np.max(np.abs(H.matrix)))
         for idx, energies, vectors in spec.sectors:
-            assert np.array_equal(H.parity_labels[idx], np.full(idx.size, H.parity_labels[idx[0]]))
+            assert np.array_equal(H.sector_labels[idx], np.full(idx.size, H.sector_labels[idx[0]]))
             assert np.max(np.abs(vectors.T @ vectors - np.eye(idx.size))) < 1e-12
             residual = H.matrix[:, idx] @ vectors
             residual[idx] -= vectors * energies
             assert np.max(np.abs(residual)) < 1e-11 * scale
             peak = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(idx.size)]
             assert np.all(peak > 0)
+
+
+@st.composite
+def equal_detuning_frames(draw):
+    """Lambda or V at equal detuning in either decoupled frame; one coupling
+    may vanish, never both."""
+    cfg = draw(st.sampled_from([Configuration.LAMBDA, Configuration.V]))
+    low, high = sorted(draw(st.lists(_frequency, min_size=2, max_size=2)))
+    omegas = (low, low, high) if cfg is Configuration.LAMBDA else (low, high, high)
+    mu_a = draw(_coupling)
+    mu_b = draw(st.floats(0.05, 2.0) if mu_a == 0.0 else _coupling)
+    m = ModelConfig(cfg, *omegas, 0.0, 0.0, 0.0, na=draw(st.integers(1, 3)), nmax=draw(st.integers(0, 16)))
+    return with_couplings(m, mu_a, mu_b), draw(st.sampled_from(list(Branch)))
+
+
+def _band_label_rows(m, branch):
+    """Data rows of ``spectrum --band-labels`` for the model, read from the CLI."""
+    argv = ["spectrum", "--configuration", m.cfg.value, "--rotated", branch.value, "--band-labels"]
+    for name in ("omega1", "omega2", "omega3", "mu12", "mu13", "mu23", "Omega", "na", "nmax"):
+        argv += ["--" + name, repr(getattr(m, name))]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return [line.split(",") for line in out.getvalue().splitlines()[1:] if not line.startswith("#")]
+
+
+class TestIsolatedLevelSectors:
+    @_hypothesis
+    @given(equal_detuning_frames())
+    def test_labels_energies_and_band_labels(self, model_frame):
+        m, b, H = _framed_hamiltonian(model_frame)
+        level = rotated_parameters(m, model_frame[1]).isolated_level
+        parity_of = excitation_values(b, m.cfg) % 2
+        assert np.array_equal(H.sector_labels, parity_of + 2 * b.level_counts[:, level - 1])
+        spec = diagonalize(H, b)
+        exact = np.linalg.eigvalsh(H.matrix)
+        assert np.max(np.abs(spec.energies - exact)) < 1e-11 * max(1.0, np.max(np.abs(exact)))
+        rows = _band_label_rows(m, model_frame[1])
+        assert [r[1] for r in rows] == [f"{e:.12g}" for e in spec.energies]
+        labels = np.array([int(r[2]) for r in rows])
+        # The rounded isolated-level occupation of each eigenvector, from
+        # the parity sectors alone: in a tie its eigenvectors may mix the
+        # isolated-level sectors, so only separated levels are compared.
+        by_parity = diagonalize(dataclasses.replace(H, sector_labels=parity_of), b)
+        separated = np.diff(by_parity.energies, prepend=-np.inf, append=np.inf) > 1e-8
+        separated = separated[:-1] & separated[1:]
+        assert np.array_equal(labels[separated], rint_band_labels(by_parity, level)[separated])
 
 
 @st.composite
@@ -369,7 +433,7 @@ class TestSectorBuilders:
     def test_bitwise_equal_to_dense_read_back(self, model_frame):
         m, b, H = _framed_hamiltonian(model_frame)
         band = photon_band_csr(H.matrix, b.atomic_dim)
-        for idx in (np.flatnonzero(H.parity_labels == p) for p in (0, 1)):
+        for idx in (np.flatnonzero(H.sector_labels == k) for k in np.unique(H.sector_labels)):
             block = H.dense_block(idx)
             assert block.flags.f_contiguous
             assert block.tobytes() == H.matrix[np.ix_(idx, idx)].tobytes()
@@ -418,7 +482,7 @@ class TestMemory:
         def solve():
             H = build_hamiltonian(m, b)
             spec = diagonalize(H, b)
-            return H, spec, evolve(spec, QuantumState(amps, b), 1.0)
+            return H, spec, evolve(spec, QuantumState(amps, b), [1.0])
 
         (H, _, _), peak = self._peak(solve)
         assert "matrix" not in vars(H)
@@ -447,14 +511,13 @@ class TestEvolve:
     def test_time_zero_is_identity(self):
         _, b, spec = self._setup()
         g = QuantumState(full_vectors(spec)[:, 3].astype(complex), b)
-        out = evolve(spec, g, 0.0)
+        (out,) = evolve(spec, g, [0.0])
         assert np.max(np.abs(out.amplitudes - g.amplitudes)) < 1e-12
 
     def test_eigenstate_is_stationary(self):
         _, b, spec = self._setup()
         g = QuantumState(full_vectors(spec)[:, 0].astype(complex), b)
-        for t in (0.7, 5.0, 21.3):
-            out = evolve(spec, g, t)
+        for out in evolve(spec, g, (0.7, 5.0, 21.3)):
             assert np.allclose(populations(out), populations(g), atol=1e-10)
 
     def test_unitarity_of_overlaps(self):
@@ -465,10 +528,9 @@ class TestEvolve:
         s1 = QuantumState(v1 / np.linalg.norm(v1), b)
         s2 = QuantumState(v2 / np.linalg.norm(v2), b)
         ref = abs(np.vdot(s1.amplitudes, s2.amplitudes))
-        for t in (0.5, 3.0, 17.0):
-            o = abs(
-                np.vdot(evolve(spec, s1, t).amplitudes, evolve(spec, s2, t).amplitudes)
-            )
+        times = (0.5, 3.0, 17.0)
+        for out1, out2 in zip(evolve(spec, s1, times), evolve(spec, s2, times)):
+            o = abs(np.vdot(out1.amplitudes, out2.amplitudes))
             assert o == pytest.approx(ref, abs=1e-10)
 
     def test_frozen_level_stays_empty(self):
@@ -478,13 +540,13 @@ class TestEvolve:
         amps = np.zeros(b.dim, dtype=complex)
         amps[b.index[BasisState(2, 0, 0, 1)]] = 1.0
         s0 = QuantumState(amps, b)
-        for t in np.linspace(0, 20, 9):
-            assert populations(evolve(spec, s0, t))[0] < 1e-10
+        for out in evolve(spec, s0, np.linspace(0, 20, 9)):
+            assert populations(out)[0] == 0.0
 
     @_hypothesis
     @given(framed_models(), st.sampled_from(["basis state", "both parities"]),
-           st.integers(0, 2**32 - 1), st.floats(0.0, 30.0))
-    def test_matches_dense_eigh(self, model_frame, start, seed, t):
+           st.integers(0, 2**32 - 1), st.lists(st.floats(0.0, 30.0), min_size=1, max_size=4))
+    def test_matches_dense_eigh(self, model_frame, start, seed, times):
         m, b, H = _framed_hamiltonian(model_frame)
         rng = np.random.default_rng(seed)
         amps = np.zeros(b.dim, dtype=complex)
@@ -493,8 +555,10 @@ class TestEvolve:
         else:
             amps = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)
         s0 = QuantumState(amps / np.linalg.norm(amps), b)
-        out = evolve(diagonalize(H, b), s0, t)
-        assert np.max(np.abs(out.amplitudes - eigh_evolve(H, s0, t))) < 1e-9
+        outs = evolve(diagonalize(H, b), s0, times)
+        assert len(outs) == len(times)
+        for out, t in zip(outs, times):
+            assert np.max(np.abs(out.amplitudes - eigh_evolve(H, s0, t))) < 1e-9
 
     def test_basis_mismatch(self):
         _, b, spec = self._setup(nmax=12)
@@ -502,4 +566,8 @@ class TestEvolve:
         amps = np.zeros(other.dim, dtype=complex)
         amps[0] = 1.0
         with pytest.raises(ValueError):
-            evolve(spec, QuantumState(amps, other), 1.0)
+            evolve(spec, QuantumState(amps, other), [1.0])
+
+    def test_empty_time_grid(self):
+        _, b, spec = self._setup()
+        assert evolve(spec, QuantumState(full_vectors(spec)[:, 0].astype(complex), b), []) == []
