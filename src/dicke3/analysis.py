@@ -9,6 +9,7 @@ boundary.  The closed-form variational boundaries are provided for overlay.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -270,11 +271,6 @@ def ray_pencil(count: int = DEFAULT_RAY_COUNT) -> np.ndarray:
     return np.linspace(0.0, np.pi / 2, count)
 
 
-def _ray_task(args) -> RaySweep:
-    config, theta, s_max, dmu, rotated, etol, ptol = args
-    return scan_ray(config, theta, s_max, dmu, rotated=rotated, etol=etol, ptol=ptol)
-
-
 def phase_diagram(
     config: ModelConfig,
     thetas,
@@ -294,12 +290,14 @@ def phase_diagram(
     thetas = tuple(float(t) for t in thetas)
     if not thetas:
         raise ValueError("need a nonempty pencil of rays")
-    tasks = [(config, theta, s_max, dmu, rotated, etol, ptol) for theta in thetas]
+    scan = functools.partial(
+        scan_ray, config, s_max=s_max, dmu=dmu, rotated=rotated, etol=etol, ptol=ptol
+    )
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rays = tuple(pool.map(_ray_task, tasks))
+            rays = tuple(pool.map(scan, thetas))
     else:
-        rays = tuple(_ray_task(t) for t in tasks)
+        rays = tuple(map(scan, thetas))
     minima = tuple(
         DiagramLocus(ray.theta, m.s, m.mu_a, m.mu_b, m.fidelity)
         for ray in rays

@@ -36,12 +36,6 @@ class BasisState(NamedTuple):
     n2: int
     n3: int
 
-    def occupation(self, level: int) -> int:
-        """Occupation of atomic level 1, 2 or 3."""
-        if level not in (1, 2, 3):
-            raise ValueError(f"level must be 1, 2 or 3, got {level}")
-        return (self.n1, self.n2, self.n3)[level - 1]
-
 
 def atomic_occupations(na: int) -> tuple[tuple[int, int, int], ...]:
     """All (n1, n2, n3) with n1 + n2 + n3 = na, n1 then n2 descending."""
@@ -64,13 +58,12 @@ def basis_dimension(na: int, nmax: int) -> int:
     return (nmax + 1) * atomic_dimension(na)
 
 
-def _check_dimension(what: str, dim: int, max_dim: int | None = None) -> None:
-    """Refuse a dense dim x dim matrix above max_dim, else DICKE3_MAX_DIM, else the default."""
-    limit = max_dim if max_dim is not None else int(os.environ.get(MAX_DIM_ENV_VAR, DEFAULT_MAX_DIM))
+def _check_dimension(what: str, dim: int) -> None:
+    """Refuse a dense dim x dim matrix above DICKE3_MAX_DIM, else the default."""
+    limit = int(os.environ.get(MAX_DIM_ENV_VAR, DEFAULT_MAX_DIM))
     if dim > limit:
         raise DimensionLimitError(
-            f"{what} dimension {dim} exceeds the guard {limit}; "
-            f"raise {MAX_DIM_ENV_VAR} or pass max_dim to override"
+            f"{what} dimension {dim} exceeds the guard {limit}; raise {MAX_DIM_ENV_VAR} to override"
         )
 
 
@@ -98,25 +91,21 @@ class BasisSet:
     def atomic_dim(self) -> int:
         return atomic_dimension(self.na)
 
-    def __len__(self) -> int:
-        return len(self.states)
-
     def compatible_with(self, other: "BasisSet") -> bool:
         return self.na == other.na and self.nmax == other.nmax
 
 
-def enumerate_basis(na: int, nmax: int, max_dim: int | None = None) -> BasisSet:
+def enumerate_basis(na: int, nmax: int) -> BasisSet:
     """Enumerate |nu; n1, n2, n3> for nu <= nmax, n1+n2+n3 = na.
 
     The guard rejects bases whose dense-matrix footprint would be
-    unreasonable; it can be widened per call or through the
-    ``DICKE3_MAX_DIM`` environment variable.
+    unreasonable; the ``DICKE3_MAX_DIM`` environment variable widens it.
     """
     if na < 1:
         raise ValueError(f"atom count must be >= 1, got {na}")
     if nmax < 0:
         raise ValueError(f"photon cutoff must be >= 0, got {nmax}")
-    _check_dimension("basis", basis_dimension(na, nmax), max_dim)
+    _check_dimension("basis", basis_dimension(na, nmax))
     atoms = atomic_occupations(na)
     states = tuple(
         BasisState(nu, *occ) for nu in range(nmax + 1) for occ in atoms

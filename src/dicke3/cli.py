@@ -26,7 +26,7 @@ from .analysis import (
     separatrix_v,
     separatrix_xi,
 )
-from .basis import BasisSet, BasisState, DimensionLimitError, enumerate_basis
+from .basis import BasisSet, BasisState, DimensionLimitError, enumerate_basis, index_of
 from .model import (
     ModelConfig,
     build_hamiltonian,
@@ -288,6 +288,8 @@ def cmd_populations(params: dict, out: str | None) -> int:
 
 
 def cmd_phase_diagram(params: dict, out: str | None) -> int:
+    if params["nmax"] is not None:
+        raise ValueError("nmax cannot be set for phase-diagram: every ray converges its own cutoff")
     rotated = _branch_option(params["rotated"])
     m = _model_from(params, nmax=8)
     diagram = phase_diagram(
@@ -412,12 +414,8 @@ def cmd_evolve(params: dict, out: str | None) -> int:
             occ = []
         if len(occ) != 4:
             raise ValueError("--initial must be 'nu,n1,n2,n3'")
-        try:
-            pos = basis.index[BasisState(*occ)]
-        except KeyError:
-            raise ValueError(f"initial state {occ} is not in the basis") from None
         amps = np.zeros(basis.dim, dtype=complex)
-        amps[pos] = 1.0
+        amps[index_of(basis, BasisState(*occ))] = 1.0
         state = QuantumState(amps, basis)
     times = np.linspace(0.0, params["t_max"], params["t_steps"])
     rows = [[t, *populations(psi)] for t, psi in zip(times, evolve(spec, state, times))]

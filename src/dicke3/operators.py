@@ -2,11 +2,13 @@
 
 All matrices are real.  Hamiltonians are real symmetric in the occupation
 basis and held in photon-block form (:class:`BlockHamiltonian`), whose dense
-view is built only on demand; other operators are dense
-(:class:`OperatorMatrix`).  Complex storage is only needed for states under
-time evolution.  Collective operators are the identity on the photon factor,
-so only their m x m atomic factors are built; :mod:`dicke3.model` places them
-as photon blocks.  Diagonal operators are occupation-array vectors.
+view is built only on demand.  The one dense full-basis operator the package
+builds is the rotation U of :func:`dicke3.rotations.rotation_matrix`, held
+as an :class:`OperatorMatrix`.  Complex storage is only needed for states
+under time evolution.  Collective operators are the identity on the photon
+factor, so only their m x m atomic factors are built; :mod:`dicke3.model`
+places them as photon blocks.  Diagonal operators are occupation-array
+vectors.
 """
 
 from __future__ import annotations
@@ -74,42 +76,21 @@ _GEOMETRY = {
 }
 
 
-_SYMMETRY_TILE = 256
-
-
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense real operator over a basis, with an explicit hermiticity flag.
-
-    Construction with ``hermitian=True`` demands exact (bitwise) symmetry;
-    every operator built in this package is symmetric exactly, so any
-    asymmetry is a bug, not roundoff.
-    """
+    """Dense real square operator over a basis, read-only."""
 
     matrix: np.ndarray
-    hermitian: bool = False
 
     def __post_init__(self):
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got {m.shape}")
-        if self.hermitian and not _is_symmetric(m):
-            raise ValueError("hermitian flag set but matrix is not symmetric")
         m.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def _is_symmetric(m: np.ndarray) -> bool:
-    """Exact test m == m.T, tile by tile so no dim x dim temporary is made."""
-    t = _SYMMETRY_TILE
-    for i in range(0, m.shape[0], t):
-        for j in range(i, m.shape[0], t):
-            if not np.array_equal(m[i : i + t, j : j + t], m[j : j + t, i : i + t].T):
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -118,9 +99,10 @@ class BlockHamiltonian:
 
     In the photon-major basis H is block tridiagonal over photon number with
     atomic (m x m) blocks.  Photon block nu holds ``diagonal`` on its
-    diagonal plus the ``on_site`` block (None for none); blocks nu and
-    nu + 1 are joined both ways by ``hops[nu]``.  Every block is symmetric
-    by construction, so H is too and nothing checks it at run time.
+    diagonal plus the ``on_site`` block (None for none); block (nu, nu + 1)
+    is ``hops[nu]`` and block (nu + 1, nu) its transpose.  The builders make
+    every ``on_site`` block symmetric, so H is too and nothing checks it at
+    run time.
     ``sector_labels`` holds one integer per basis state: the excitation-number
     parity (0 even, 1 odd), plus twice the isolated level's occupation in a
     frame that conserves it.  The solver solves each set of equal labels as
@@ -182,7 +164,7 @@ class BlockHamiltonian:
         nu = np.arange(nph)
         blocks[nu, :, nu, :] = self._diagonal_blocks
         blocks[nu[:-1], :, nu[1:], :] = self.hops
-        blocks[nu[1:], :, nu[:-1], :] = self.hops
+        blocks[nu[1:], :, nu[:-1], :] = self.hops.transpose(0, 2, 1)
         out.setflags(write=False)
         return out
 

@@ -32,14 +32,13 @@ class QubitContent:
     """Coefficient table of the qubit subsystem in a decoupled frame.
 
     ``coefficients[nu, n]`` is the amplitude of the state with nu photons and
-    n atoms in the first level of ``pair``, within the sector holding
-    ``n_ell`` atoms in the isolated level.  The table sums to unit weight
-    exactly when the sector carries all the probability.
+    n atoms in the first level of ``pair``, within the sector whose isolated
+    level is empty.  The table sums to unit weight exactly when that sector
+    carries all the probability.
     """
 
     pair: tuple[int, int]
     isolated_level: int
-    n_ell: int
     coefficients: np.ndarray
     sector_weight: float
     isolated_population: float
@@ -67,17 +66,14 @@ def _check_detuning(config: ModelConfig) -> bool:
 
 
 def _extract_content(
-    state: QuantumState,
-    pair: tuple[int, int],
-    isolated: int,
-    n_ell: int,
-    detuned: bool,
+    state: QuantumState, pair: tuple[int, int], isolated: int, detuned: bool
 ) -> QubitContent:
     basis = state.basis
-    table = np.zeros((basis.nmax + 1, basis.na - n_ell + 1), dtype=complex)
-    # (nu, n_pair[0]) fixes a state of the sector, so no cell is written twice
+    table = np.zeros((basis.nmax + 1, basis.na + 1), dtype=complex)
+    # (nu, n_pair[0]) fixes a state with the isolated level empty, so no cell
+    # is written twice
     counts = basis.level_counts
-    sector = counts[:, isolated - 1] == n_ell
+    sector = counts[:, isolated - 1] == 0
     table[basis.photon_numbers[sector], counts[sector, pair[0] - 1]] = state.amplitudes[sector]
     table.setflags(write=False)
     weight = float(np.sum(np.abs(table) ** 2))
@@ -85,7 +81,6 @@ def _extract_content(
     return QubitContent(
         pair=pair,
         isolated_level=isolated,
-        n_ell=n_ell,
         coefficients=table,
         sector_weight=weight,
         isolated_population=pops[isolated - 1],
@@ -126,9 +121,7 @@ def _switch_frame(
     # one dim x 2 block, it needs no complex copy of itself.
     pairs = np.ascontiguousarray(state.amplitudes, dtype=complex).view(np.float64).reshape(-1, 2)
     switched = QuantumState((U.matrix @ pairs).view(complex).ravel(), state.basis)
-    content = _extract_content(
-        switched, params.coupled_pair, params.isolated_level, n_ell=0, detuned=detuned
-    )
+    content = _extract_content(switched, params.coupled_pair, params.isolated_level, detuned)
     return switched, content
 
 

@@ -79,7 +79,8 @@ def atomic_rotation_matrix(cfg: Configuration, alpha: float, na: int) -> np.ndar
 
 
 def rotation_matrix(cfg: Configuration, alpha: float, basis: BasisSet) -> OperatorMatrix:
-    """U = exp(-alpha K_jk) on the full basis, in the configuration's plane.
+    """U = exp(-alpha K_jk) on the full basis, in the configuration's plane,
+    as a dense read-only :class:`OperatorMatrix`.
 
     U is orthogonal (U U.T = I) and commutes with the photon number, since
     the generator lives on the atomic factor.  Its only caller in the package
@@ -88,7 +89,7 @@ def rotation_matrix(cfg: Configuration, alpha: float, basis: BasisSet) -> Operat
     instead of ``rotate_amplitudes``, which gives the same state to roundoff.
     """
     block = atomic_rotation_matrix(cfg, alpha, basis.na)
-    return OperatorMatrix(np.kron(np.eye(basis.nmax + 1), block), hermitian=False)
+    return OperatorMatrix(np.kron(np.eye(basis.nmax + 1), block))
 
 
 def transform_generator_closed_form(

@@ -90,7 +90,7 @@ class QuantumState:
                 f"match basis dimension {self.basis.dim}"
             )
         norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1):.3e}")
         self.amplitudes.setflags(write=False)
 
@@ -286,10 +286,12 @@ def evolve(spectrum: Spectrum, state: QuantumState, times) -> list[QuantumState]
     evolved = parts.view(complex)[..., 0]
     norms = np.linalg.norm(evolved, axis=1)
     worst = np.max(np.abs(norms - 1.0), initial=0.0)
-    if worst > 1e-10:
-        raise ValueError(
-            f"evolution lost unitarity: |norm - 1| = {worst:.3e}; "
+    if not worst <= 1e-10:
+        cause = (
             "the spectrum's eigenvectors are not orthonormal"
+            if np.isfinite(worst)
+            else "the norm is not finite: a phase E t overflowed"
         )
+        raise ValueError(f"evolution lost unitarity: |norm - 1| = {worst:.3e}; {cause}")
     evolved /= norms[:, None]
     return [QuantumState(psi, b) for psi in evolved]

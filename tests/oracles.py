@@ -4,6 +4,8 @@ read-back of a dense Hamiltonian, the oracle for the solver's sector
 matrices; and whole-matrix expectation values, eigenvectors, evolution and
 band labels, the oracles for the per-sector solver."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse
@@ -13,6 +15,19 @@ from dicke3.model import ModelConfig, rotated_parameters
 from dicke3.operators import Configuration, OperatorMatrix, atomic_collective_matrix, excitation_values
 from dicke3.rotations import Branch, atomic_generator_matrix, rotation_matrix
 from dicke3.solver import QuantumState, Spectrum
+
+
+@dataclass(frozen=True)
+class KronOperator(OperatorMatrix):
+    """A dense full-basis operator built here, flagged when it is exactly
+    (bitwise) symmetric; the flag is checked on construction."""
+
+    hermitian: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.hermitian and not np.array_equal(self.matrix, self.matrix.T):
+            raise ValueError("hermitian flag set but matrix is not symmetric")
 
 
 def lift(atomic: np.ndarray, basis: BasisSet) -> np.ndarray:
@@ -28,58 +43,58 @@ def photon_ladder_matrix(nmax: int) -> np.ndarray:
     return ad
 
 
-def boson_create(basis: BasisSet) -> OperatorMatrix:
+def boson_create(basis: BasisSet) -> KronOperator:
     """Photon creation operator, identity on the atoms; kills |nmax> by truncation."""
     full = np.kron(photon_ladder_matrix(basis.nmax), np.eye(basis.atomic_dim))
-    return OperatorMatrix(full, hermitian=False)
+    return KronOperator(full)
 
 
-def boson_annihilate(basis: BasisSet) -> OperatorMatrix:
+def boson_annihilate(basis: BasisSet) -> KronOperator:
     full = np.kron(photon_ladder_matrix(basis.nmax).T, np.eye(basis.atomic_dim))
-    return OperatorMatrix(full, hermitian=False)
+    return KronOperator(full)
 
 
-def collective_A(basis: BasisSet, j: int, k: int) -> OperatorMatrix:
+def collective_A(basis: BasisSet, j: int, k: int) -> KronOperator:
     """Collective operator A_jk on the full basis (identity on photons)."""
     atomic = atomic_collective_matrix(basis.na, j, k)
     full = np.kron(np.eye(basis.nmax + 1), atomic)
-    return OperatorMatrix(full, hermitian=(j == k))
+    return KronOperator(full, hermitian=(j == k))
 
 
-def generator_K(basis: BasisSet, j: int, k: int) -> OperatorMatrix:
+def generator_K(basis: BasisSet, j: int, k: int) -> KronOperator:
     """K_jk on the full basis; real antisymmetric, K.T = -K."""
     full = np.kron(np.eye(basis.nmax + 1), atomic_generator_matrix(basis.na, j, k))
-    return OperatorMatrix(full, hermitian=False)
+    return KronOperator(full)
 
 
-def excitation_number(basis: BasisSet, cfg: Configuration) -> OperatorMatrix:
+def excitation_number(basis: BasisSet, cfg: Configuration) -> KronOperator:
     """Diagonal excitation-number operator M for a configuration."""
-    return OperatorMatrix(
-        np.diag(excitation_values(basis, cfg).astype(float)), hermitian=True
-    )
+    return KronOperator(np.diag(excitation_values(basis, cfg).astype(float)), hermitian=True)
 
 
-def parity(basis: BasisSet, cfg: Configuration) -> OperatorMatrix:
+def parity(basis: BasisSet, cfg: Configuration) -> KronOperator:
     """Diagonal parity operator with entries (-1)**M.
 
     Commutes with the matching configuration Hamiltonian and splits the
     space into even and odd excitation sectors.
     """
     signs = np.where(excitation_values(basis, cfg) % 2 == 0, 1.0, -1.0)
-    return OperatorMatrix(np.diag(signs), hermitian=True)
+    return KronOperator(np.diag(signs), hermitian=True)
 
 
 def transform_exact(
     cfg: Configuration, alpha: float, X: OperatorMatrix, basis: BasisSet
-) -> OperatorMatrix:
-    """U X U.T with the dense U; oracle for the closed forms."""
+) -> KronOperator:
+    """U X U.T with the dense U; oracle for the closed forms.  A flagged
+    symmetric operator comes out symmetrized."""
     if X.dim != basis.dim:
         raise ValueError(f"operator dim {X.dim} does not match basis dim {basis.dim}")
     U = rotation_matrix(cfg, alpha, basis).matrix
     out = U @ X.matrix @ U.T
-    if X.hermitian:
+    hermitian = getattr(X, "hermitian", False)
+    if hermitian:
         out = (out + out.T) / 2.0
-    return OperatorMatrix(out, hermitian=X.hermitian)
+    return KronOperator(out, hermitian=hermitian)
 
 
 def effective_two_level_block(config: ModelConfig, branch: Branch, n_fixed: int) -> np.ndarray:

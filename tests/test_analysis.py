@@ -151,8 +151,8 @@ class TestSecondOrderFidelity:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_exact_oracle_difference_shrinks_with_step(self):
-        # the residual against the exact rotated fidelity decreases with the
-        # step (about dmu^3 here: a halving shrinks it 7.93-fold, then 7.97)
+        # the residual against the exact rotated fidelity shrinks like dmu^3,
+        # so each halving divides it by about 8 (7.93, then 7.97, measured)
         mu12, mu23 = 0.9, 0.7
         m = xi_resonant(nmax=24, mu23=mu23)
         b = enumerate_basis(1, 24)
@@ -169,8 +169,8 @@ class TestSecondOrderFidelity:
             ) - decoupling_angle(with_couplings(m, mu12, mu23), Branch.FIRST)
             exact = fidelity_rotated_exact(s1, s2, Configuration.XI, delta)
             residuals.append(abs(exact - approx))
-        assert residuals[0] > residuals[1] > residuals[2]
-        assert 2.0 < residuals[0] / residuals[1] < 8.0
+        for coarse, fine in zip(residuals, residuals[1:]):
+            assert 6.0 < coarse / fine < 10.0
 
     def test_exact_oracle_at_zero_angle_change(self):
         b, s1, s2 = self._states(0.9, 0.01)

@@ -80,8 +80,6 @@ def test_rejects_invalid_sizes():
 
 
 def test_dimension_guard(monkeypatch):
-    with pytest.raises(DimensionLimitError):
-        enumerate_basis(4, 600, max_dim=1000)
     monkeypatch.setenv("DICKE3_MAX_DIM", "50")
     with pytest.raises(DimensionLimitError):
         enumerate_basis(2, 20)

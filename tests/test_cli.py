@@ -176,6 +176,11 @@ class TestPhaseDiagramCommand:
             "threads = 2", ""
         )
 
+    def test_rejects_fixed_cutoff(self, capsys):
+        # every ray converges its own cutoff, so a given one would be ignored
+        assert run("phase-diagram", "--configuration", "xi", "--nmax", "3") == 2
+        assert "nmax cannot be set for phase-diagram" in capsys.readouterr().err
+
 
 class TestSeparatrixCommand:
     def test_v_circle(self, tmp_path):
@@ -260,12 +265,22 @@ class TestEvolveCommand:
             "--out", str(tmp_path / "x.csv"),
         )
         assert rc == 2
+        assert "not in the basis" in capsys.readouterr().err
         rc = run(
             "evolve", *LAMBDA_ARGS, "--nmax", "4", "--initial", "a,b",
             "--out", str(tmp_path / "x.csv"),
         )
         assert rc == 2
         assert "--initial must be 'nu,n1,n2,n3'" in capsys.readouterr().err
+
+    def test_overflowing_time_exits_invalid(self, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = run(
+                "evolve", "--configuration", "lambda", "--mu13", "0.3", "--mu23", "0.4",
+                "--nmax", "4", "--t-max", "1e308", "--t-steps", "3",
+            )
+        assert rc == 2
+        assert "norm is not finite" in capsys.readouterr().err
 
 
 class TestRunConfigFile:

@@ -129,7 +129,7 @@ class TestClosedForms:
 
 def test_transform_exact_basics():
     b = enumerate_basis(1, 1)
-    eye = d3.OperatorMatrix(np.eye(b.dim), hermitian=True)
+    eye = d3.OperatorMatrix(np.eye(b.dim))
     assert np.max(np.abs(transform_exact(Configuration.LAMBDA, 0.4, eye, b).matrix - np.eye(b.dim))) < 1e-14
     K = generator_K(b, 1, 2)
     assert np.max(np.abs(transform_exact(Configuration.LAMBDA, 0.4, K, b).matrix - K.matrix)) < 1e-13

@@ -571,3 +571,17 @@ class TestEvolve:
     def test_empty_time_grid(self):
         _, b, spec = self._setup()
         assert evolve(spec, QuantumState(full_vectors(spec)[:, 0].astype(complex), b), []) == []
+
+    def test_nan_state_is_refused(self):
+        b = enumerate_basis(1, 2)
+        with pytest.raises(ValueError, match="not normalized"):
+            QuantumState(np.full(b.dim, np.nan, dtype=complex), b)
+
+    def test_overflowing_phase_is_refused(self):
+        # E t overflows for the sector's upper energies, so the phases and
+        # the norm are NaN: no state may come out.
+        _, b, spec = self._setup(nmax=4)
+        s0 = QuantumState(full_vectors(spec)[:, 0].astype(complex), b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="norm is not finite"):
+                evolve(spec, s0, [1e308])

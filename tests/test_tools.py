@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -6,10 +7,21 @@ from pathlib import Path
 
 import pytest
 
-_SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "diff_outputs.py"
-_SPEC = importlib.util.spec_from_file_location("diff_outputs", _SCRIPT)
-diff_outputs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(diff_outputs)
+from dicke3.cli import COMMANDS
+
+_ROOT = Path(__file__).resolve().parents[1]
+_SCRIPT = _ROOT / "tools" / "diff_outputs.py"
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+diff_outputs = _load(_SCRIPT)
+run_recipes = _load(_ROOT / "tools" / "run_recipes.py")
 
 CSV = "index,energy\n# na = 2\n# nmax = 2\n0,-1.5\n1,0.25\n"
 
@@ -55,3 +67,12 @@ def test_diff_outputs_closed_pipe_is_quiet(tmp_path, files):
         os.close(write)
     assert proc.stderr == ""
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("recipe", sorted((_ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
+def test_recipe_maps_to_a_command_and_its_keys(recipe):
+    # The recipe gate runs each recipe through the command its name maps to;
+    # a key that command does not declare would end the run with exit 2.
+    command = run_recipes.command_for(recipe.stem)
+    assert command in COMMANDS
+    assert set(json.loads(recipe.read_text())) <= set(COMMANDS[command][1])
