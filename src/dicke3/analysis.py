@@ -35,7 +35,7 @@ _BRACKET_IMAG_TOL = 1e-10
 
 def fidelity(s1: QuantumState, s2: QuantumState) -> float:
     """Squared overlap of two states on the same basis."""
-    if not s1.basis.compatible_with(s2.basis):
+    if s1.basis != s2.basis:
         raise ValueError("states live on different bases")
     return float(np.abs(np.vdot(s1.amplitudes, s2.amplitudes)) ** 2)
 
@@ -86,7 +86,7 @@ def fidelity_rot_second_order(
     checked to be real.
     """
     basis = s_mu.basis
-    if not basis.compatible_with(s_mu_dmu.basis):
+    if basis != s_mu_dmu.basis:
         raise ValueError("states live on different bases")
     K = atomic_generator_matrix(basis.na, *cfg.rotation_plane)
     psi = s_mu.amplitudes
@@ -110,7 +110,7 @@ def fidelity_rotated_exact(
     The two frame rotations share one generator, so their composition is the
     single rotation by the angle difference ``delta_alpha``.
     """
-    if not s_mu.basis.compatible_with(s_mu_dmu.basis):
+    if s_mu.basis != s_mu_dmu.basis:
         raise ValueError("states live on different bases")
     rotated = rotate_amplitudes(cfg, -delta_alpha, s_mu.amplitudes, s_mu.basis)
     bracket = np.vdot(s_mu_dmu.amplitudes, rotated)

@@ -3,20 +3,21 @@
 States are product states |nu; n1, n2, n3> with nu the photon number
 (truncated at a cutoff) and n1 + n2 + n3 = N_a the number of atoms in each
 level.  Only the permutation-symmetric atomic sector is represented, so the
-atomic factor has dimension (N_a + 1)(N_a + 2)/2 instead of 3**N_a.
+atomic factor has dimension m = (N_a + 1)(N_a + 2)/2 instead of 3**N_a.
 
 The enumeration is photon-major (nu ascending, then n1 descending, then n2
-descending), which keeps photon blocks contiguous: every operator built here
-factorizes as (photon part) (x) (atomic part), and photon-cutoff convergence
-checks are block local.
+descending): state |nu; n1, n2, n3> sits at nu m + t (t + 1)/2 + n3, with
+t = n2 + n3.  Photon blocks are contiguous, so the collective operators and
+rotations act on the m x m atomic factor of each block, and photon-cutoff
+convergence checks are block local.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,16 +38,22 @@ class BasisState(NamedTuple):
     n3: int
 
 
-def atomic_occupations(na: int) -> tuple[tuple[int, int, int], ...]:
-    """All (n1, n2, n3) with n1 + n2 + n3 = na, n1 then n2 descending."""
+def atomic_index(n2, n3):
+    """Row of (na - n2 - n3, n2, n3) in ``atomic_occupations(na)``; ints or int arrays."""
+    t = n2 + n3
+    return t * (t + 1) // 2 + n3
+
+
+def atomic_occupations(na: int) -> np.ndarray:
+    """The (m, 3) int array of all (n1, n2, n3) with n1 + n2 + n3 = na,
+    n1 then n2 descending; row i sits at ``atomic_index`` i."""
     if na < 1:
         raise ValueError(f"atom count must be >= 1, got {na}")
-    _check_dimension("atomic", atomic_dimension(na))  # every m x m atomic matrix starts here
-    out = []
-    for n1 in range(na, -1, -1):
-        for n2 in range(na - n1, -1, -1):
-            out.append((n1, n2, na - n1 - n2))
-    return tuple(out)
+    m = atomic_dimension(na)
+    _check_dimension("atomic", m)  # every m x m atomic matrix starts here
+    t = np.repeat(np.arange(na + 1), np.arange(1, na + 2))
+    n3 = np.arange(m) - t * (t + 1) // 2
+    return np.stack([na - t, t - n3, n3], axis=1)
 
 
 def atomic_dimension(na: int) -> int:
@@ -60,7 +67,11 @@ def basis_dimension(na: int, nmax: int) -> int:
 
 def _check_dimension(what: str, dim: int) -> None:
     """Refuse a dense dim x dim matrix above DICKE3_MAX_DIM, else the default."""
-    limit = int(os.environ.get(MAX_DIM_ENV_VAR, DEFAULT_MAX_DIM))
+    raw = os.environ.get(MAX_DIM_ENV_VAR, DEFAULT_MAX_DIM)
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise ValueError(f"{MAX_DIM_ENV_VAR} must be an integer, got {raw!r}") from None
     if dim > limit:
         raise DimensionLimitError(
             f"{what} dimension {dim} exceeds the guard {limit}; raise {MAX_DIM_ENV_VAR} to override"
@@ -69,58 +80,54 @@ def _check_dimension(what: str, dim: int) -> None:
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Full enumerated basis plus the inverse index map.
+    """The photon-major basis of ``na`` atoms and photon cutoff ``nmax``.
 
-    Immutable after construction; shared read-only across threads.  The
-    occupation arrays mirror ``states`` columnwise and back the diagonal
-    operators and population sums.
+    The two sizes fix it: bases compare and hash by them, and construction
+    checks both and the dimension guard.  The occupation arrays, read-only
+    and built on first read, back the diagonal operators and populations.
     """
 
     na: int
     nmax: int
-    states: tuple[BasisState, ...]
-    index: Mapping[BasisState, int]
-    photon_numbers: np.ndarray
-    level_counts: np.ndarray  # shape (dim, 3)
 
-    @property
+    def __post_init__(self):
+        if self.na < 1:
+            raise ValueError(f"atom count must be >= 1, got {self.na}")
+        if self.nmax < 0:
+            raise ValueError(f"photon cutoff must be >= 0, got {self.nmax}")
+        _check_dimension("basis", self.dim)
+
+    @functools.cached_property
     def dim(self) -> int:
-        return len(self.states)
+        return basis_dimension(self.na, self.nmax)
 
     @property
     def atomic_dim(self) -> int:
         return atomic_dimension(self.na)
 
-    def compatible_with(self, other: "BasisSet") -> bool:
-        return self.na == other.na and self.nmax == other.nmax
+    @functools.cached_property
+    def photon_numbers(self) -> np.ndarray:
+        out = np.repeat(np.arange(self.nmax + 1), self.atomic_dim)
+        out.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def level_counts(self) -> np.ndarray:
+        """Shape (dim, 3): (n1, n2, n3) of every state."""
+        out = np.tile(atomic_occupations(self.na), (self.nmax + 1, 1))
+        out.setflags(write=False)
+        return out
 
 
 def enumerate_basis(na: int, nmax: int) -> BasisSet:
-    """Enumerate |nu; n1, n2, n3> for nu <= nmax, n1+n2+n3 = na.
-
-    The guard rejects bases whose dense-matrix footprint would be
-    unreasonable; the ``DICKE3_MAX_DIM`` environment variable widens it.
-    """
-    if na < 1:
-        raise ValueError(f"atom count must be >= 1, got {na}")
-    if nmax < 0:
-        raise ValueError(f"photon cutoff must be >= 0, got {nmax}")
-    _check_dimension("basis", basis_dimension(na, nmax))
-    atoms = atomic_occupations(na)
-    states = tuple(
-        BasisState(nu, *occ) for nu in range(nmax + 1) for occ in atoms
-    )
-    index = MappingProxyType({s: i for i, s in enumerate(states)})
-    photon_numbers = np.array([s.nu for s in states], dtype=np.int64)
-    level_counts = np.array([[s.n1, s.n2, s.n3] for s in states], dtype=np.int64)
-    photon_numbers.setflags(write=False)
-    level_counts.setflags(write=False)
-    return BasisSet(na, nmax, states, index, photon_numbers, level_counts)
+    """The basis of |nu; n1, n2, n3> for nu <= nmax, n1+n2+n3 = na; the guard
+    refuses an oversized one, and ``DICKE3_MAX_DIM`` widens it."""
+    return BasisSet(na, nmax)
 
 
 def index_of(basis: BasisSet, state: BasisState) -> int:
-    """Position of ``state`` in ``basis.states``; inverse of the enumeration."""
-    try:
-        return basis.index[state]
-    except KeyError:
-        raise ValueError(f"state {state} is not in the basis") from None
+    """Position of ``state`` in the enumeration of ``basis``."""
+    nu, n1, n2, n3 = state
+    if not (0 <= nu <= basis.nmax and min(n1, n2, n3) >= 0 and n1 + n2 + n3 == basis.na):
+        raise ValueError(f"state {state} is not in the basis")
+    return nu * basis.atomic_dim + atomic_index(n2, n3)

@@ -6,9 +6,9 @@ view is built only on demand.  The one dense full-basis operator the package
 builds is the rotation U of :func:`dicke3.rotations.rotation_matrix`, held
 as an :class:`OperatorMatrix`.  Complex storage is only needed for states
 under time evolution.  Collective operators are the identity on the photon
-factor, so only their m x m atomic factors are built; :mod:`dicke3.model`
-places them as photon blocks.  Diagonal operators are occupation-array
-vectors.
+factor, so only their m x m atomic factors are built, each entry placed at
+once by :func:`dicke3.basis.atomic_index`; :mod:`dicke3.model` places them
+as photon blocks.  Diagonal operators are occupation-array vectors.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import BasisSet, atomic_occupations
+from .basis import BasisSet, atomic_index, atomic_occupations
 
 
 class Configuration(Enum):
@@ -217,20 +217,14 @@ def atomic_collective_matrix(na: int, j: int, k: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _atomic_collective_matrix(na: int, j: int, k: int) -> np.ndarray:
     occs = atomic_occupations(na)
-    index = {occ: i for i, occ in enumerate(occs)}
-    m = len(occs)
-    out = np.zeros((m, m))
-    for col, occ in enumerate(occs):
-        if j == k:
-            out[col, col] = occ[j - 1]
-            continue
-        if occ[k - 1] == 0:
-            continue
-        target = list(occ)
-        target[k - 1] -= 1
-        target[j - 1] += 1
-        amp = np.sqrt((occ[j - 1] + 1) * occ[k - 1])
-        out[index[tuple(target)], col] = amp
+    out = np.zeros((len(occs), len(occs)))
+    if j == k:
+        np.fill_diagonal(out, occs[:, j - 1])
+    else:
+        cols = np.flatnonzero(occs[:, k - 1])
+        n = occs[cols]  # each column's row holds one atom moved from level k to j
+        rows = atomic_index(n[:, 1] + (j == 2) - (k == 2), n[:, 2] + (j == 3) - (k == 3))
+        out[rows, cols] = np.sqrt((n[:, j - 1] + 1) * n[:, k - 1])
     out.setflags(write=False)
     return out
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisState, enumerate_basis
+from .basis import BasisState, enumerate_basis, index_of
 from .model import ModelConfig, build_hamiltonian, rotated_parameters
 from .operators import Configuration
 from .rotations import Branch, decoupling_angle, rotate_amplitudes, rotation_matrix
@@ -179,12 +179,8 @@ def rabi_demo(config: ModelConfig, nu0: int, t_grid) -> RabiSeries:
     if not config.equal_detuning():
         raise ValueError("the oscillation demo requires equal detuning")
     basis = enumerate_basis(config.na, config.nmax)
-    try:
-        start = basis.index[BasisState(nu0, 0, 0, 1)]
-    except KeyError:
-        raise ValueError(f"initial photon number {nu0} exceeds the cutoff") from None
     amps = np.zeros(basis.dim, dtype=complex)
-    amps[start] = 1.0
+    amps[index_of(basis, BasisState(nu0, 0, 0, 1))] = 1.0
     psi0 = QuantumState(amps, basis)
 
     spectrum = diagonalize(build_hamiltonian(config, basis, Branch.FIRST), basis)

@@ -1,8 +1,11 @@
-"""Dense full-basis kron(photon, atomic) operators: the oracles for the
-package's m x m atomic factors and its effective two-level block; the sparse
-read-back of a dense Hamiltonian, the oracle for the solver's sector
-matrices; and whole-matrix expectation values, eigenvectors, evolution and
-band labels, the oracles for the per-sector solver."""
+"""The photon-major enumeration written out as a tuple of states, an index
+dict and a loop over occupations: the oracles for the basis formula and the
+collective atomic factors.  Dense full-basis kron(photon, atomic) operators:
+the oracles for the package's m x m atomic factors and its effective
+two-level block.  The sparse read-back of a dense Hamiltonian, the oracle
+for the solver's sector matrices; and whole-matrix expectation values,
+eigenvectors, evolution and band labels, the oracles for the per-sector
+solver."""
 
 from dataclasses import dataclass
 
@@ -10,11 +13,36 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from dicke3.basis import BasisSet, enumerate_basis
+from dicke3.basis import BasisSet, BasisState, enumerate_basis
 from dicke3.model import ModelConfig, rotated_parameters
 from dicke3.operators import Configuration, OperatorMatrix, atomic_collective_matrix, excitation_values
 from dicke3.rotations import Branch, atomic_generator_matrix, rotation_matrix
 from dicke3.solver import QuantumState, Spectrum
+
+
+def enumerated_states(na: int, nmax: int) -> tuple[tuple[BasisState, ...], dict[BasisState, int]]:
+    """Every |nu; n1, n2, n3> in order (nu ascending, then n1 descending,
+    then n2 descending) and the state -> position dict."""
+    atoms = [(n1, n2, na - n1 - n2) for n1 in range(na, -1, -1) for n2 in range(na - n1, -1, -1)]
+    states = tuple(BasisState(nu, *occ) for nu in range(nmax + 1) for occ in atoms)
+    return states, {s: i for i, s in enumerate(states)}
+
+
+def loop_collective_matrix(na: int, j: int, k: int) -> np.ndarray:
+    """A_jk on the atomic factor, one column per occupation: moves an atom
+    from level k to level j with amplitude sqrt((n_j + 1) n_k)."""
+    states, index = enumerated_states(na, 0)
+    out = np.zeros((len(states), len(states)))
+    for col, state in enumerate(states):
+        occ = list(state[1:])
+        if j == k:
+            out[col, col] = occ[j - 1]
+        elif occ[k - 1] > 0:
+            amp = np.sqrt((occ[j - 1] + 1) * occ[k - 1])
+            occ[k - 1] -= 1
+            occ[j - 1] += 1
+            out[index[BasisState(0, *occ)], col] = amp
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -260,12 +261,14 @@ class TestEvolveCommand:
         assert max(float(r[1]) for r in rows) < 1e-10
 
     def test_bad_initial_state(self, tmp_path, capsys):
-        rc = run(
-            "evolve", *LAMBDA_ARGS, "--nmax", "4", "--initial", "0,2,0,0",
-            "--out", str(tmp_path / "x.csv"),
-        )
-        assert rc == 2
-        assert "not in the basis" in capsys.readouterr().err
+        # the second has the right atom total but a negative count
+        for initial in ("0,2,0,0", "0,-1,1,1"):
+            rc = run(
+                "evolve", *LAMBDA_ARGS, "--nmax", "4", "--initial", initial,
+                "--out", str(tmp_path / "x.csv"),
+            )
+            assert rc == 2
+            assert "not in the basis" in capsys.readouterr().err
         rc = run(
             "evolve", *LAMBDA_ARGS, "--nmax", "4", "--initial", "a,b",
             "--out", str(tmp_path / "x.csv"),
@@ -274,7 +277,9 @@ class TestEvolveCommand:
         assert "--initial must be 'nu,n1,n2,n3'" in capsys.readouterr().err
 
     def test_overflowing_time_exits_invalid(self, capsys):
-        with np.errstate(over="ignore", invalid="ignore"):
+        # the norm check is the only report: numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = run(
                 "evolve", "--configuration", "lambda", "--mu13", "0.3", "--mu23", "0.4",
                 "--nmax", "4", "--t-max", "1e308", "--t-steps", "3",
@@ -464,6 +469,12 @@ class TestExitCodes:
             "--out", str(tmp_path / "x.csv"),
         )
         assert rc == 3
+
+    def test_non_integer_dimension_guard_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DICKE3_MAX_DIM", "abc")
+        rc = run("spectrum", *LAMBDA_ARGS, "--nmax", "2", "--out", str(tmp_path / "x.csv"))
+        assert rc == 2
+        assert "DICKE3_MAX_DIM must be an integer, got 'abc'" in capsys.readouterr().err
 
     def test_rotate_check_atomic_dimension_guard(self, tmp_path, monkeypatch, capsys):
         # atomic matrices are cached per process: no other test may use na = 40

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dicke3 as d3
-from dicke3.basis import BasisState, enumerate_basis
+from dicke3.basis import BasisState, enumerate_basis, index_of
 from dicke3.model import (
     ModelConfig,
     build_effective_two_level,
@@ -115,8 +115,8 @@ class TestHamiltonian:
         m = vee(nmax=1)
         b = enumerate_basis(1, 1)
         H = build_hamiltonian(m, b).matrix
-        i = b.index[BasisState(1, 1, 0, 0)]
-        j = b.index[BasisState(0, 0, 1, 0)]
+        i = index_of(b, BasisState(1, 1, 0, 0))
+        j = index_of(b, BasisState(0, 0, 1, 0))
         assert H[i, j] == pytest.approx(-0.3, abs=1e-15)
 
     def test_basis_mismatch_rejected(self):
@@ -284,16 +284,16 @@ class TestRotatedHamiltonian:
         b = enumerate_basis(1, 6)
         Hp = build_hamiltonian(m, b, Branch.FIRST).matrix
         # <1;0,0,1|H'|0;0,1,0>: photon +1 with a 2->3 transition
-        i = b.index[BasisState(1, 0, 0, 1)]
-        j = b.index[BasisState(0, 0, 1, 0)]
+        i = index_of(b, BasisState(1, 0, 0, 1))
+        j = index_of(b, BasisState(0, 0, 1, 0))
         assert Hp[i, j] == 0.0
 
     def test_lambda_equal_detuning_has_no_one_body_element(self):
         m = lam(nmax=3)
         b = enumerate_basis(1, 3)
         Hp = build_hamiltonian(m, b, Branch.FIRST).matrix
-        i = b.index[BasisState(0, 1, 0, 0)]
-        j = b.index[BasisState(0, 0, 1, 0)]
+        i = index_of(b, BasisState(0, 1, 0, 0))
+        j = index_of(b, BasisState(0, 0, 1, 0))
         assert Hp[i, j] == 0.0
 
     def test_isospectral_both_branches(self):

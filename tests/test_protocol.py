@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dicke3 as d3
-from dicke3.basis import BasisState, enumerate_basis
+from dicke3.basis import BasisState, enumerate_basis, index_of
 from dicke3.model import ModelConfig, build_hamiltonian, with_couplings
 from dicke3.operators import Configuration
 from dicke3.protocol import (
@@ -183,7 +183,7 @@ class TestClassicalBit:
     def test_reads_one_on_occupied_level(self):
         b = enumerate_basis(1, 2)
         amps = np.zeros(b.dim, dtype=complex)
-        amps[b.index[BasisState(0, 0, 1, 0)]] = 1.0
+        amps[index_of(b, BasisState(0, 0, 1, 0))] = 1.0
         assert classical_bit(QuantumState(amps, b), 2) == 1
 
     def test_monotone_in_threshold(self):

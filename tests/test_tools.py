@@ -76,3 +76,29 @@ def test_recipe_maps_to_a_command_and_its_keys(recipe):
     command = run_recipes.command_for(recipe.stem)
     assert command in COMMANDS
     assert set(json.loads(recipe.read_text())) <= set(COMMANDS[command][1])
+
+
+tracing = _load(_ROOT / "perfbench" / "tracing.py")
+
+_MODEL = ["--na", "1", "--omega3", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase-diagram", "--configuration", "xi", "--omega2", "1", "--omega3", "2", "--na", "1",
+     "--rays", "3", "--s-max", "0.3", "--dmu", "0.1"],
+    ["populations", "--configuration", "lambda", *_MODEL, "--grid", "2", "--mu-max", "0.5"],
+    ["store-retrieve", "--configuration", "lambda", *_MODEL, "--mu13", "0.6", "--mu23", "0.8"],
+], ids=lambda argv: argv[0])
+def test_tracer_runs_a_workload_command(tmp_path, argv):
+    # The benchmark's tracer wraps the package's public functions and reads
+    # basis sizes and search results from their arguments and results.
+    spans_path = tmp_path / "spans.json"
+    cmd = [sys.executable, str(_ROOT / "perfbench" / "tracing.py"), str(_ROOT / "src"),
+           str(spans_path), "smoke", *argv, "--out", str(tmp_path / "out.csv")]
+    proc = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(spans_path.read_text())["spans"]
+    assert any(s[2] == "solver.ground_state" for s in spans)
+    metrics = tracing.per_layer(spans, 1.0, 1.0)
+    assert metrics["solver.ground_state.calls"] > 0
+    assert metrics["basis.enumerate_basis.calls"] > 0
