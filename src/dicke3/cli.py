@@ -110,6 +110,12 @@ _FLAG_SETTINGS = {
 }
 
 
+# Floors of the counts; zero grid points, times or samples give an empty table.
+_MINIMA = {"threads": 1, "grid": 0, "t_steps": 0, "samples": 0}
+# Times evolved at once by `evolve`, which so holds one chunk of states.
+EVOLVE_CHUNK = 64
+
+
 def _read_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -139,9 +145,9 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _check_numbers(params: dict, defaults: dict) -> None:
-    """Integer-defaulted keys must be integers, float-defaulted ones finite
-    reals, boolean-defaulted ones true or false, and keys whose flag has
-    choices one of them (or null where the default is null)."""
+    """Integer-defaulted keys must be integers (at least any _MINIMA),
+    float-defaulted ones finite reals, boolean-defaulted ones true or false,
+    and keys whose flag has choices one of them (or null where the default is null)."""
     for key, default in defaults.items():
         value = params[key]
         number = isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -160,6 +166,8 @@ def _check_numbers(params: dict, defaults: dict) -> None:
             continue
         if not ok:
             raise ValueError(f"{key} must be {kind}, got {value!r}")
+        if key in _MINIMA and value < _MINIMA[key]:
+            raise ValueError(f"{key} must be at least {_MINIMA[key]}, got {value!r}")
 
 
 def _model_from(params: dict, nmax: int) -> ModelConfig:
@@ -418,7 +426,10 @@ def cmd_evolve(params: dict, out: str | None) -> int:
         amps[index_of(basis, BasisState(*occ))] = 1.0
         state = QuantumState(amps, basis)
     times = np.linspace(0.0, params["t_max"], params["t_steps"])
-    rows = [[t, *populations(psi)] for t, psi in zip(times, evolve(spec, state, times))]
+    rows = []
+    for start in range(0, times.size, EVOLVE_CHUNK):
+        chunk = times[start : start + EVOLVE_CHUNK]
+        rows += [[t, *populations(psi)] for t, psi in zip(chunk, evolve(spec, state, chunk))]
     meta = {**params, "nmax": m.nmax}
     _emit(out, _render_csv(["t", "a11", "a22", "a33", "nphot"], meta, rows))
     return EXIT_OK

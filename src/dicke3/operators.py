@@ -191,6 +191,20 @@ class BlockHamiltonian:
         out[cu, ru] = vu
         return out
 
+    def upper_band(self, idx: np.ndarray) -> np.ndarray:
+        """H[np.ix_(idx, idx)] in LAPACK's upper band storage: a fresh
+        Fortran-order (w + 1, idx.size) array whose row w - k holds the k-th
+        superdiagonal, w the farthest one with a nonzero entry."""
+        (rd, cd, vd), (ru, cu, vu) = self._entries(idx)
+        rows, cols = np.concatenate([rd, ru]), np.concatenate([cd, cu])
+        vals = np.concatenate([vd, vu])
+        kept = (rows <= cols) & (vals != 0.0)
+        rows, cols, vals = rows[kept], cols[kept], vals[kept]
+        w = int(np.max(cols - rows, initial=0))
+        out = np.zeros((w + 1, idx.size), order="F")
+        out[w + rows - cols, cols] = vals
+        return out
+
     def sparse_block(self, idx: np.ndarray):
         """H[np.ix_(idx, idx)] as canonical CSR, zeros (of either sign) dropped."""
         import scipy.sparse

@@ -11,7 +11,10 @@ spectra solve every sector dense, and evolution works in the sectors its
 state touches.  Ground states and ground energies need each sector's
 lowest two eigenpairs: up to DENSE_SECTOR_MAX states from a dense block by
 LAPACK, larger ones from a sparse matrix by ARPACK's Lanczos solver in
-shift-invert mode.
+shift-invert mode.  A later sector is skipped when a banded Cholesky
+factorisation proves (Sylvester's law of inertia) all its levels more than
+2 DEGENERACY_GAP above the lowest solved so far; it could neither win a tie
+nor flag a degeneracy, so no result changes.
 """
 
 from __future__ import annotations
@@ -144,9 +147,29 @@ def _shift_invert_pair(A):
     return energies[order], vectors[:, order]
 
 
+def _lies_above(H: BlockHamiltonian, idx: np.ndarray, lowest: float) -> bool:
+    """Whether every level of sector ``idx`` provably lies more than
+    2 DEGENERACY_GAP above ``lowest``: the block minus sigma has a band
+    Cholesky factor.  Sigma's roundoff allowance is twice the factor's
+    backward error at half-bandwidth w, (2w + 1)(w + 1) eps times the largest
+    shifted diagonal entry, which ``scale`` bounds; the other half covers
+    the eigensolvers' own error."""
+    band = H.upper_band(idx)
+    w = band.shape[0] - 1
+    # each band diagonal's largest entry, counted on both sides of the main one
+    peaks = np.abs(band).max(axis=1)
+    scale = 2.0 * peaks[:-1].sum() + peaks[-1] + abs(lowest)
+    margin = 2.0 * DEGENERACY_GAP + 4.0 * (w + 1) ** 2 * np.finfo(float).eps * scale
+    # shifted by differences: lowest + margin may round back to lowest
+    band[w] -= lowest
+    band[w] -= margin
+    _, info = scipy.linalg.lapack.dpbtrf(band, overwrite_ab=1)
+    return info == 0 and bool(np.isfinite(scale))
+
+
 def _sector_pairs(H: BlockHamiltonian, basis: BasisSet):
     """(basis indices, lowest energies, eigenvectors) of every sector, in
-    sector order.
+    sector order, but those :func:`_lies_above` the lowest level before.
 
     Each sector yields its lowest two eigenpairs (one for a single state):
     dense LAPACK up to DENSE_SECTOR_MAX states, shift-invert Lanczos above.
@@ -154,6 +177,8 @@ def _sector_pairs(H: BlockHamiltonian, basis: BasisSet):
     """
     out = []
     for idx in _sectors(H, basis):
+        if out and _lies_above(H, idx, min(energies[0] for _, energies, _ in out)):
+            continue
         if idx.size <= DENSE_SECTOR_MAX:
             lowest_two = (0, min(1, idx.size - 1))
             pair = scipy.linalg.eigh(H.dense_block(idx), subset_by_index=lowest_two, overwrite_a=True)
@@ -174,8 +199,9 @@ def ground_state(H: BlockHamiltonian, basis: BasisSet) -> QuantumState:
     """
     pairs = _sector_pairs(H, basis)
     lowest = min(energies[0] for _, energies, _ in pairs)
-    # Sector order decides a tie within DEGENERACY_GAP.
-    idx, _, vectors = next(p for p in pairs if p[1][0] < lowest + DEGENERACY_GAP)
+    # Sector order decides a tie within DEGENERACY_GAP; a difference, as
+    # lowest + DEGENERACY_GAP rounds back to lowest once |lowest| >= 2**20.
+    idx, _, vectors = next(p for p in pairs if p[1][0] - lowest < DEGENERACY_GAP)
     vec = np.zeros(H.dim)
     vec[idx] = vectors[:, 0]
     _fix_sign(vec)

@@ -3,9 +3,9 @@ dict and a loop over occupations: the oracles for the basis formula and the
 collective atomic factors.  Dense full-basis kron(photon, atomic) operators:
 the oracles for the package's m x m atomic factors and its effective
 two-level block.  The sparse read-back of a dense Hamiltonian, the oracle
-for the solver's sector matrices; and whole-matrix expectation values,
-eigenvectors, evolution and band labels, the oracles for the per-sector
-solver."""
+for the solver's sector matrices; whole-matrix expectation values, eigenvectors,
+evolution and band labels, the oracles for the per-sector solver; and the
+solve of every sector, the oracle for the solver's sector skip."""
 
 from dataclasses import dataclass
 
@@ -17,6 +17,7 @@ from dicke3.basis import BasisSet, BasisState, enumerate_basis
 from dicke3.model import ModelConfig, rotated_parameters
 from dicke3.operators import Configuration, OperatorMatrix, atomic_collective_matrix, excitation_values
 from dicke3.rotations import Branch, atomic_generator_matrix, rotation_matrix
+from dicke3 import solver
 from dicke3.solver import QuantumState, Spectrum
 
 
@@ -192,3 +193,18 @@ def rint_band_labels(spectrum: Spectrum, level: int) -> np.ndarray:
     counts = spectrum.basis.level_counts[:, level - 1]
     labels = [np.rint((v**2).T @ counts[idx]) for idx, _, v in spectrum.sectors]
     return spectrum.merged(labels).astype(int)
+
+
+def all_sector_pairs(H, basis) -> list:
+    """(basis indices, lowest two energies, eigenvectors) of every sector in
+    sector order, none skipped: dense LAPACK up to the solver's
+    DENSE_SECTOR_MAX states, its shift-invert Lanczos above."""
+    out = []
+    for idx in solver._sectors(H, basis):
+        if idx.size <= solver.DENSE_SECTOR_MAX:
+            lowest_two = (0, min(1, idx.size - 1))
+            pair = scipy.linalg.eigh(H.dense_block(idx), subset_by_index=lowest_two, overwrite_a=True)
+        else:
+            pair = solver._shift_invert_pair(H.sparse_block(idx))
+        out.append((idx, *pair))
+    return out

@@ -221,6 +221,18 @@ class TestStoreRetrieveCommand:
         assert stored[0] < 1e-10
         assert retrieved[1] < 1e-10
 
+    def test_large_energy_scale(self, tmp_path):
+        # |E0| is above 2**20 here, where lowest + DEGENERACY_GAP == lowest
+        out = tmp_path / "sr.csv"
+        rc = run(
+            "store-retrieve", "--configuration", "lambda", "--Omega", "1e7", "--omega3", "1e7",
+            "--mu13", "3e6", "--mu23", "4e6", "--na", "2", "--nmax", "6", "--out", str(out),
+        )
+        assert rc == 0
+        _, meta, rows = read_csv(out)
+        assert [r[0] for r in rows] == ["initial", "stored", "retrieved"]
+        assert float(meta["content_overlap"]) > 1 - 1e-10
+
     def test_ladder_rejected_with_exit_2(self, tmp_path):
         rc = run(
             "store-retrieve", "--configuration", "xi", "--omega2", "1", "--omega3", "2",
@@ -275,6 +287,16 @@ class TestEvolveCommand:
         )
         assert rc == 2
         assert "--initial must be 'nu,n1,n2,n3'" in capsys.readouterr().err
+
+    def test_chunks_give_the_whole_grid(self, tmp_path, monkeypatch):
+        argv = ["evolve", *LAMBDA_ARGS, "--nmax", "12", "--t-max", "20", "--t-steps", "50"]
+        whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+        monkeypatch.setattr("dicke3.cli.EVOLVE_CHUNK", 50)
+        assert run(*argv, "--out", str(whole)) == 0
+        monkeypatch.setattr("dicke3.cli.EVOLVE_CHUNK", 7)
+        assert run(*argv, "--out", str(chunked)) == 0
+        assert chunked.read_bytes() == whole.read_bytes()
+        assert len(read_csv(chunked)[2]) == 50
 
     def test_overflowing_time_exits_invalid(self, capsys):
         # the norm check is the only report: numpy warns of nothing
@@ -456,6 +478,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "dmu must be a finite real number" in err
         assert "convert" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["phase-diagram", "--configuration", "xi", "--threads", "-3"], "threads must be at least 1, got -3"),
+        (["phase-diagram", "--configuration", "xi", "--threads", "0"], "threads must be at least 1, got 0"),
+        (["populations", "--configuration", "v", "--nmax", "4", "--grid", "-2"], "grid must be at least 0, got -2"),
+        (["evolve", "--configuration", "v", "--nmax", "4", "--t-steps", "-5"], "t_steps must be at least 0, got -5"),
+        (["separatrix", "--configuration", "v", "--samples", "-1"], "samples must be at least 0, got -1"),
+        (["rotate-check", "--samples", "-2"], "samples must be at least 0, got -2"),
+    ])
+    def test_bad_count_named(self, tmp_path, capsys, argv, message):
+        assert run(*argv, "--out", str(tmp_path / "x.csv")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv, written", [
+        (["populations", "--configuration", "v", "--nmax", "4", "--frame", "first", "--grid", "0"], "x_first.csv"),
+        (["evolve", "--configuration", "v", "--nmax", "4", "--mu12", "0.5", "--t-steps", "0"], "x.csv"),
+        (["separatrix", "--configuration", "v", "--samples", "0"], "x.csv"),
+    ])
+    def test_zero_count_gives_an_empty_table(self, tmp_path, argv, written):
+        assert run(*argv, "--out", str(tmp_path / "x.csv")) == 0
+        assert read_csv(tmp_path / written)[2] == []
 
     def test_missing_configuration(self, tmp_path):
         rc = run("spectrum", "--na", "1", "--nmax", "2", "--out", str(tmp_path / "x.csv"))

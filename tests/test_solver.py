@@ -33,7 +33,15 @@ from dicke3.solver import (
 )
 
 from conftest import random_model
-from oracles import eigh_evolve, expectation, full_vectors, parity, photon_band_csr, rint_band_labels
+from oracles import (
+    all_sector_pairs,
+    eigh_evolve,
+    expectation,
+    full_vectors,
+    parity,
+    photon_band_csr,
+    rint_band_labels,
+)
 
 
 def lam(na=1, nmax=8, mu13=0.6, mu23=0.8):
@@ -440,6 +448,98 @@ class TestSectorBuilders:
             for name in ("data", "indices", "indptr"):
                 got, want = getattr(csr, name), getattr(ref, name)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            upper = H.upper_band(idx)
+            w = upper.shape[0] - 1
+            assert upper.flags.f_contiguous
+            unpacked = np.zeros((idx.size, idx.size))
+            for k in range(w + 1):  # row w - k holds the k-th superdiagonal
+                j = np.arange(k, idx.size)
+                unpacked[j - k, j] = unpacked[j, j - k] = upper[w - k, k:]
+            assert np.array_equal(unpacked, H.matrix[np.ix_(idx, idx)])
+            assert w == 0 or upper[0].any()
+
+
+def _scaled(m, factor):
+    """The model with every energy multiplied by ``factor``."""
+    names = ("omega1", "omega2", "omega3", "mu12", "mu13", "mu23", "Omega")
+    return dataclasses.replace(m, **{n: factor * getattr(m, n) for n in names})
+
+
+def _solve_count(fn):
+    """fn's result and the number of sector eigensolves it made."""
+    dense = mock.patch.object(solver.scipy.linalg, "eigh", wraps=solver.scipy.linalg.eigh)
+    lanczos = mock.patch.object(solver, "_shift_invert_pair", wraps=solver._shift_invert_pair)
+    with dense as d, lanczos as s:
+        result = fn()
+    return result, d.call_count + s.call_count
+
+
+class TestSectorSkip:
+    """Sectors proven above the lowest level solved so far are not solved;
+    no result may change for it."""
+
+    @pytest.mark.parametrize("crossover", [solver.DENSE_SECTOR_MAX, 8])
+    @_hypothesis
+    @given(model_frame=framed_models(), factor=st.sampled_from([1.0, 0.3, 1e3, 1e7]))
+    def test_bitwise_equal_to_solving_every_sector(self, crossover, model_frame, factor):
+        m, frame = model_frame
+        m, b, H = _framed_hamiltonian((_scaled(m, factor), frame))
+        with mock.patch.object(solver, "DENSE_SECTOR_MAX", crossover):
+            got = ground_state(H, b), lowest_energy(H, b)
+            with mock.patch.object(solver, "_sector_pairs", all_sector_pairs):
+                want = ground_state(H, b), lowest_energy(H, b)
+        assert got[0].amplitudes.tobytes() == want[0].amplitudes.tobytes()
+        assert got[0].degenerate == want[0].degenerate
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+
+    @pytest.mark.parametrize("m", [
+        lam(na=2, nmax=12),
+        lam(na=1, nmax=0),  # a one-state sector
+        lam(na=2, nmax=6, mu13=0.0, mu23=0.0),  # no off-diagonal entries
+        _scaled(lam(na=2, nmax=6), 1e7),
+    ])
+    def test_inertia_against_eigvalsh(self, m):
+        b = enumerate_basis(m.na, m.nmax)
+        H = build_hamiltonian(m, b)
+        for idx in solver._sectors(H, b):
+            exact = np.linalg.eigvalsh(H.matrix[np.ix_(idx, idx)])[0]
+            room = 1e-6 * max(1.0, abs(exact))
+            assert solver._lies_above(H, idx, exact - room)
+            for lowest in (exact - solver.DEGENERACY_GAP, exact, exact + room):
+                assert not solver._lies_above(H, idx, lowest)
+
+    def test_one_solve_in_the_normal_phase(self):
+        m = ModelConfig(Configuration.XI, 0.0, 1.0, 2.0, mu12=0.3, mu13=0.0, mu23=0.2, na=2, nmax=32)
+        b = enumerate_basis(2, 32)
+        H = build_hamiltonian(m, b)
+        assert len(solver._sectors(H, b)) == 2
+        (g, e0), solves = _solve_count(lambda: (ground_state(H, b), lowest_energy(H, b)))
+        assert solves == 2  # one per call
+        assert not g.degenerate
+        assert e0 == pytest.approx(np.linalg.eigvalsh(H.matrix)[0], abs=1e-11)
+
+    @pytest.mark.parametrize("cfg, omegas, na, nmax, couplings", [
+        (Configuration.V, (0.0, 1.0, 1.0), 3, 40, (1.5, 2.0)),
+        (Configuration.XI, (0.0, 1.0, 2.0), 2, 40, (1.5, 2.0)),
+        (Configuration.V, (0.0, 1.0, 1.0), 4, 64, (1.2, 1.2)),
+    ])
+    def test_both_solves_for_a_doublet(self, cfg, omegas, na, nmax, couplings):
+        m = with_couplings(ModelConfig(cfg, *omegas, 0.0, 0.0, 0.0, na=na, nmax=nmax), *couplings)
+        b = enumerate_basis(na, nmax)
+        g, solves = _solve_count(lambda: ground_state(build_hamiltonian(m, b), b))
+        assert g.degenerate and solves == 2
+
+    @pytest.mark.parametrize("factor", [2.0**20, 1e7])
+    def test_tie_rule_at_large_energy_scale(self, factor):
+        # lowest + DEGENERACY_GAP rounds back to lowest here; the tie is
+        # decided by differences, so the lowest sector still wins.
+        m = _scaled(lam(na=2, nmax=6, mu13=0.3, mu23=0.4), factor)
+        b = enumerate_basis(2, 6)
+        H = build_hamiltonian(m, b)
+        g = ground_state(H, b)
+        exact = np.linalg.eigvalsh(H.matrix)[0]
+        assert expectation(g, H) == pytest.approx(exact, rel=1e-12)
+        assert lowest_energy(H, b) == pytest.approx(exact, rel=1e-12)
 
 
 class TestMemory:
