@@ -27,10 +27,8 @@ from .operators import BlockHamiltonian, Configuration, OperatorMatrix
 from .model import (
     ModelConfig,
     RotatedParameters,
-    build_effective_two_level,
     build_hamiltonian,
     detuning,
-    effective_coupling,
     rotated_parameters,
     with_couplings,
 )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import enumerate_basis
 from .model import ModelConfig, build_hamiltonian, coupling_name, with_couplings
-from .operators import Configuration
+from .operators import Configuration, SectorLayout
 from .rotations import Branch, UndefinedAngleError, atomic_generator_matrix, rotate_amplitudes
 from .solver import (
     DEFAULT_ENERGY_TOL,
@@ -133,7 +133,9 @@ class RaySweep:
 
     ``fidelities[i]`` compares the ground states at ``s_values[i]`` and
     ``s_values[i+1]`` and is attributed to their midpoint; the susceptibility
-    is 2 (1 - F) / dmu^2.
+    is 2 (1 - F) / dmu^2, F the squared overlap: 2 chi_F + O(dmu^2), twice
+    the chi_F = sum_{n>0} |<n|dH|0>|^2 / (E_n - E_0)^2 of You, Li & Gu (PRE
+    76, 022101 (2007)), who start from the unsquared overlap.
     """
 
     config: ModelConfig
@@ -208,7 +210,8 @@ def scan_ray(
     The photon cutoff is converged once, in the unrotated frame, at the
     outermost point and shared by the whole ray (the converged cutoff grows
     monotonically with the couplings, so the outer point dominates); sharing
-    one basis keeps the overlaps well defined.
+    one basis keeps the overlaps well defined.  All points share one sector
+    layout, and only the previous point's state is kept.
     """
     if dmu <= 0:
         raise ValueError("dmu must be positive")
@@ -221,11 +224,16 @@ def scan_ray(
     nmax, _ = converged_ground_state(with_couplings(config, *coords[-1]), etol, ptol)
     basis = enumerate_basis(config.na, nmax)
     at_cutoff = dataclasses.replace(config, nmax=nmax)
-    states = [
-        ground_state(build_hamiltonian(with_couplings(at_cutoff, a, b), basis, rotated), basis)
-        for a, b in coords
-    ]
-    fids = np.array([fidelity(s1, s2) for s1, s2 in zip(states, states[1:])])
+    layout, previous, fids = None, None, []
+    for a, b in coords:
+        H = build_hamiltonian(with_couplings(at_cutoff, a, b), basis, rotated)
+        if layout is None:
+            layout = SectorLayout(H.sector_labels, basis.atomic_dim)
+        state = ground_state(H, basis, layout)
+        if previous is not None:
+            fids.append(fidelity(previous, state))
+        previous = state
+    fids = np.array(fids)
     chi = 2.0 * (1.0 - fids) / dmu**2
     mids = (radii[:-1] + radii[1:]) / 2.0
     mid_coords = [((a0 + a1) / 2, (b0 + b1) / 2) for (a0, b0), (a1, b1) in zip(coords, coords[1:])]

@@ -33,7 +33,7 @@ from .model import (
     rotated_parameters,
     with_couplings,
 )
-from .operators import Configuration, atomic_collective_matrix
+from .operators import Configuration, SectorLayout, atomic_collective_matrix
 from .rotations import (
     Branch,
     UndefinedAngleError,
@@ -260,6 +260,7 @@ def cmd_populations(params: dict, out: str | None) -> int:
     branches = {frame: _branch_option(frame if frame != "unrotated" else None) for frame in frames}
     rows = {frame: [] for frame in frames}
     origin_seen = False
+    layout = None  # every lab-frame point has the same sectors
     for mu_a in values:
         for mu_b in values:
             at_origin = mu_a == 0.0 and mu_b == 0.0  # no decoupling angle there
@@ -271,7 +272,10 @@ def cmd_populations(params: dict, out: str | None) -> int:
             if corner_state is not None and (mu_a, mu_b) == corner:
                 psi = corner_state
             else:
-                psi = ground_state(build_hamiltonian(m, basis), basis)
+                H = build_hamiltonian(m, basis)
+                if layout is None:
+                    layout = SectorLayout(H.sector_labels, basis.atomic_dim)
+                psi = ground_state(H, basis, layout)
             for frame in wanted:
                 state = psi
                 if branches[frame] is not None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSet, enumerate_basis
+from .basis import BasisSet
 from .operators import (
     BlockHamiltonian,
     Configuration,
@@ -283,35 +283,3 @@ def build_hamiltonian(
         one_body=(params.lambda_pair, params.lambda_t),
         isolated=params.isolated_level if params.lambda_t == 0.0 else None,
     )
-
-
-def effective_coupling(config: ModelConfig, branch: Branch, n_active: int) -> float:
-    """Coupling strength of the two-level block with n_active unfrozen atoms."""
-    if not 0 <= n_active <= config.na:
-        raise ValueError(f"active atom count {n_active} outside [0, {config.na}]")
-    params = rotated_parameters(config, branch)
-    return float(np.sqrt(n_active / config.na) * params.coupled_mu)
-
-
-def build_effective_two_level(config: ModelConfig, branch: Branch, n_fixed: int) -> np.ndarray:
-    """Two-level block Hamiltonian with ``n_fixed`` atoms in the isolated level.
-
-    The surviving coupled pair forms a reduced collective model whose
-    coupling carries the sqrt(n_active / N_a) dilution; the frozen level
-    contributes only the constant shift omega_t * n_fixed.  The residual
-    one-body term is deliberately absent: this is the decoupled block, exact
-    when the one-body coupling vanishes.  Rows and columns follow the basis
-    enumeration.
-    """
-    if not 0 <= n_fixed <= config.na:
-        raise ValueError(f"fixed occupation {n_fixed} outside [0, {config.na}]")
-    params = rotated_parameters(config, branch)
-    basis = enumerate_basis(config.na, config.nmax)
-    H = _assemble(
-        config,
-        basis,
-        params.omega_ts,
-        {params.coupled_pair: params.coupled_mu},
-        isolated=params.isolated_level,
-    )
-    return H.dense_block(np.flatnonzero(H.sector_labels // 2 == n_fixed))

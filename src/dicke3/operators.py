@@ -2,7 +2,8 @@
 
 All matrices are real.  Hamiltonians are real symmetric in the occupation
 basis and held in photon-block form (:class:`BlockHamiltonian`), whose dense
-view is built only on demand.  The one dense full-basis operator the package
+view is built only on demand; a :class:`SectorLayout` reads the blocks of
+its conserved sectors.  The one dense full-basis operator the package
 builds is the rotation U of :func:`dicke3.rotations.rotation_matrix`, held
 as an :class:`OperatorMatrix`.  Complex storage is only needed for states
 under time evolution.  Collective operators are the identity on the photon
@@ -141,13 +142,16 @@ class BlockHamiltonian:
         return self.diagonal.shape[0]
 
     @functools.cached_property
-    def _diagonal_blocks(self) -> np.ndarray:
-        """The (nmax + 1, m, m) photon-diagonal blocks of H."""
+    def _blocks(self) -> np.ndarray:
+        """The (nmax + 1, m, m) photon-diagonal blocks of H and then its hop
+        blocks, flattened into one read-only array: the values a
+        :class:`SectorLayout` gathers."""
         m = self.hops.shape[1]
-        out = np.zeros((self.dim // m, m, m))
-        out.reshape(-1, m * m)[:, :: m + 1] = self.diagonal.reshape(-1, m)
+        diagonal = np.zeros((self.dim // m, m, m))
+        diagonal.reshape(-1, m * m)[:, :: m + 1] = self.diagonal.reshape(-1, m)
         if self.on_site is not None:
-            out += self.on_site
+            diagonal += self.on_site
+        out = np.concatenate([diagonal.ravel(), self.hops.ravel()])
         out.setflags(write=False)
         return out
 
@@ -158,62 +162,79 @@ class BlockHamiltonian:
         Nothing in the package reads it; only the tests (as an oracle) and
         the benchmark's tracer do."""
         m = self.hops.shape[1]
-        nph = self.dim // m
+        nu = np.arange(self.dim // m)
         out = np.zeros((self.dim, self.dim))
-        blocks = out.reshape(nph, m, nph, m)
-        nu = np.arange(nph)
-        blocks[nu, :, nu, :] = self._diagonal_blocks
+        blocks = out.reshape(nu.size, m, nu.size, m)
+        blocks[nu, :, nu, :] = self._blocks[: self.dim * m].reshape(-1, m, m)
         blocks[nu[:-1], :, nu[1:], :] = self.hops
         blocks[nu[1:], :, nu[:-1], :] = self.hops.transpose(0, 2, 1)
         out.setflags(write=False)
         return out
 
-    def _entries(self, idx: np.ndarray):
-        """(rows, cols, values) of H[np.ix_(idx, idx)] in local indices, for
-        the diagonal blocks and for the upper hop blocks, whose mirror
-        images are the lower ones."""
-        local = np.full(self.dim, -1)
-        local[idx] = np.arange(idx.size)
-        local = local.reshape(-1, self.hops.shape[1])
-        kept = local >= 0
-        out = []
-        for values, shift in ((self._diagonal_blocks, 0), (self.hops, 1)):
-            nu, i, j = np.nonzero(kept[: len(kept) - shift, :, None] & kept[shift:, None, :])
-            out.append((local[nu, i], local[nu + shift, j], values[nu, i, j]))
+
+class SectorLayout:
+    """Each sector of equal labels and where its entries sit in the photon
+    blocks of every :class:`BlockHamiltonian` with these labels and atomic
+    block size m (``fits``).  ``indices`` holds each sector's basis indices,
+    the vacuum's sector first.  A read gathers one H's own entries: bitwise
+    H[np.ix_(idx, idx)], signed zeros included."""
+
+    def __init__(self, labels: np.ndarray, m: int):
+        self.labels, self.m, self.indices, self._entries = labels, m, (), []
+        _, first = np.unique(labels, return_index=True)
+        small = np.int32 if 2 * labels.size * m < 2**31 else np.intp  # halves the memory
+        for i in np.sort(first):
+            kept = (labels == labels[i]).reshape(-1, m)
+            local = np.cumsum(kept) - 1  # every kept state's index in the sector
+            parts = []
+            for shift in (0, 1):  # the diagonal blocks, then the upper hop blocks
+                src = np.flatnonzero(kept[: len(kept) - shift, :, None] & kept[shift:, None, :])
+                row = src // m  # the basis indices of the entry's row and column
+                col = row - row % m + shift * m + src % m
+                found = (local[row], local[col], src + shift * labels.size * m)
+                parts.append([a.astype(small) for a in found])
+            (rd, cd, sd), (ru, cu, su) = parts
+            # local rows, local columns and positions in H._blocks: the diagonal
+            # blocks' entries, the upper hop blocks' and their mirror images
+            self._entries.append(tuple(map(np.concatenate, ([rd, ru, cu], [cd, cu, ru], [sd, su, su]))))
+            self.indices += (np.flatnonzero(kept),)
+            self.indices[-1].setflags(write=False)
+
+    def fits(self, H: BlockHamiltonian) -> bool:
+        """Whether H has this layout's labels and block size."""
+        return H.hops.shape[1] == self.m and np.array_equal(H.sector_labels, self.labels)
+
+    def _nonzero(self, H: BlockHamiltonian, k: int):
+        rows, cols, src = self._entries[k]
+        vals = H._blocks[src]
+        kept = vals != 0.0
+        return rows[kept], cols[kept], vals[kept]
+
+    def dense_block(self, H: BlockHamiltonian, k: int) -> np.ndarray:
+        """Sector k of H as a fresh Fortran-order array."""
+        rows, cols, src = self._entries[k]
+        out = np.zeros((self.indices[k].size,) * 2, order="F")
+        out[rows, cols] = H._blocks[src]
         return out
 
-    def dense_block(self, idx: np.ndarray) -> np.ndarray:
-        """Fresh Fortran-order copy of H[np.ix_(idx, idx)], bitwise equal."""
-        (rd, cd, vd), (ru, cu, vu) = self._entries(idx)
-        out = np.zeros((idx.size, idx.size), order="F")
-        out[rd, cd] = vd
-        out[ru, cu] = vu
-        out[cu, ru] = vu
-        return out
-
-    def upper_band(self, idx: np.ndarray) -> np.ndarray:
-        """H[np.ix_(idx, idx)] in LAPACK's upper band storage: a fresh
-        Fortran-order (w + 1, idx.size) array whose row w - k holds the k-th
-        superdiagonal, w the farthest one with a nonzero entry."""
-        (rd, cd, vd), (ru, cu, vu) = self._entries(idx)
-        rows, cols = np.concatenate([rd, ru]), np.concatenate([cd, cu])
-        vals = np.concatenate([vd, vu])
-        kept = (rows <= cols) & (vals != 0.0)
-        rows, cols, vals = rows[kept], cols[kept], vals[kept]
+    def upper_band(self, H: BlockHamiltonian, k: int) -> np.ndarray:
+        """Sector k of H in LAPACK's upper band storage: a fresh Fortran-order
+        (w + 1, n) array whose row w - d holds the d-th superdiagonal, w the
+        farthest one with a nonzero entry in this H."""
+        rows, cols, vals = self._nonzero(H, k)
+        upper = rows <= cols
+        rows, cols, vals = rows[upper], cols[upper], vals[upper]
         w = int(np.max(cols - rows, initial=0))
-        out = np.zeros((w + 1, idx.size), order="F")
+        out = np.zeros((w + 1, self.indices[k].size), order="F")
         out[w + rows - cols, cols] = vals
         return out
 
-    def sparse_block(self, idx: np.ndarray):
-        """H[np.ix_(idx, idx)] as canonical CSR, zeros (of either sign) dropped."""
+    def sparse_block(self, H: BlockHamiltonian, k: int):
+        """Sector k of H as canonical CSR, zeros (of either sign) dropped."""
         import scipy.sparse
 
-        (rd, cd, vd), (ru, cu, vu) = self._entries(idx)
-        rows, cols = np.concatenate([rd, ru, cu]), np.concatenate([cd, cu, ru])
-        vals = np.concatenate([vd, vu, vu])
-        nz = vals != 0.0
-        return scipy.sparse.csr_matrix((vals[nz], (rows[nz], cols[nz])), shape=(idx.size,) * 2)
+        rows, cols, vals = self._nonzero(H, k)
+        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(self.indices[k].size,) * 2)
 
 
 def atomic_collective_matrix(na: int, j: int, k: int) -> np.ndarray:

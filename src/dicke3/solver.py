@@ -4,14 +4,15 @@ Every Hamiltonian built by this package is a :class:`BlockHamiltonian`,
 whose ``sector_labels`` name the conserved quantities: the excitation-number
 parity always, and the isolated level's occupation in a frame without a
 one-body term.  Every eigenproblem is solved per sector of equal labels,
-each built straight from the photon blocks; no dim x dim array is built.
+each gathered from the photon blocks through a :class:`SectorLayout` (one
+per scan, or one per call); no dim x dim array is built.
 Sectors come in the order of their lowest basis indices, so the vacuum's
 comes first, and a tie between sectors goes to the earlier one.  Full
 spectra solve every sector dense, and evolution works in the sectors its
 state touches.  Ground states and ground energies need each sector's
 lowest two eigenpairs: up to DENSE_SECTOR_MAX states from a dense block by
-LAPACK, larger ones from a sparse matrix by ARPACK's Lanczos solver in
-shift-invert mode.  A later sector is skipped when a banded Cholesky
+LAPACK's dsyevr, larger ones from a sparse matrix by ARPACK's Lanczos solver
+in shift-invert mode.  A later sector is skipped when a banded Cholesky
 factorisation proves (Sylvester's law of inertia) all its levels more than
 2 DEGENERACY_GAP above the lowest solved so far; it could neither win a tie
 nor flag a degeneracy, so no result changes.
@@ -20,6 +21,7 @@ nor flag a degeneracy, so no result changes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,7 @@ import scipy.linalg
 
 from .basis import BasisSet, DimensionLimitError, enumerate_basis
 from .model import ModelConfig, build_hamiltonian
-from .operators import BlockHamiltonian
+from .operators import BlockHamiltonian, SectorLayout
 
 DEGENERACY_GAP = 1e-10
 # Sector size above which shift-invert Lanczos beats dense LAPACK on a
@@ -105,27 +107,44 @@ def _fix_sign(columns: np.ndarray) -> None:
     columns *= np.sign(np.take_along_axis(columns, peak[None], axis=0))
 
 
-def _sectors(H: BlockHamiltonian, basis: BasisSet) -> list[np.ndarray]:
-    """Basis indices of every sector of equal labels, in the order of their
-    lowest basis indices, so the vacuum's (basis state 0) comes first; H
-    must match the basis."""
+def _layout(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | None = None):
+    """``layout`` if it fits H, else one for H's labels; H must match the basis."""
     if H.dim != basis.dim:
         raise ValueError(f"operator dim {H.dim} does not match basis dim {basis.dim}")
-    labels = H.sector_labels
-    _, first = np.unique(labels, return_index=True)
-    return [np.flatnonzero(labels == labels[i]) for i in np.sort(first)]
+    fits = layout is not None and layout.fits(H)
+    return layout if fits else SectorLayout(H.sector_labels, basis.atomic_dim)
 
 
 def diagonalize(H: BlockHamiltonian, basis: BasisSet) -> Spectrum:
     """Full spectrum, every sector solved dense by LAPACK."""
+    layout = _layout(H, basis)
     sectors = []
-    for idx in _sectors(H, basis):
-        energies, vectors = scipy.linalg.eigh(H.dense_block(idx), overwrite_a=True)
+    for k, idx in enumerate(layout.indices):
+        energies, vectors = scipy.linalg.eigh(layout.dense_block(H, k), overwrite_a=True)
         _fix_sign(vectors)
         for a in (energies, vectors):
             a.setflags(write=False)
         sectors.append((idx, energies, vectors))
     return Spectrum(tuple(sectors), basis)
+
+
+# dsyevr's workspace query, (work, iwork, info) at each order
+_dsyevr_work = functools.lru_cache(maxsize=None)(scipy.linalg.lapack.dsyevr_lwork)
+
+
+def _lowest_two(block: np.ndarray):
+    """Lowest two eigenpairs (one for a single state) of a Fortran-order block,
+    overwritten, by the dsyevr call of ``eigh(subset_by_index=...)``: bitwise its result."""
+    if not np.isfinite(block).all():
+        raise ValueError("array must not contain infs or NaNs")
+    n = block.shape[0]
+    work, iwork, _ = _dsyevr_work(n, lower=1)  # a failed query fails the solve
+    w, v, found, _, info = scipy.linalg.lapack.dsyevr(
+        block, range="I", lower=1, il=1, iu=min(2, n), lwork=int(work), liwork=iwork, overwrite_a=1
+    )
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"dsyevr failed: info = {info}")
+    return w[:found], v[:, :found]
 
 
 def _shift_invert_pair(A):
@@ -147,14 +166,14 @@ def _shift_invert_pair(A):
     return energies[order], vectors[:, order]
 
 
-def _lies_above(H: BlockHamiltonian, idx: np.ndarray, lowest: float) -> bool:
-    """Whether every level of sector ``idx`` provably lies more than
-    2 DEGENERACY_GAP above ``lowest``: the block minus sigma has a band
-    Cholesky factor.  Sigma's roundoff allowance is twice the factor's
-    backward error at half-bandwidth w, (2w + 1)(w + 1) eps times the largest
-    shifted diagonal entry, which ``scale`` bounds; the other half covers
-    the eigensolvers' own error."""
-    band = H.upper_band(idx)
+def _lies_above(band: np.ndarray, lowest: float) -> bool:
+    """Whether every level of a sector, given in upper band storage (which
+    this overwrites), provably lies more than 2 DEGENERACY_GAP above
+    ``lowest``: the block minus sigma has a band Cholesky factor.  Sigma's
+    roundoff allowance is twice the factor's backward error at
+    half-bandwidth w, (2w + 1)(w + 1) eps times the largest shifted diagonal
+    entry, which ``scale`` bounds; the other half covers the eigensolvers'
+    own error."""
     w = band.shape[0] - 1
     # each band diagonal's largest entry, counted on both sides of the main one
     peaks = np.abs(band).max(axis=1)
@@ -167,37 +186,37 @@ def _lies_above(H: BlockHamiltonian, idx: np.ndarray, lowest: float) -> bool:
     return info == 0 and bool(np.isfinite(scale))
 
 
-def _sector_pairs(H: BlockHamiltonian, basis: BasisSet):
+def _sector_pairs(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | None = None):
     """(basis indices, lowest energies, eigenvectors) of every sector, in
     sector order, but those :func:`_lies_above` the lowest level before.
 
     Each sector yields its lowest two eigenpairs (one for a single state):
     dense LAPACK up to DENSE_SECTOR_MAX states, shift-invert Lanczos above.
-    Every dense block is a private Fortran-order copy for LAPACK to overwrite.
     """
+    layout = _layout(H, basis, layout)
     out = []
-    for idx in _sectors(H, basis):
-        if out and _lies_above(H, idx, min(energies[0] for _, energies, _ in out)):
+    for k, idx in enumerate(layout.indices):
+        if out and _lies_above(layout.upper_band(H, k), min(e[0] for _, e, _ in out)):
             continue
         if idx.size <= DENSE_SECTOR_MAX:
-            lowest_two = (0, min(1, idx.size - 1))
-            pair = scipy.linalg.eigh(H.dense_block(idx), subset_by_index=lowest_two, overwrite_a=True)
+            pair = _lowest_two(layout.dense_block(H, k))
         else:
-            pair = _shift_invert_pair(H.sparse_block(idx))
+            pair = _shift_invert_pair(layout.sparse_block(H, k))
         out.append((idx, *pair))
     return out
 
 
-def ground_state(H: BlockHamiltonian, basis: BasisSet) -> QuantumState:
+def ground_state(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | None = None):
     """Lowest eigenvector under the sign convention, from one sector.
 
     The lowest level over the sectors wins; when several sectors' ground
     energies lie within DEGENERACY_GAP of it, the earliest in sector order
     does, the vacuum's before all.  Near-degeneracy (gap below
     DEGENERACY_GAP between the two lowest levels over all sectors) is
-    flagged on the returned state rather than raised.
+    flagged on the returned state rather than raised.  A scan passes one
+    ``layout`` to all its points; one that does not fit H is not used.
     """
-    pairs = _sector_pairs(H, basis)
+    pairs = _sector_pairs(H, basis, layout)
     lowest = min(energies[0] for _, energies, _ in pairs)
     # Sector order decides a tie within DEGENERACY_GAP; a difference, as
     # lowest + DEGENERACY_GAP rounds back to lowest once |lowest| >= 2**20.

@@ -1,11 +1,14 @@
 """The photon-major enumeration written out as a tuple of states, an index
 dict and a loop over occupations: the oracles for the basis formula and the
 collective atomic factors.  Dense full-basis kron(photon, atomic) operators:
-the oracles for the package's m x m atomic factors and its effective
-two-level block.  The sparse read-back of a dense Hamiltonian, the oracle
+the oracles for the package's m x m atomic factors and, with the effective
+two-level block and coupling of the decoupled frame, for its rotated
+frames.  The sparse read-back of a dense Hamiltonian, the oracle
 for the solver's sector matrices; whole-matrix expectation values, eigenvectors,
-evolution and band labels, the oracles for the per-sector solver; and the
-solve of every sector, the oracle for the solver's sector skip."""
+evolution and band labels, the oracles for the per-sector solver; the
+solve of every sector, the oracle for the solver's sector skip; and the
+fidelity susceptibility from a full eigendecomposition, the oracle for the
+fidelity scans."""
 
 from dataclasses import dataclass
 
@@ -14,8 +17,14 @@ import scipy.linalg
 import scipy.sparse
 
 from dicke3.basis import BasisSet, BasisState, enumerate_basis
-from dicke3.model import ModelConfig, rotated_parameters
-from dicke3.operators import Configuration, OperatorMatrix, atomic_collective_matrix, excitation_values
+from dicke3.model import ModelConfig, _assemble, rotated_parameters
+from dicke3.operators import (
+    Configuration,
+    OperatorMatrix,
+    SectorLayout,
+    atomic_collective_matrix,
+    excitation_values,
+)
 from dicke3.rotations import Branch, atomic_generator_matrix, rotation_matrix
 from dicke3 import solver
 from dicke3.solver import QuantumState, Spectrum
@@ -143,6 +152,35 @@ def effective_two_level_block(config: ModelConfig, branch: Branch, n_fixed: int)
     return H[np.ix_(keep, keep)]
 
 
+def effective_coupling(config: ModelConfig, branch: Branch, n_active: int) -> float:
+    """Coupling strength of the two-level block with n_active unfrozen atoms."""
+    if not 0 <= n_active <= config.na:
+        raise ValueError(f"active atom count {n_active} outside [0, {config.na}]")
+    params = rotated_parameters(config, branch)
+    return float(np.sqrt(n_active / config.na) * params.coupled_mu)
+
+
+def build_effective_two_level(config: ModelConfig, branch: Branch, n_fixed: int) -> np.ndarray:
+    """Two-level block Hamiltonian with ``n_fixed`` atoms in the isolated level,
+    assembled in photon-block form by the package's own routine.
+
+    The surviving coupled pair forms a reduced collective model whose
+    coupling carries the sqrt(n_active / N_a) dilution; the frozen level
+    contributes only the constant shift omega_t * n_fixed.  The residual
+    one-body term is deliberately absent: this is the decoupled block, exact
+    when the one-body coupling vanishes.  Rows and columns follow the basis
+    enumeration: both parities with that occupation, read as one sector.
+    """
+    if not 0 <= n_fixed <= config.na:
+        raise ValueError(f"fixed occupation {n_fixed} outside [0, {config.na}]")
+    params = rotated_parameters(config, branch)
+    basis = enumerate_basis(config.na, config.nmax)
+    H = _assemble(config, basis, params.omega_ts, {params.coupled_pair: params.coupled_mu})
+    n_iso = basis.level_counts[:, params.isolated_level - 1]
+    layout = SectorLayout(n_iso, basis.atomic_dim)
+    return layout.dense_block(H, [n_iso[idx[0]] for idx in layout.indices].index(n_fixed))
+
+
 def photon_band_csr(mat: np.ndarray, m: int) -> scipy.sparse.csr_matrix:
     """CSR copy of a Hamiltonian built by the package, read from its
     photon-diagonal and upper photon blocks of size m; the builders write no
@@ -195,16 +233,31 @@ def rint_band_labels(spectrum: Spectrum, level: int) -> np.ndarray:
     return spectrum.merged(labels).astype(int)
 
 
-def all_sector_pairs(H, basis) -> list:
+def all_sector_pairs(H, basis, layout=None) -> list:
     """(basis indices, lowest two energies, eigenvectors) of every sector in
-    sector order, none skipped: dense LAPACK up to the solver's
-    DENSE_SECTOR_MAX states, its shift-invert Lanczos above."""
+    sector order, none skipped, each read from the dense view: scipy's
+    ``eigh`` on a Fortran-order copy up to the solver's DENSE_SECTOR_MAX
+    states, its shift-invert Lanczos on the CSR read-back above.  The
+    sectors come from ``np.unique`` of the labels; ``layout`` is ignored."""
+    labels = H.sector_labels
+    _, first = np.unique(labels, return_index=True)
     out = []
-    for idx in solver._sectors(H, basis):
+    for i in np.sort(first):
+        idx = np.flatnonzero(labels == labels[i])
         if idx.size <= solver.DENSE_SECTOR_MAX:
-            lowest_two = (0, min(1, idx.size - 1))
-            pair = scipy.linalg.eigh(H.dense_block(idx), subset_by_index=lowest_two, overwrite_a=True)
+            block = np.asfortranarray(H.matrix[np.ix_(idx, idx)])
+            pair = scipy.linalg.eigh(block, subset_by_index=(0, min(1, idx.size - 1)), overwrite_a=True)
         else:
-            pair = solver._shift_invert_pair(H.sparse_block(idx))
+            pair = solver._shift_invert_pair(photon_band_csr(H.matrix, basis.atomic_dim)[idx][:, idx])
         out.append((idx, *pair))
     return out
+
+
+def fidelity_susceptibility(H: np.ndarray, dH: np.ndarray) -> tuple[float, float]:
+    """chi_F = sum_{n>0} |<n|dH|0>|^2 / (E_n - E_0)^2 over one dense eigh of
+    H, with the gap E_1 - E_0; dH is H's derivative along the path."""
+    energies, vectors = np.linalg.eigh(H)
+    amps = vectors[:, 1:].T @ (dH @ vectors[:, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate ground level
+        chi = np.sum(amps**2 / (energies[1:] - energies[0]) ** 2)
+    return float(chi), float(energies[1] - energies[0])

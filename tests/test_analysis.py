@@ -1,10 +1,16 @@
+import dataclasses
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import dicke3 as d3
+from dicke3 import solver
 from dicke3.analysis import (
+    _ray_direction,
     dalpha_dmu,
     fidelity,
     fidelity_rot_second_order,
@@ -18,12 +24,12 @@ from dicke3.analysis import (
 )
 from dicke3.basis import enumerate_basis
 from dicke3.model import ModelConfig, coupling_name, with_couplings
-from dicke3.operators import Configuration
+from dicke3.operators import BlockHamiltonian, Configuration, SectorLayout
 from dicke3.rotations import Branch, UndefinedAngleError, decoupling_angle
 from dicke3.solver import QuantumState, ground_state
 
-from conftest import random_model
-from oracles import generator_K
+from conftest import framed_models, random_model
+from oracles import fidelity_susceptibility, generator_K
 
 
 def xi_resonant(na=1, nmax=8, mu12=0.0, mu23=0.0):
@@ -310,3 +316,111 @@ class TestSeparatrices:
         below = separatrix_lambda(1.0, 0.5, 1.0, thr - 1e-9)
         above = separatrix_lambda(1.0, 0.5, 1.0, thr + 1e-9)
         assert abs(below - above) < 1e-7
+
+
+def _ray_hamiltonians(m, sweep, frame):
+    """The dense H along the sweep's ray at its cutoff, as a function of the
+    radius, and the basis."""
+    ca, sa = _ray_direction(sweep.theta)
+    b = enumerate_basis(m.na, sweep.nmax)
+    at = dataclasses.replace(m, nmax=sweep.nmax)
+    return (lambda s: d3.build_hamiltonian(with_couplings(at, s * ca, s * sa), b, frame)), b
+
+
+@st.composite
+def framed_rays(draw):
+    """A framed model's ray: the angle of its couplings (theta = 0 when both
+    vanish)."""
+    m, frame = draw(framed_models())
+    return m, frame, float(np.arctan2(*m.plane_couplings[::-1]))
+
+
+class TestScanLayout:
+    """scan_ray gathers every point's sectors through one layout; each
+    fidelity must be the one of solving every point afresh, bit for bit."""
+
+    @pytest.mark.parametrize("crossover", [solver.DENSE_SECTOR_MAX, 8])
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(ray=framed_rays(), steps=st.integers(2, 8))
+    def test_bitwise_equal_to_fresh_solves(self, crossover, ray, steps):
+        m, frame, theta = ray
+        with mock.patch.object(solver, "DENSE_SECTOR_MAX", crossover):
+            sweep = scan_ray(m, theta, 1.2, 1.2 / steps, rotated=frame)
+            H_at, b = _ray_hamiltonians(m, sweep, frame)
+            states = [ground_state(H_at(s), b) for s in sweep.s_values]
+        want = np.array([fidelity(p, q) for p, q in zip(states, states[1:])])
+        assert sweep.fidelities.tobytes() == want.tobytes()
+
+    def test_stale_layout_is_replaced(self):
+        # At equal detuning the rotated frame adds n_iso to the lab frame's
+        # parity labels, so a lab-frame layout does not fit it.
+        m = ModelConfig(Configuration.V, 0.0, 1.0, 1.0, mu12=0.5, mu13=0.7, mu23=0.0, na=3, nmax=12)
+        b = enumerate_basis(3, 12)
+        lab = d3.build_hamiltonian(m, b)
+        layout = SectorLayout(lab.sector_labels, b.atomic_dim)
+        H = d3.build_hamiltonian(m, b, Branch.FIRST)
+        assert layout.fits(lab) and not layout.fits(H)
+        want = ground_state(H, b)
+        with mock.patch.object(solver, "SectorLayout", wraps=SectorLayout) as built:
+            got = ground_state(H, b, layout)
+            assert built.call_count == 1
+            ground_state(lab, b, layout)
+            assert built.call_count == 1  # a fitting layout is used as it is
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert got.degenerate == want.degenerate
+
+    @pytest.mark.parametrize("where", ["vacuum", "last"])
+    def test_non_finite_block_is_refused(self, where):
+        m = xi_resonant(na=2, nmax=12, mu12=0.3, mu23=0.2)
+        b = enumerate_basis(2, 12)
+        H = d3.build_hamiltonian(m, b)
+        layout = SectorLayout(H.sector_labels, b.atomic_dim)
+        diagonal = H.diagonal.copy()
+        diagonal[0 if where == "vacuum" else -1] = np.nan
+        bad = BlockHamiltonian(diagonal, H.on_site, H.hops, H.sector_labels)
+        assert layout.fits(bad)
+        for solve in (lambda: ground_state(bad, b, layout), lambda: ground_state(bad, b)):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve()
+
+
+class TestLinearResponse:
+    """RaySweep.susceptibilities against the fidelity susceptibility chi_F
+    of a full eigendecomposition, away from level crossings and doublets.
+    H is affine in the radius along a ray through the origin, in every
+    frame (the decoupling angle is constant there), so dH is exact."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(framed_rays())
+    def test_twice_chi_f_and_minima_at_its_maxima(self, ray):
+        m, frame, theta = ray
+        assume(m.omega3 - m.omega1 >= 0.1)  # equal levels leave the ground level degenerate
+        dmu = 0.04
+        coarse = scan_ray(m, theta, 1.2, dmu, rotated=frame)
+        fine = scan_ray(m, theta, 1.2, dmu / 3, rotated=frame)
+        assert fine.nmax == coarse.nmax
+        H_at, _ = _ray_hamiltonians(m, coarse, frame)
+        dH = H_at(2.0).matrix - H_at(1.0).matrix
+
+        def chi_f(s):
+            return fidelity_susceptibility(H_at(s).matrix, dH)
+
+        # (a) chi = 2 chi_F + O(dmu^2): a third of the step divides the
+        # difference by 9 at the same midpoints (the fine grid's 3i + 3rd).
+        for i in range(0, coarse.fidelities.size, 4):
+            mid = (coarse.s_values[i] + coarse.s_values[i + 1]) / 2
+            if min(chi_f(s)[1] for s in (mid - dmu / 2, mid, mid + dmu / 2)) < 0.05:
+                continue
+            exact = 2.0 * chi_f(mid)[0]
+            err = abs(coarse.susceptibilities[i] - exact)
+            err_fine = abs(fine.susceptibilities[3 * i + 3] - exact)
+            assert err <= 0.02 * exact + 1e-8
+            if err > 1e-6:
+                assert 7.0 < err / err_fine < 11.0
+        # (b) a chi_F maximum lies within one step of every reported minimum
+        for minimum in coarse.minima:
+            grid = np.linspace(minimum.s - dmu, minimum.s + dmu, 9)
+            values = [chi_f(s) for s in grid]
+            if min(gap for _, gap in values) < 0.02:
+                continue
+            assert 0 < int(np.argmax([chi for chi, _ in values])) < grid.size - 1

@@ -10,10 +10,8 @@ import dicke3 as d3
 from dicke3.basis import BasisState, enumerate_basis, index_of
 from dicke3.model import (
     ModelConfig,
-    build_effective_two_level,
     build_hamiltonian,
     detuning,
-    effective_coupling,
     rotated_parameters,
     with_couplings,
 )
@@ -21,7 +19,15 @@ from dicke3.operators import Configuration, atomic_collective_matrix
 from dicke3.rotations import Branch, UndefinedAngleError, decoupling_angle, rotation_matrix
 
 from conftest import random_model
-from oracles import boson_annihilate, boson_create, collective_A, effective_two_level_block, photon_ladder_matrix
+from oracles import (
+    boson_annihilate,
+    boson_create,
+    build_effective_two_level,
+    collective_A,
+    effective_coupling,
+    effective_two_level_block,
+    photon_ladder_matrix,
+)
 
 
 def xi(na=1, nmax=4, **kw):

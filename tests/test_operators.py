@@ -3,7 +3,13 @@ import pytest
 
 import dicke3 as d3
 from dicke3.basis import BasisState, enumerate_basis, index_of
-from dicke3.operators import BlockHamiltonian, Configuration, OperatorMatrix, atomic_collective_matrix
+from dicke3.operators import (
+    BlockHamiltonian,
+    Configuration,
+    OperatorMatrix,
+    SectorLayout,
+    atomic_collective_matrix,
+)
 
 from conftest import random_model
 from oracles import boson_annihilate, boson_create, collective_A, excitation_number, loop_collective_matrix, parity
@@ -45,7 +51,7 @@ def test_dense_view_places_transposed_hops_below_the_diagonal():
     hop = np.array([[[0.0, 0.7], [0.0, 0.0]]])
     op = BlockHamiltonian(np.arange(4.0), None, hop, np.zeros(4, dtype=int))
     assert np.array_equal(op.matrix, op.matrix.T)
-    assert np.array_equal(op.matrix, op.dense_block(np.arange(4)))
+    assert np.array_equal(op.matrix, SectorLayout(op.sector_labels, 2).dense_block(op, 0))
     assert op.matrix[0, 3] == op.matrix[3, 0] == 0.7
 
 

@@ -18,7 +18,7 @@ from dicke3.model import (
     rotated_parameters,
     with_couplings,
 )
-from dicke3.operators import BlockHamiltonian, Configuration, excitation_values
+from dicke3.operators import BlockHamiltonian, Configuration, SectorLayout, excitation_values
 from dicke3.rotations import Branch
 from dicke3.solver import (
     NonConvergenceError,
@@ -32,7 +32,7 @@ from dicke3.solver import (
     populations,
 )
 
-from conftest import random_model
+from conftest import _coupling, _frequency, _hypothesis, framed_models, random_model
 from oracles import (
     all_sector_pairs,
     eigh_evolve,
@@ -233,34 +233,6 @@ class TestConvergeCutoff:
         assert converge_cutoff(m) == nmax
 
 
-_coupling = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
-_frequency = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 2.0))
-_hypothesis = settings(
-    max_examples=60,
-    deadline=None,
-    derandomize=True,
-    database=None,
-)
-
-
-@st.composite
-def framed_models(draw):
-    """Random model and frame; zero and single-axis couplings included, and
-    equal detuning, whose rotated frames conserve the isolated level."""
-    cfg = draw(st.sampled_from(list(Configuration)))
-    omegas = sorted(draw(st.lists(_frequency, min_size=3, max_size=3)))
-    if draw(st.booleans()):  # the forbidden pair's levels equal: no one-body term
-        lo, hi = cfg.forbidden_pair
-        omegas[lo:hi] = [omegas[lo - 1]] * (hi - lo)
-    na = draw(st.integers(1, 3))
-    nmax = draw(st.integers(0, 24))
-    mu_a, mu_b = draw(_coupling), draw(_coupling)
-    frames = [None] if mu_a == mu_b == 0.0 else [None, Branch.FIRST, Branch.SECOND]
-    frame = draw(st.sampled_from(frames))
-    m = ModelConfig(cfg, *omegas, 0.0, 0.0, 0.0, na=na, nmax=nmax)
-    return with_couplings(m, mu_a, mu_b), frame
-
-
 def _framed_hamiltonian(model_frame):
     m, frame = model_frame
     b = enumerate_basis(m.na, m.nmax)
@@ -439,22 +411,28 @@ class TestSectorBuilders:
     def test_bitwise_equal_to_dense_read_back(self, model_frame):
         m, b, H = _framed_hamiltonian(model_frame)
         band = photon_band_csr(H.matrix, b.atomic_dim)
-        for idx in (np.flatnonzero(H.sector_labels == k) for k in np.unique(H.sector_labels)):
-            block = H.dense_block(idx)
+        labels = H.sector_labels
+        layout = SectorLayout(labels, b.atomic_dim)
+        _, first = np.unique(labels, return_index=True)
+        want = [np.flatnonzero(labels == labels[i]) for i in np.sort(first)]
+        assert [idx.tolist() for idx in layout.indices] == [idx.tolist() for idx in want]
+        assert layout.fits(H)
+        for k, idx in enumerate(want):
+            block = layout.dense_block(H, k)
             assert block.flags.f_contiguous
             assert block.tobytes() == H.matrix[np.ix_(idx, idx)].tobytes()
-            csr, ref = H.sparse_block(idx), band[idx][:, idx]
+            csr, ref = layout.sparse_block(H, k), band[idx][:, idx]
             assert csr.has_canonical_format and ref.has_canonical_format
             for name in ("data", "indices", "indptr"):
-                got, want = getattr(csr, name), getattr(ref, name)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            upper = H.upper_band(idx)
+                got, want_ = getattr(csr, name), getattr(ref, name)
+                assert got.dtype == want_.dtype and got.tobytes() == want_.tobytes()
+            upper = layout.upper_band(H, k)
             w = upper.shape[0] - 1
             assert upper.flags.f_contiguous
             unpacked = np.zeros((idx.size, idx.size))
-            for k in range(w + 1):  # row w - k holds the k-th superdiagonal
-                j = np.arange(k, idx.size)
-                unpacked[j - k, j] = unpacked[j, j - k] = upper[w - k, k:]
+            for d in range(w + 1):  # row w - d holds the d-th superdiagonal
+                j = np.arange(d, idx.size)
+                unpacked[j - d, j] = unpacked[j, j - d] = upper[w - d, d:]
             assert np.array_equal(unpacked, H.matrix[np.ix_(idx, idx)])
             assert w == 0 or upper[0].any()
 
@@ -467,7 +445,7 @@ def _scaled(m, factor):
 
 def _solve_count(fn):
     """fn's result and the number of sector eigensolves it made."""
-    dense = mock.patch.object(solver.scipy.linalg, "eigh", wraps=solver.scipy.linalg.eigh)
+    dense = mock.patch.object(solver, "_lowest_two", wraps=solver._lowest_two)
     lanczos = mock.patch.object(solver, "_shift_invert_pair", wraps=solver._shift_invert_pair)
     with dense as d, lanczos as s:
         result = fn()
@@ -501,18 +479,19 @@ class TestSectorSkip:
     def test_inertia_against_eigvalsh(self, m):
         b = enumerate_basis(m.na, m.nmax)
         H = build_hamiltonian(m, b)
-        for idx in solver._sectors(H, b):
+        layout = SectorLayout(H.sector_labels, b.atomic_dim)
+        for k, idx in enumerate(layout.indices):
             exact = np.linalg.eigvalsh(H.matrix[np.ix_(idx, idx)])[0]
             room = 1e-6 * max(1.0, abs(exact))
-            assert solver._lies_above(H, idx, exact - room)
+            assert solver._lies_above(layout.upper_band(H, k), exact - room)
             for lowest in (exact - solver.DEGENERACY_GAP, exact, exact + room):
-                assert not solver._lies_above(H, idx, lowest)
+                assert not solver._lies_above(layout.upper_band(H, k), lowest)
 
     def test_one_solve_in_the_normal_phase(self):
         m = ModelConfig(Configuration.XI, 0.0, 1.0, 2.0, mu12=0.3, mu13=0.0, mu23=0.2, na=2, nmax=32)
         b = enumerate_basis(2, 32)
         H = build_hamiltonian(m, b)
-        assert len(solver._sectors(H, b)) == 2
+        assert len(SectorLayout(H.sector_labels, b.atomic_dim).indices) == 2
         (g, e0), solves = _solve_count(lambda: (ground_state(H, b), lowest_energy(H, b)))
         assert solves == 2  # one per call
         assert not g.degenerate
