@@ -2,8 +2,8 @@
 
 All matrices are real.  Hamiltonians are real symmetric in the occupation
 basis and held in photon-block form (:class:`BlockHamiltonian`), whose dense
-view is built only on demand; a :class:`SectorLayout` reads the blocks of
-its conserved sectors.  The one dense full-basis operator the package
+view is built only on demand; a :class:`SectorLayout` reads the dense or
+band blocks of its sectors.  The one dense full-basis operator the package
 builds is the rotation U of :func:`dicke3.rotations.rotation_matrix`, held
 as an :class:`OperatorMatrix`.  Complex storage is only needed for states
 under time evolution.  Collective operators are the identity on the photon
@@ -176,8 +176,8 @@ class SectorLayout:
     """Each sector of equal labels and where its entries sit in the photon
     blocks of every :class:`BlockHamiltonian` with these labels and atomic
     block size m (``fits``).  ``indices`` holds each sector's basis indices,
-    the vacuum's sector first.  A read gathers one H's own entries: bitwise
-    H[np.ix_(idx, idx)], signed zeros included."""
+    the vacuum's sector first.  A read gathers one H's own entries; a dense
+    block is bitwise H[np.ix_(idx, idx)], signed zeros included."""
 
     def __init__(self, labels: np.ndarray, m: int):
         self.labels, self.m, self.indices, self._entries = labels, m, (), []
@@ -204,12 +204,6 @@ class SectorLayout:
         """Whether H has this layout's labels and block size."""
         return H.hops.shape[1] == self.m and np.array_equal(H.sector_labels, self.labels)
 
-    def _nonzero(self, H: BlockHamiltonian, k: int):
-        rows, cols, src = self._entries[k]
-        vals = H._blocks[src]
-        kept = vals != 0.0
-        return rows[kept], cols[kept], vals[kept]
-
     def dense_block(self, H: BlockHamiltonian, k: int) -> np.ndarray:
         """Sector k of H as a fresh Fortran-order array."""
         rows, cols, src = self._entries[k]
@@ -220,21 +214,15 @@ class SectorLayout:
     def upper_band(self, H: BlockHamiltonian, k: int) -> np.ndarray:
         """Sector k of H in LAPACK's upper band storage: a fresh Fortran-order
         (w + 1, n) array whose row w - d holds the d-th superdiagonal, w the
-        farthest one with a nonzero entry in this H."""
-        rows, cols, vals = self._nonzero(H, k)
-        upper = rows <= cols
-        rows, cols, vals = rows[upper], cols[upper], vals[upper]
+        farthest one with a nonzero entry in this H, and zeros are +0.0."""
+        rows, cols, src = self._entries[k]
+        vals = H._blocks[src]
+        kept = (rows <= cols) & (vals != 0.0)
+        rows, cols, vals = rows[kept], cols[kept], vals[kept]
         w = int(np.max(cols - rows, initial=0))
         out = np.zeros((w + 1, self.indices[k].size), order="F")
         out[w + rows - cols, cols] = vals
         return out
-
-    def sparse_block(self, H: BlockHamiltonian, k: int):
-        """Sector k of H as canonical CSR, zeros (of either sign) dropped."""
-        import scipy.sparse
-
-        rows, cols, vals = self._nonzero(H, k)
-        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(self.indices[k].size,) * 2)
 
 
 def atomic_collective_matrix(na: int, j: int, k: int) -> np.ndarray:

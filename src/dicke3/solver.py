@@ -11,8 +11,8 @@ comes first, and a tie between sectors goes to the earlier one.  Full
 spectra solve every sector dense, and evolution works in the sectors its
 state touches.  Ground states and ground energies need each sector's
 lowest two eigenpairs: up to DENSE_SECTOR_MAX states from a dense block by
-LAPACK's dsyevr, larger ones from a sparse matrix by ARPACK's Lanczos solver
-in shift-invert mode.  A later sector is skipped when a banded Cholesky
+LAPACK's dsyevr, larger ones by ARPACK's shift-invert Lanczos on the Cholesky
+factor of the sector's band.  A later sector is skipped when a banded Cholesky
 factorisation proves (Sylvester's law of inertia) all its levels more than
 2 DEGENERACY_GAP above the lowest solved so far; it could neither win a tie
 nor flag a degeneracy, so no result changes.
@@ -32,8 +32,8 @@ from .model import ModelConfig, build_hamiltonian
 from .operators import BlockHamiltonian, SectorLayout
 
 DEGENERACY_GAP = 1e-10
-# Sector size above which shift-invert Lanczos beats dense LAPACK on a
-# 2-core host (crossover measured near 400 states).
+# Larger sectors go to band Lanczos, faster from 200-250 states (na 2-8, one
+# BLAS thread); a lower cap would move degenerate rows of populations output.
 DENSE_SECTOR_MAX = 400
 DEFAULT_ENERGY_TOL = 1e-8
 DEFAULT_TAIL_TOL = 1e-10
@@ -147,21 +147,30 @@ def _lowest_two(block: np.ndarray):
     return w[:found], v[:, :found]
 
 
-def _shift_invert_pair(A):
-    """Lowest two eigenpairs of a sparse symmetric block by shift-invert
-    Lanczos.
-
-    The shift sits below the block's Gershgorin bound, so the shifted block
-    is positive definite and its two largest inverse eigenvalues are the
-    block's two lowest levels.
-    """
+def _shift_invert_pair(band: np.ndarray):
+    """Lowest two eigenpairs of a sector, given in upper band storage (which
+    this overwrites), by Lanczos on the band Cholesky factor of the sector
+    shifted below its Gershgorin bound, and so positive definite."""
     import scipy.sparse.linalg
 
-    diag = A.diagonal()
-    radius = np.asarray(abs(A).sum(axis=1)).ravel() - np.abs(diag)
-    sigma = float(np.min(diag - radius)) - 1.0
-    v0 = np.random.default_rng(0).standard_normal(A.shape[0])  # deterministic start
-    energies, vectors = scipy.sparse.linalg.eigsh(A, k=2, sigma=sigma, which="LM", tol=0, v0=v0)
+    w, n = band.shape[0] - 1, band.shape[1]
+    radius, mag = np.zeros(n), np.abs(band)  # each row's off-diagonal absolute sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(1, w + 1):  # row w - d holds A[i, i + d] at column i + d
+            radius[:-d] += mag[w - d, d:]
+            radius[d:] += mag[w - d, d:]
+        sigma = float(np.min(band[w] - radius)) - 1.0
+    if not np.isfinite(sigma):  # a NaN or inf entry, or an overflowing row
+        raise ValueError("array must not contain infs or NaNs")
+    band[w] -= sigma
+    factor, info = scipy.linalg.lapack.dpbtrf(band, overwrite_ab=1)
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"dpbtrf failed: info = {info}")
+    solve = functools.partial(scipy.linalg.lapack.dpbtrs, factor)  # (x, info)
+    inverse = scipy.sparse.linalg.LinearOperator((n, n), lambda x: solve(x)[0], dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)  # deterministic start
+    # in shift-invert mode eigsh reads only the shape and dtype of its matrix
+    energies, vectors = scipy.sparse.linalg.eigsh(inverse, 2, sigma=sigma, tol=0, v0=v0, OPinv=inverse)
     order = np.argsort(energies)
     return energies[order], vectors[:, order]
 
@@ -191,7 +200,8 @@ def _sector_pairs(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | N
     sector order, but those :func:`_lies_above` the lowest level before.
 
     Each sector yields its lowest two eigenpairs (one for a single state):
-    dense LAPACK up to DENSE_SECTOR_MAX states, shift-invert Lanczos above.
+    dense LAPACK up to DENSE_SECTOR_MAX states, band Lanczos above.  A sector
+    whose levels are not finite (its entries overflow) is refused.
     """
     layout = _layout(H, basis, layout)
     out = []
@@ -201,7 +211,9 @@ def _sector_pairs(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | N
         if idx.size <= DENSE_SECTOR_MAX:
             pair = _lowest_two(layout.dense_block(H, k))
         else:
-            pair = _shift_invert_pair(layout.sparse_block(H, k))
+            pair = _shift_invert_pair(layout.upper_band(H, k))
+        if not np.isfinite(pair[0]).all():
+            raise ValueError(f"sector {k} has non-finite levels: its entries overflow")
         out.append((idx, *pair))
     return out
 

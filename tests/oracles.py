@@ -3,8 +3,8 @@ dict and a loop over occupations: the oracles for the basis formula and the
 collective atomic factors.  Dense full-basis kron(photon, atomic) operators:
 the oracles for the package's m x m atomic factors and, with the effective
 two-level block and coupling of the decoupled frame, for its rotated
-frames.  The sparse read-back of a dense Hamiltonian, the oracle
-for the solver's sector matrices; whole-matrix expectation values, eigenvectors,
+frames.  The band read-back of a dense block, the oracle for the solver's
+Lanczos sectors; whole-matrix expectation values, eigenvectors,
 evolution and band labels, the oracles for the per-sector solver; the
 solve of every sector, the oracle for the solver's sector skip; and the
 fidelity susceptibility from a full eigendecomposition, the oracle for the
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from dicke3.basis import BasisSet, BasisState, enumerate_basis
 from dicke3.model import ModelConfig, _assemble, rotated_parameters
@@ -181,23 +180,16 @@ def build_effective_two_level(config: ModelConfig, branch: Branch, n_fixed: int)
     return layout.dense_block(H, [n_iso[idx[0]] for idx in layout.indices].index(n_fixed))
 
 
-def photon_band_csr(mat: np.ndarray, m: int) -> scipy.sparse.csr_matrix:
-    """CSR copy of a Hamiltonian built by the package, read from its
-    photon-diagonal and upper photon blocks of size m; the builders write no
-    other blocks, and the lower ones mirror the upper ones."""
-    nph = mat.shape[0] // m
-    blocks = mat.reshape(nph, m, nph, m)
-    nu = np.arange(nph)
-    diag = blocks[nu, :, nu, :]
-    upper = blocks[nu[:-1], :, nu[1:], :]
-    b, i, j = np.nonzero(diag)
-    bu, iu, ju = np.nonzero(upper)
-    rows_u, cols_u = bu * m + iu, (bu + 1) * m + ju
-    vals_u = upper[bu, iu, ju]
-    rows = np.concatenate([b * m + i, rows_u, cols_u])
-    cols = np.concatenate([b * m + j, cols_u, rows_u])
-    vals = np.concatenate([diag[b, i, j], vals_u, vals_u])
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=mat.shape)
+def upper_band(block: np.ndarray) -> np.ndarray:
+    """A symmetric block in LAPACK's upper band storage, as Fortran-order
+    (w + 1, n): row w - d holds the d-th superdiagonal, w the farthest one
+    with a nonzero entry, zeros of either sign stored as +0.0."""
+    n = block.shape[0]
+    w = max((d for d in range(n) if np.diagonal(block, d).any()), default=0)
+    out = np.zeros((w + 1, n), order="F")
+    for d in range(w + 1):
+        out[w - d, d:] = np.diagonal(block, d) + 0.0  # -0.0 + 0.0 is +0.0
+    return out
 
 
 def expectation(state: QuantumState, op) -> float:
@@ -237,7 +229,7 @@ def all_sector_pairs(H, basis, layout=None) -> list:
     """(basis indices, lowest two energies, eigenvectors) of every sector in
     sector order, none skipped, each read from the dense view: scipy's
     ``eigh`` on a Fortran-order copy up to the solver's DENSE_SECTOR_MAX
-    states, its shift-invert Lanczos on the CSR read-back above.  The
+    states, its band Lanczos on the :func:`upper_band` read-back above.  The
     sectors come from ``np.unique`` of the labels; ``layout`` is ignored."""
     labels = H.sector_labels
     _, first = np.unique(labels, return_index=True)
@@ -248,7 +240,7 @@ def all_sector_pairs(H, basis, layout=None) -> list:
             block = np.asfortranarray(H.matrix[np.ix_(idx, idx)])
             pair = scipy.linalg.eigh(block, subset_by_index=(0, min(1, idx.size - 1)), overwrite_a=True)
         else:
-            pair = solver._shift_invert_pair(photon_band_csr(H.matrix, basis.atomic_dim)[idx][:, idx])
+            pair = solver._shift_invert_pair(upper_band(H.matrix[np.ix_(idx, idx)]))
         out.append((idx, *pair))
     return out
 

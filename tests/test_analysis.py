@@ -369,8 +369,9 @@ class TestScanLayout:
         assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
         assert got.degenerate == want.degenerate
 
+    @pytest.mark.parametrize("crossover", [solver.DENSE_SECTOR_MAX, 8])
     @pytest.mark.parametrize("where", ["vacuum", "last"])
-    def test_non_finite_block_is_refused(self, where):
+    def test_non_finite_block_is_refused(self, crossover, where):
         m = xi_resonant(na=2, nmax=12, mu12=0.3, mu23=0.2)
         b = enumerate_basis(2, 12)
         H = d3.build_hamiltonian(m, b)
@@ -379,9 +380,10 @@ class TestScanLayout:
         diagonal[0 if where == "vacuum" else -1] = np.nan
         bad = BlockHamiltonian(diagonal, H.on_site, H.hops, H.sector_labels)
         assert layout.fits(bad)
-        for solve in (lambda: ground_state(bad, b, layout), lambda: ground_state(bad, b)):
-            with pytest.raises(ValueError, match="infs or NaNs"):
-                solve()
+        with mock.patch.object(solver, "DENSE_SECTOR_MAX", crossover):
+            for solve in (lambda: ground_state(bad, b, layout), lambda: ground_state(bad, b)):
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    solve()
 
 
 class TestLinearResponse:

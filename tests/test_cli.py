@@ -469,6 +469,25 @@ class TestExitCodes:
         assert "mu13 must be a finite real number" in err
         assert "symmetric" not in err
 
+    # Entries of 1e307 overflow the levels: at na=4, nmax=128 the sectors go
+    # to band Lanczos, whose Gershgorin shift overflows; at na=2 to dsyevr,
+    # which returns -inf levels from finite entries.
+    @pytest.mark.parametrize("size, message", [
+        (["--na", "4", "--nmax", "128"], "array must not contain infs or NaNs"),
+        (["--na", "2"], "sector 0 has non-finite levels: its entries overflow"),
+        (["--na", "2", "--nmax", "128"], "sector 0 has non-finite levels: its entries overflow"),
+    ], ids=["lanczos", "cutoff-search", "dense"])
+    def test_overflowing_sector_exits_invalid(self, tmp_path, capsys, size, message):
+        rc = run(
+            "store-retrieve", "--configuration", "lambda", "--omega1", "0", "--omega2", "0",
+            "--omega3", "1", "--mu13", "1e307", "--mu23", "1e307", *size,
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: invalid configuration: {message}" in err
+        assert "Traceback" not in err
+
     def test_nonfinite_step_named(self, tmp_path, capsys):
         rc = run(
             "phase-diagram", "--configuration", "xi", "--omega2", "1", "--omega3", "2",
