@@ -37,7 +37,6 @@ from .rotations import (
     UndefinedAngleError,
     decoupling_angle,
     rotate_amplitudes,
-    rotation_matrix,
     transform_generator_closed_form,
 )
 from .solver import (

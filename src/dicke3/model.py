@@ -172,7 +172,8 @@ def _assemble(
             atomic_coupling += mu * _symmetric_pair(basis.na, j, k)
     # -(a + a^dagger) joins photon blocks nu and nu + 1 with sqrt(nu + 1)
     root = np.sqrt(np.arange(1, basis.nmax + 1))[:, None, None]
-    hops = 0.0 - root * atomic_coupling / np.sqrt(basis.na)
+    with np.errstate(over="ignore", invalid="ignore"):  # the solver refuses overflow
+        hops = 0.0 - root * atomic_coupling / np.sqrt(basis.na)
 
     on_site = None
     if one_body is not None:

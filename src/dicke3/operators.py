@@ -3,13 +3,13 @@
 All matrices are real.  Hamiltonians are real symmetric in the occupation
 basis and held in photon-block form (:class:`BlockHamiltonian`), whose dense
 view is built only on demand; a :class:`SectorLayout` reads the dense or
-band blocks of its sectors.  The one dense full-basis operator the package
-builds is the rotation U of :func:`dicke3.rotations.rotation_matrix`, held
-as an :class:`OperatorMatrix`.  Complex storage is only needed for states
-under time evolution.  Collective operators are the identity on the photon
-factor, so only their m x m atomic factors are built, each entry placed at
-once by :func:`dicke3.basis.atomic_index`; :mod:`dicke3.model` places them
-as photon blocks.  Diagonal operators are occupation-array vectors.
+band blocks of its sectors.  The package builds no dense full-basis
+operator; :class:`OperatorMatrix` holds the dense references of the tests.
+Complex storage is only needed for states under time evolution.
+Collective operators are the identity on the photon factor, so only their
+m x m atomic factors are built, each entry placed at once by
+:func:`dicke3.basis.atomic_index`; :mod:`dicke3.model` places them as
+photon blocks.  Diagonal operators are occupation-array vectors.
 """
 
 from __future__ import annotations

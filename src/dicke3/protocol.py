@@ -19,7 +19,7 @@ import numpy as np
 from .basis import BasisState, enumerate_basis, index_of
 from .model import ModelConfig, build_hamiltonian, rotated_parameters
 from .operators import Configuration
-from .rotations import Branch, decoupling_angle, rotate_amplitudes, rotation_matrix
+from .rotations import Branch, decoupling_angle, rotate_amplitudes
 from .solver import QuantumState, diagonalize, evolve, populations
 
 
@@ -116,11 +116,8 @@ def _switch_frame(
     detuned = _check_detuning(config)
     alpha_source = 0.0 if source is None else decoupling_angle(config, source)
     params = rotated_parameters(config, target)
-    U = rotation_matrix(config.cfg, params.alpha - alpha_source, state.basis)
-    # U is real: applied to the (real, imaginary) pairs of the amplitudes as
-    # one dim x 2 block, it needs no complex copy of itself.
-    pairs = np.ascontiguousarray(state.amplitudes, dtype=complex).view(np.float64).reshape(-1, 2)
-    switched = QuantumState((U.matrix @ pairs).view(complex).ravel(), state.basis)
+    amplitudes = rotate_amplitudes(config.cfg, params.alpha - alpha_source, state.amplitudes, state.basis)
+    switched = QuantumState(amplitudes, state.basis)
     content = _extract_content(switched, params.coupled_pair, params.isolated_level, detuned)
     return switched, content
 

@@ -8,11 +8,10 @@ plane couplings alone, so no caller names the plane.
 
 ``atomic_rotation_matrix`` is the one place exp(-alpha K_jk) is computed,
 from the cached eigendecomposition of i K_jk, whose spectrum is integer.
-``rotate_amplitudes`` applies it to states.  The adjoint action on every
+``rotate_amplitudes`` applies it to states, photon block by photon block,
+so no full-basis rotation is ever built.  The adjoint action on every
 collective operator has a closed form, a plane rotation in operator space,
-built on the m x m atomic factor.  ``rotation_matrix``, the dense dim x dim
-U, is the only full-basis matrix here; ``protocol.store``/``retrieve`` apply
-it.
+built on the m x m atomic factor.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .basis import BasisSet
-from .operators import Configuration, OperatorMatrix, atomic_collective_matrix
+from .operators import Configuration, atomic_collective_matrix
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -76,20 +75,6 @@ def atomic_rotation_matrix(cfg: Configuration, alpha: float, na: int) -> np.ndar
     """exp(-alpha K) = V diag(e^{i alpha lambda}) V^dagger for i K = V diag(lambda) V^dagger."""
     lam, vecs = _generator_eigensystem(cfg, na)
     return ((vecs * np.exp(1j * alpha * lam)) @ vecs.conj().T).real
-
-
-def rotation_matrix(cfg: Configuration, alpha: float, basis: BasisSet) -> OperatorMatrix:
-    """U = exp(-alpha K_jk) on the full basis, in the configuration's plane,
-    as a dense read-only :class:`OperatorMatrix`.
-
-    U is orthogonal (U U.T = I) and commutes with the photon number, since
-    the generator lives on the atomic factor.  Its only caller in the package
-    is ``protocol._switch_frame``: the benchmark's tracing self-test expects
-    the store workload to build this matrix, so store and retrieve apply U
-    instead of ``rotate_amplitudes``, which gives the same state to roundoff.
-    """
-    block = atomic_rotation_matrix(cfg, alpha, basis.na)
-    return OperatorMatrix(np.kron(np.eye(basis.nmax + 1), block))
 
 
 def transform_generator_closed_form(

@@ -186,7 +186,8 @@ def _lies_above(band: np.ndarray, lowest: float) -> bool:
     w = band.shape[0] - 1
     # each band diagonal's largest entry, counted on both sides of the main one
     peaks = np.abs(band).max(axis=1)
-    scale = 2.0 * peaks[:-1].sum() + peaks[-1] + abs(lowest)
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite scale fails below
+        scale = 2.0 * peaks[:-1].sum() + peaks[-1] + abs(lowest)
     margin = 2.0 * DEGENERACY_GAP + 4.0 * (w + 1) ** 2 * np.finfo(float).eps * scale
     # shifted by differences: lowest + margin may round back to lowest
     band[w] -= lowest
@@ -206,12 +207,12 @@ def _sector_pairs(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | N
     layout = _layout(H, basis, layout)
     out = []
     for k, idx in enumerate(layout.indices):
-        if out and _lies_above(layout.upper_band(H, k), min(e[0] for _, e, _ in out)):
+        large = idx.size > DENSE_SECTOR_MAX
+        band = layout.upper_band(H, k) if out or large else None
+        # a band that the Lanczos path still needs goes to the proof as a copy
+        if out and _lies_above(band.copy() if large else band, min(e[0] for _, e, _ in out)):
             continue
-        if idx.size <= DENSE_SECTOR_MAX:
-            pair = _lowest_two(layout.dense_block(H, k))
-        else:
-            pair = _shift_invert_pair(layout.upper_band(H, k))
+        pair = _shift_invert_pair(band) if large else _lowest_two(layout.dense_block(H, k))
         if not np.isfinite(pair[0]).all():
             raise ValueError(f"sector {k} has non-finite levels: its entries overflow")
         out.append((idx, *pair))

@@ -1,14 +1,14 @@
 """The photon-major enumeration written out as a tuple of states, an index
 dict and a loop over occupations: the oracles for the basis formula and the
-collective atomic factors.  Dense full-basis kron(photon, atomic) operators:
-the oracles for the package's m x m atomic factors and, with the effective
-two-level block and coupling of the decoupled frame, for its rotated
-frames.  The band read-back of a dense block, the oracle for the solver's
-Lanczos sectors; whole-matrix expectation values, eigenvectors,
-evolution and band labels, the oracles for the per-sector solver; the
-solve of every sector, the oracle for the solver's sector skip; and the
-fidelity susceptibility from a full eigendecomposition, the oracle for the
-fidelity scans."""
+collective atomic factors.  Dense full-basis kron(photon, atomic) operators,
+the rotation U among them: the oracles for the package's m x m atomic
+factors and, with the effective two-level block and coupling of the
+decoupled frame, for its rotated frames.  The band read-back of a dense
+block, the oracle for the solver's Lanczos sectors; whole-matrix
+expectation values, eigenvectors, evolution and band labels, the oracles
+for the per-sector solver; the solve of every sector, the oracle for the
+solver's sector skip; and the fidelity susceptibility from a full
+eigendecomposition, the oracle for the fidelity scans."""
 
 from dataclasses import dataclass
 
@@ -24,7 +24,7 @@ from dicke3.operators import (
     atomic_collective_matrix,
     excitation_values,
 )
-from dicke3.rotations import Branch, atomic_generator_matrix, rotation_matrix
+from dicke3.rotations import Branch, atomic_generator_matrix, atomic_rotation_matrix
 from dicke3 import solver
 from dicke3.solver import QuantumState, Spectrum
 
@@ -102,6 +102,14 @@ def generator_K(basis: BasisSet, j: int, k: int) -> KronOperator:
     """K_jk on the full basis; real antisymmetric, K.T = -K."""
     full = np.kron(np.eye(basis.nmax + 1), atomic_generator_matrix(basis.na, j, k))
     return KronOperator(full)
+
+
+def rotation_matrix(cfg: Configuration, alpha: float, basis: BasisSet) -> OperatorMatrix:
+    """U = exp(-alpha K_jk) on the full basis, in the configuration's plane:
+    kron(I_photon, R) for the atomic factor R; the oracle for
+    ``rotate_amplitudes`` and for store/retrieve.  U is orthogonal and
+    commutes with the photon number."""
+    return OperatorMatrix(lift(atomic_rotation_matrix(cfg, alpha, basis.na), basis))
 
 
 def excitation_number(basis: BasisSet, cfg: Configuration) -> KronOperator:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -478,15 +479,21 @@ class TestExitCodes:
         (["--na", "2", "--nmax", "128"], "sector 0 has non-finite levels: its entries overflow"),
     ], ids=["lanczos", "cutoff-search", "dense"])
     def test_overflowing_sector_exits_invalid(self, tmp_path, capsys, size, message):
-        rc = run(
-            "store-retrieve", "--configuration", "lambda", "--omega1", "0", "--omega2", "0",
-            "--omega3", "1", "--mu13", "1e307", "--mu23", "1e307", *size,
-            "--out", str(tmp_path / "x.csv"),
-        )
+        with warnings.catch_warnings():
+            # every warning goes to stderr, as it would outside pytest
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda msg, cat, name, line, file=None, text=None: (
+                sys.stderr.write(warnings.formatwarning(msg, cat, name, line, text)))
+            rc = run(
+                "store-retrieve", "--configuration", "lambda", "--omega1", "0", "--omega2", "0",
+                "--omega3", "1", "--mu13", "1e307", "--mu23", "1e307", *size,
+                "--out", str(tmp_path / "x.csv"),
+            )
         assert rc == 2
         err = capsys.readouterr().err
         assert f"error: invalid configuration: {message}" in err
         assert "Traceback" not in err
+        assert "RuntimeWarning" not in err
 
     def test_nonfinite_step_named(self, tmp_path, capsys):
         rc = run(

@@ -16,7 +16,7 @@ from dicke3.model import (
     with_couplings,
 )
 from dicke3.operators import Configuration, atomic_collective_matrix
-from dicke3.rotations import Branch, UndefinedAngleError, decoupling_angle, rotation_matrix
+from dicke3.rotations import Branch, UndefinedAngleError, decoupling_angle
 
 from conftest import random_model
 from oracles import (
@@ -27,6 +27,7 @@ from oracles import (
     effective_coupling,
     effective_two_level_block,
     photon_ladder_matrix,
+    rotation_matrix,
 )
 
 

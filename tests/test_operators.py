@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,19 @@ def test_operator_matrix_contract():
     assert not op.matrix.flags.writeable
     with pytest.raises(ValueError, match="must be square"):
         OperatorMatrix(np.zeros((2, 3)))
+
+
+def test_package_calls_no_kron():
+    # Collective operators and rotations act on the atomic factor only; a
+    # kron(photon, atomic) product would build a dim x dim array.
+    calls = []
+    for path in sorted(Path(d3.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "attr", getattr(func, "id", None)) == "kron":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
 
 
 def test_sector_labels_contract():

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from dicke3.protocol import (
 from dicke3.rotations import Branch
 from dicke3.solver import QuantumState, ground_state, populations
 
+from oracles import rotation_matrix
+
 
 def lam(na=2, nmax=24, mu13=0.6, mu23=0.8, omega2=0.0):
     return ModelConfig(
@@ -39,20 +42,42 @@ def _ground(m):
 
 
 class TestStore:
-    def test_peak_memory_is_one_rotation_matrix(self):
-        # The real U meets the complex state without a complex copy of U;
-        # numpy reports its buffers to tracemalloc.
+    @pytest.mark.parametrize("switch", ["store", "retrieve"])
+    def test_peak_memory_is_a_few_state_vectors(self, switch):
+        # The rotation acts on the atomic factor only, so no dim x dim array
+        # is built; numpy reports its buffers to tracemalloc.
         m = lam(na=8, nmax=64)
         psi = _ground(m)
-        u_bytes = (psi.basis.dim**2) * 8
+        if switch == "retrieve":
+            psi, _ = store(m, psi)
         tracemalloc.start()
         try:
-            stored, content = store(m, psi)
+            _, content = (store if switch == "store" else retrieve)(m, psi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * u_bytes
+        assert peak < 16 * psi.basis.dim * 16
         assert content.sector_weight == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("m, detuned", [
+        (lam(na=4, nmax=16), False),
+        (lam(na=4, nmax=16, omega2=0.3), True),
+        (vee(na=4, nmax=16), False),
+        (vee(na=4, nmax=16, omega2=0.7), True),
+    ], ids=["lambda-equal", "lambda-detuned", "v-equal", "v-detuned"])
+    def test_matches_dense_rotation(self, m, detuned):
+        psi = _ground(m)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stored, _ = store(m, psi)
+            retrieved, _ = retrieve(m, stored)
+        assert [w.category for w in caught] == [DetuningWarning] * (2 * detuned)
+        a1 = d3.decoupling_angle(m, Branch.FIRST)
+        a2 = d3.decoupling_angle(m, Branch.SECOND)
+        U1 = rotation_matrix(m.cfg, a1, psi.basis).matrix
+        U21 = rotation_matrix(m.cfg, a2 - a1, psi.basis).matrix
+        assert np.max(np.abs(stored.amplitudes - U1 @ psi.amplitudes)) < 1e-13
+        assert np.max(np.abs(retrieved.amplitudes - U21 @ stored.amplitudes)) < 1e-13
 
     def test_isolates_level_one_in_lambda(self):
         m = lam()
@@ -147,9 +172,9 @@ class TestRetrieve:
         b = enumerate_basis(m.na, m.nmax)
         a1 = d3.decoupling_angle(m, Branch.FIRST)
         a2 = d3.decoupling_angle(m, Branch.SECOND)
-        U1 = d3.rotation_matrix(m.cfg, a1, b).matrix
-        U21 = d3.rotation_matrix(m.cfg, a2 - a1, b).matrix
-        U2 = d3.rotation_matrix(m.cfg, a2, b).matrix
+        U1 = rotation_matrix(m.cfg, a1, b).matrix
+        U21 = rotation_matrix(m.cfg, a2 - a1, b).matrix
+        U2 = rotation_matrix(m.cfg, a2, b).matrix
         assert np.max(np.abs(U21 @ U1 - U2)) < 1e-12
 
     def test_frame_switch_spans_quarter_turn(self):

@@ -15,11 +15,10 @@ from dicke3.rotations import (
     atomic_rotation_matrix,
     decoupling_angle,
     rotate_amplitudes,
-    rotation_matrix,
     transform_generator_closed_form,
 )
 
-from oracles import boson_create, collective_A, generator_K, lift, transform_exact
+from oracles import boson_create, collective_A, generator_K, lift, rotation_matrix, transform_exact
 
 PAIRS = ((3, 1), (1, 2), (3, 2))
 
