@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,11 +149,7 @@ class RaySweep:
 
 
 def _ray_direction(theta: float) -> tuple[float, float]:
-    ca, sa = np.cos(theta), np.sin(theta)
-    if abs(ca) < 1e-15:
-        ca = 0.0
-    if abs(sa) < 1e-15:
-        sa = 0.0
+    ca, sa = (0.0 if abs(v) < 1e-15 else v for v in (np.cos(theta), np.sin(theta)))
     if ca < 0 or sa < 0:
         raise ValueError(f"ray must stay in the first quadrant, got theta={theta}")
     return float(ca), float(sa)
@@ -211,7 +206,9 @@ def scan_ray(
     outermost point and shared by the whole ray (the converged cutoff grows
     monotonically with the couplings, so the outer point dominates); sharing
     one basis keeps the overlaps well defined.  All points share one sector
-    layout, and only the previous point's state is kept.
+    layout, and only the previous point's state is kept: each point's ground
+    state is continued from it where the solver can prove that (fidelities
+    then agree with fresh solves to roundoff, not bitwise).
     """
     if dmu <= 0:
         raise ValueError("dmu must be positive")
@@ -229,7 +226,7 @@ def scan_ray(
         H = build_hamiltonian(with_couplings(at_cutoff, a, b), basis, rotated)
         if layout is None:
             layout = SectorLayout(H.sector_labels, basis.atomic_dim)
-        state = ground_state(H, basis, layout)
+        state = ground_state(H, basis, layout, near=previous)
         if previous is not None:
             fids.append(fidelity(previous, state))
         previous = state
@@ -302,6 +299,8 @@ def phase_diagram(
         scan_ray, config, s_max=s_max, dmu=dmu, rotated=rotated, etol=etol, ptol=ptol
     )
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rays = tuple(pool.map(scan, thetas))
     else:

@@ -235,10 +235,8 @@ def cmd_spectrum(params: dict, out: str | None) -> int:
         label_values = spec.merged([np.full(e.size, counts[idx[0]]) for idx, e, _ in spec.sectors])
         header.append("n_isolated")
         meta["isolated_level"] = rp.isolated_level
-    rows = []
-    for i, e in enumerate(spec.energies):
-        row = [i, e] if label_values is None else [i, e, label_values[i]]
-        rows.append(row)
+    rows = [[i, e] if label_values is None else [i, e, label_values[i]]
+            for i, e in enumerate(spec.energies)]
     _emit(out, _render_csv(header, meta, rows))
     return EXIT_OK
 
@@ -249,6 +247,8 @@ def cmd_populations(params: dict, out: str | None) -> int:
     )
     if out is None and len(frames) > 1:
         raise ValueError("--out is required when emitting all three frames")
+    if params["mu_max"] < 0:  # else the corner's couplings fail, naming a key never set
+        raise ValueError(f"mu_max must be nonnegative, got {params['mu_max']!r}")
     values = np.linspace(0.0, params["mu_max"], params["grid"])
     corner = (params["mu_max"], params["mu_max"])
     m0, basis, corner_state = _resolve_model(params, at_couplings=corner)
@@ -291,11 +291,8 @@ def cmd_populations(params: dict, out: str | None) -> int:
         text = _render_csv(
             ["mu_a", "mu_b", "a11", "a22", "a33", "nphot"], meta, rows[frame]
         )
-        if out is None:
-            _emit(None, text)
-        else:
-            path = Path(out)
-            _emit(str(path.with_name(f"{path.stem}_{frame}{path.suffix}")), text)
+        path = None if out is None else Path(out)
+        _emit(path and str(path.with_name(f"{path.stem}_{frame}{path.suffix}")), text)
     return EXIT_OK
 
 
@@ -338,18 +335,13 @@ def cmd_separatrix(params: dict, out: str | None) -> int:
             r = separatrix_v(Om, w21, w31, theta)
             rows.append([r * np.cos(theta), r * np.sin(theta)])
         header = ["mu12", "mu13"]
-    elif cfg is Configuration.XI:
+    else:  # the ladder's mu12 or the lambda's mu13 against mu23
+        xi = cfg is Configuration.XI
         for mu23 in np.linspace(0.0, params["mu_max"], params["samples"]):
-            mu12 = separatrix_xi(Om, w21, w31, mu23)
-            if mu12 is not None:
-                rows.append([mu12, mu23])
-        header = ["mu12", "mu23"]
-    else:
-        for mu23 in np.linspace(0.0, params["mu_max"], params["samples"]):
-            mu13 = separatrix_lambda(Om, w21, w31, mu23)
-            if mu13 is not None:
-                rows.append([mu23, mu13])
-        header = ["mu23", "mu13"]
+            mu = (separatrix_xi if xi else separatrix_lambda)(Om, w21, w31, mu23)
+            if mu is not None:
+                rows.append([mu, mu23] if xi else [mu23, mu])
+        header = ["mu12", "mu23"] if xi else ["mu23", "mu13"]
     _emit(out, _render_csv(header, params, rows))
     return EXIT_OK
 
@@ -361,14 +353,8 @@ def cmd_store_retrieve(params: dict, out: str | None) -> int:
     stored, stored_content = protocol.store(m, initial)
     retrieved, retrieved_content = protocol.retrieve(m, stored)
 
-    rows = []
-    for stage, state in (
-        ("initial", initial),
-        ("stored", stored),
-        ("retrieved", retrieved),
-    ):
-        a11, a22, a33, nph = populations(state)
-        rows.append([stage, a11, a22, a33, nph])
+    stages = {"initial": initial, "stored": stored, "retrieved": retrieved}
+    rows = [[stage, *populations(state)] for stage, state in stages.items()]
     meta = {
         **params,
         "nmax": m.nmax,

@@ -45,26 +45,6 @@ class QubitContent:
     detuned: bool
 
 
-def _require_storable(config: ModelConfig) -> None:
-    if config.cfg is Configuration.XI:
-        raise ValueError(
-            "the ladder configuration has no isolated level; store/retrieve "
-            "needs the lambda or V configuration"
-        )
-
-
-def _check_detuning(config: ModelConfig) -> bool:
-    if config.equal_detuning():
-        return False
-    warnings.warn(
-        f"one-body gap {config.one_body_gap:g} != 0: the isolated level "
-        "population is only approximately zero",
-        DetuningWarning,
-        stacklevel=4,
-    )
-    return True
-
-
 def _extract_content(
     state: QuantumState, pair: tuple[int, int], isolated: int, detuned: bool
 ) -> QubitContent:
@@ -112,8 +92,19 @@ def _switch_frame(
     config: ModelConfig, state: QuantumState, source: Branch | None, target: Branch
 ) -> tuple[QuantumState, QubitContent]:
     """Rotate ``state`` from the ``source`` frame (None: unrotated) into ``target``."""
-    _require_storable(config)
-    detuned = _check_detuning(config)
+    if config.cfg is Configuration.XI:
+        raise ValueError(
+            "the ladder configuration has no isolated level; store/retrieve "
+            "needs the lambda or V configuration"
+        )
+    detuned = not config.equal_detuning()
+    if detuned:
+        warnings.warn(
+            f"one-body gap {config.one_body_gap:g} != 0: the isolated level "
+            "population is only approximately zero",
+            DetuningWarning,
+            stacklevel=3,
+        )
     alpha_source = 0.0 if source is None else decoupling_angle(config, source)
     params = rotated_parameters(config, target)
     amplitudes = rotate_amplitudes(config.cfg, params.alpha - alpha_source, state.amplitudes, state.basis)

@@ -12,10 +12,12 @@ spectra solve every sector dense, and evolution works in the sectors its
 state touches.  Ground states and ground energies need each sector's
 lowest two eigenpairs: up to DENSE_SECTOR_MAX states from a dense block by
 LAPACK's dsyevr, larger ones by ARPACK's shift-invert Lanczos on the Cholesky
-factor of the sector's band.  A later sector is skipped when a banded Cholesky
-factorisation proves (Sylvester's law of inertia) all its levels more than
-2 DEGENERACY_GAP above the lowest solved so far; it could neither win a tie
-nor flag a degeneracy, so no result changes.
+factor of the sector's band.  Given a neighbouring point's state, its sector
+is first solved by inverse iteration on the band factor, kept only where band
+Cholesky factorisations prove the level found the lowest and single.  A later
+sector is skipped when a banded Cholesky factorisation proves (Sylvester's law
+of inertia) all its levels more than 2 DEGENERACY_GAP above the lowest solved
+so far; it could neither win a tie nor flag a degeneracy, so no result changes.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ DEGENERACY_GAP = 1e-10
 # Larger sectors go to band Lanczos, faster from 200-250 states (na 2-8, one
 # BLAS thread); a lower cap would move degenerate rows of populations output.
 DENSE_SECTOR_MAX = 400
+CONTINUE_STEPS = 40  # shift trials, then inverse iterations, before the cold solve
 DEFAULT_ENERGY_TOL = 1e-8
 DEFAULT_TAIL_TOL = 1e-10
 CUTOFF_START = 8
@@ -147,6 +150,14 @@ def _lowest_two(block: np.ndarray):
     return w[:found], v[:, :found]
 
 
+def _factor(band: np.ndarray, shift: float):
+    """Band Cholesky factor of a sector (upper band storage, overwritten) minus
+    ``shift``, or None; a factor proves every level above the shift (Sylvester)."""
+    band[-1] -= shift
+    factor, info = scipy.linalg.lapack.dpbtrf(band, overwrite_ab=1)
+    return factor if info == 0 else None
+
+
 def _shift_invert_pair(band: np.ndarray):
     """Lowest two eigenpairs of a sector, given in upper band storage (which
     this overwrites), by Lanczos on the band Cholesky factor of the sector
@@ -162,10 +173,9 @@ def _shift_invert_pair(band: np.ndarray):
         sigma = float(np.min(band[w] - radius)) - 1.0
     if not np.isfinite(sigma):  # a NaN or inf entry, or an overflowing row
         raise ValueError("array must not contain infs or NaNs")
-    band[w] -= sigma
-    factor, info = scipy.linalg.lapack.dpbtrf(band, overwrite_ab=1)
-    if info != 0:
-        raise scipy.linalg.LinAlgError(f"dpbtrf failed: info = {info}")
+    factor = _factor(band, sigma)
+    if factor is None:
+        raise scipy.linalg.LinAlgError("dpbtrf failed below the Gershgorin bound")
     solve = functools.partial(scipy.linalg.lapack.dpbtrs, factor)  # (x, info)
     inverse = scipy.sparse.linalg.LinearOperator((n, n), lambda x: solve(x)[0], dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)  # deterministic start
@@ -189,37 +199,69 @@ def _lies_above(band: np.ndarray, lowest: float) -> bool:
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite scale fails below
         scale = 2.0 * peaks[:-1].sum() + peaks[-1] + abs(lowest)
     margin = 2.0 * DEGENERACY_GAP + 4.0 * (w + 1) ** 2 * np.finfo(float).eps * scale
-    # shifted by differences: lowest + margin may round back to lowest
-    band[w] -= lowest
-    band[w] -= margin
-    _, info = scipy.linalg.lapack.dpbtrf(band, overwrite_ab=1)
-    return info == 0 and bool(np.isfinite(scale))
+    band[w] -= lowest  # then the margin apart: lowest + margin may round back to lowest
+    return _factor(band, margin) is not None and bool(np.isfinite(scale))
 
 
-def _sector_pairs(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | None = None):
+def _continued(band: np.ndarray, x: np.ndarray):
+    """Lowest eigenpair of a sector, in upper band storage, by inverse
+    iteration from a neighbour's unit vector x under a shift stepped down from
+    x's Rayleigh quotient until the band factors below it, or None.  The level
+    mu found, with residual r, is the lowest and single when the band plus a
+    large entry at x's peak lies above mu + r: by rank-one interlacing so does
+    the second level, whose place that bound takes."""
+    w = band.shape[0] - 1
+    ax = scipy.linalg.blas.dsbmv(w, 1.0, band, x)
+    rho = x @ ax
+    step = np.linalg.norm(ax - rho * x) / 64.0 + DEGENERACY_GAP  # 1/64 of x's residual first
+    shifted = (_factor(band.copy(order="F"), rho - step * 4.0**i) for i in range(CONTINUE_STEPS))
+    factor = next((f for f in shifted if f is not None), None)
+    for _ in range(0 if factor is None else CONTINUE_STEPS):
+        y = scipy.linalg.lapack.dpbtrs(factor, x)[0]
+        y /= np.sqrt(y @ y)  # x . y > 0: the shifted inverse is positive definite
+        x, moved = y, y - x
+        if moved @ moved < 1e-28:  # moved by less than 1e-14
+            ax = scipy.linalg.blas.dsbmv(w, 1.0, band, x)
+            mu = x @ ax
+            bound = mu + np.linalg.norm(ax - mu * x)
+            spiked = band.copy(order="F")
+            spiked[w, np.argmax(np.abs(x))] += 4.0 * (w + 1) * np.abs(band).max()
+            if _lies_above(spiked, bound):
+                return np.array([mu, bound + 2.0 * DEGENERACY_GAP]), x[:, None]
+            return None
+    return None
+
+
+def _sector_pairs(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | None = None, near=None):
     """(basis indices, lowest energies, eigenvectors) of every sector, in
     sector order, but those :func:`_lies_above` the lowest level before.
 
     Each sector yields its lowest two eigenpairs (one for a single state):
-    dense LAPACK up to DENSE_SECTOR_MAX states, band Lanczos above.  A sector
-    whose levels are not finite (its entries overflow) is refused.
+    dense LAPACK up to DENSE_SECTOR_MAX states, band Lanczos above.  The
+    sector holding most of the state ``near`` is first :func:`_continued`
+    from it.  A sector whose levels are not finite (its entries overflow) is
+    refused.
     """
     layout = _layout(H, basis, layout)
     out = []
     for k, idx in enumerate(layout.indices):
+        x = None if near is None else near.amplitudes.real[idx]
+        warm = x is not None and x @ x > 0.5
         large = idx.size > DENSE_SECTOR_MAX
-        band = layout.upper_band(H, k) if out or large else None
-        # a band that the Lanczos path still needs goes to the proof as a copy
-        if out and _lies_above(band.copy() if large else band, min(e[0] for _, e, _ in out)):
+        band = layout.upper_band(H, k) if out or large or warm else None
+        # a band that a solve still needs goes to the proof as a copy
+        if out and _lies_above(band.copy() if large or warm else band, min(e[0] for _, e, _ in out)):
             continue
-        pair = _shift_invert_pair(band) if large else _lowest_two(layout.dense_block(H, k))
+        pair = _continued(band, x / np.linalg.norm(x)) if warm else None
+        if pair is None:
+            pair = _shift_invert_pair(band) if large else _lowest_two(layout.dense_block(H, k))
         if not np.isfinite(pair[0]).all():
             raise ValueError(f"sector {k} has non-finite levels: its entries overflow")
         out.append((idx, *pair))
     return out
 
 
-def ground_state(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | None = None):
+def ground_state(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | None = None, *, near=None):
     """Lowest eigenvector under the sign convention, from one sector.
 
     The lowest level over the sectors wins; when several sectors' ground
@@ -227,9 +269,12 @@ def ground_state(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | No
     does, the vacuum's before all.  Near-degeneracy (gap below
     DEGENERACY_GAP between the two lowest levels over all sectors) is
     flagged on the returned state rather than raised.  A scan passes one
-    ``layout`` to all its points; one that does not fit H is not used.
+    ``layout`` to all its points; one that does not fit H is not used.  It
+    may pass the previous point's state as ``near``: its sector is then
+    solved by inverse iteration from it where that is proven, which agrees
+    with the cold solve to roundoff, not bitwise.
     """
-    pairs = _sector_pairs(H, basis, layout)
+    pairs = _sector_pairs(H, basis, layout, near)
     lowest = min(energies[0] for _, energies, _ in pairs)
     # Sector order decides a tie within DEGENERACY_GAP; a difference, as
     # lowest + DEGENERACY_GAP rounds back to lowest once |lowest| >= 2**20.
@@ -260,11 +305,6 @@ def populations(state: QuantumState) -> tuple[float, float, float, float]:
     )
 
 
-def lowest_energy(H: BlockHamiltonian, basis: BasisSet) -> float:
-    """Ground energy only: the lowest level over the sectors."""
-    return float(min(energies[0] for _, energies, _ in _sector_pairs(H, basis)))
-
-
 def converged_ground_state(
     config: ModelConfig,
     etol: float = DEFAULT_ENERGY_TOL,
@@ -289,7 +329,7 @@ def converged_ground_state(
         if cutoff not in energy_at:
             b = enumerate_basis(config.na, cutoff)
             m = dataclasses.replace(config, nmax=cutoff)
-            energy_at[cutoff] = lowest_energy(build_hamiltonian(m, b), b)
+            energy_at[cutoff] = min(e[0] for _, e, _ in _sector_pairs(build_hamiltonian(m, b), b))
         return energy_at[cutoff]
 
     cutoff = start

@@ -233,12 +233,13 @@ def rint_band_labels(spectrum: Spectrum, level: int) -> np.ndarray:
     return spectrum.merged(labels).astype(int)
 
 
-def all_sector_pairs(H, basis, layout=None) -> list:
+def all_sector_pairs(H, basis, layout=None, near=None) -> list:
     """(basis indices, lowest two energies, eigenvectors) of every sector in
     sector order, none skipped, each read from the dense view: scipy's
     ``eigh`` on a Fortran-order copy up to the solver's DENSE_SECTOR_MAX
     states, its band Lanczos on the :func:`upper_band` read-back above.  The
-    sectors come from ``np.unique`` of the labels; ``layout`` is ignored."""
+    sectors come from ``np.unique`` of the labels; ``layout`` and ``near``
+    are ignored."""
     labels = H.sector_labels
     _, first = np.unique(labels, return_index=True)
     out = []

@@ -518,6 +518,14 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_negative_mu_max_named(self, tmp_path, capsys):
+        # unchecked, the grid's corner failed as "mu13 must be nonnegative"
+        assert run("populations", "--configuration", "v", "--nmax", "4", "--mu-max", "-1",
+                   "--out", str(tmp_path / "x.csv")) == 2
+        err = capsys.readouterr().err
+        assert "mu_max must be nonnegative, got -1.0" in err and "mu13" not in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv, written", [
         (["populations", "--configuration", "v", "--nmax", "4", "--frame", "first", "--grid", "0"], "x_first.csv"),
         (["evolve", "--configuration", "v", "--nmax", "4", "--mu12", "0.5", "--t-steps", "0"], "x.csv"),

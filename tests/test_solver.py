@@ -28,7 +28,6 @@ from dicke3.solver import (
     diagonalize,
     evolve,
     ground_state,
-    lowest_energy,
     populations,
 )
 
@@ -42,6 +41,11 @@ from oracles import (
     rint_band_labels,
     upper_band,
 )
+
+
+def lowest_energy(H, b):
+    """The lowest level over the sectors, as the cutoff search reads it."""
+    return min(e[0] for _, e, _ in solver._sector_pairs(H, b))
 
 
 def lam(na=1, nmax=8, mu13=0.6, mu23=0.8):
@@ -515,6 +519,91 @@ class TestSectorSkip:
         exact = np.linalg.eigvalsh(H.matrix)[0]
         assert expectation(g, H) == pytest.approx(exact, rel=1e-12)
         assert lowest_energy(H, b) == pytest.approx(exact, rel=1e-12)
+
+
+def _continuations(fn):
+    """fn's result and what every continuation it tried returned."""
+    results = []
+    real = solver._continued
+
+    def continued(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    with mock.patch.object(solver, "_continued", continued):
+        return fn(), results
+
+
+def _embedded(b, idx, column):
+    """A sector's eigenvector column as a state over the whole basis."""
+    amps = np.zeros(b.dim, dtype=complex)
+    amps[idx] = column
+    return QuantumState(amps, b)
+
+
+class TestContinuation:
+    """A neighbour's state continued to this point's ground state agrees
+    with the cold solve to roundoff; whatever the proofs cannot certify
+    falls back to the cold solve, bit for bit."""
+
+    @pytest.mark.parametrize("crossover", [solver.DENSE_SECTOR_MAX, 8])
+    @_hypothesis
+    @given(model_frame=framed_models(), step=st.sampled_from([0.0, 0.01, 0.05]))
+    def test_agrees_with_cold_solve(self, crossover, model_frame, step):
+        frame = model_frame[1]
+        m, b, H = _framed_hamiltonian(model_frame)
+        neighbour = with_couplings(m, *((1.0 - step) * c for c in m.plane_couplings))
+        layout = SectorLayout(H.sector_labels, b.atomic_dim)
+        with mock.patch.object(solver, "DENSE_SECTOR_MAX", crossover):
+            near = ground_state(build_hamiltonian(neighbour, b, frame), b)
+            cold = ground_state(H, b, layout)
+            warm, tried = _continuations(lambda: ground_state(H, b, layout, near=near))
+        sector = H.sector_labels[np.argmax(np.abs(cold.amplitudes))]
+        assert H.sector_labels[np.argmax(np.abs(warm.amplitudes))] == sector
+        assert warm.degenerate == cold.degenerate
+        assert abs(np.vdot(warm.amplitudes, cold.amplitudes)) ** 2 >= 1.0 - 1e-12
+        if not any(r is not None for r in tried):
+            assert warm.amplitudes.tobytes() == cold.amplitudes.tobytes()
+
+    def test_normal_phase_point_needs_no_eigensolve(self):
+        # The vacuum's sector is continued, the other one proven above it.
+        m = ModelConfig(Configuration.XI, 0.0, 1.0, 2.0, mu12=0.3, mu13=0.0, mu23=0.2, na=2, nmax=32)
+        b = enumerate_basis(2, 32)
+        H = build_hamiltonian(m, b)
+        near = ground_state(build_hamiltonian(with_couplings(m, 0.29, 0.19), b), b)
+        (warm, tried), solves = _solve_count(lambda: _continuations(lambda: ground_state(H, b, near=near)))
+        assert solves == 0 and len(tried) == 1 and tried[0] is not None
+        energies, _ = tried[0]
+        exact = np.linalg.eigvalsh(H.matrix)[:2]
+        assert energies[0] == pytest.approx(exact[0], abs=1e-12)
+        assert exact[0] + 2 * solver.DEGENERACY_GAP < energies[1] < exact[1]
+        assert abs(np.vdot(warm.amplitudes, ground_state(H, b).amplitudes)) ** 2 >= 1.0 - 1e-14
+
+    def test_second_eigenvector_falls_back(self):
+        m = ModelConfig(Configuration.XI, 0.0, 1.0, 2.0, mu12=0.3, mu13=0.0, mu23=0.2, na=2, nmax=12)
+        b = enumerate_basis(2, 12)
+        H = build_hamiltonian(m, b)
+        idx, _, vectors = diagonalize(H, b).sectors[0]
+        cold = ground_state(H, b)
+        warm, tried = _continuations(lambda: ground_state(H, b, near=_embedded(b, idx, vectors[:, 1])))
+        assert tried == [None]
+        assert warm.amplitudes.tobytes() == cold.amplitudes.tobytes()
+        assert not warm.degenerate and not cold.degenerate
+
+    @pytest.mark.parametrize("na", [1, 2])
+    def test_degenerate_sector_falls_back(self, na):
+        # Lambda at omega1 = omega2 without couplings: the lowest level of the
+        # vacuum's sector is na + 1 times degenerate.
+        m = ModelConfig(Configuration.LAMBDA, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, na=na, nmax=6)
+        b = enumerate_basis(na, 6)
+        H = build_hamiltonian(m, b)
+        cold = ground_state(H, b)
+        idx, _, vectors = diagonalize(H, b).sectors[0]
+        for near in (cold, _embedded(b, idx, vectors[:, 0])):
+            warm, tried = _continuations(lambda: ground_state(H, b, near=near))
+            assert tried == [None]
+            assert warm.amplitudes.tobytes() == cold.amplitudes.tobytes()
+            assert warm.degenerate and cold.degenerate
 
 
 class TestMemory:

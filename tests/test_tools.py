@@ -52,6 +52,30 @@ def test_diff_outputs(tmp_path, capsys, old_files, new_files, expected, code):
     assert expected in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "old, new, expected",
+    [
+        ("0.25", "0.2500001", "max |diff| 1e-07, max |diff / old| 4e-07;"),
+        ("-1.5", "-1.5003", "max |diff| 0.0003, max |diff / old| 0.0002;"),
+        ("0", "3e-9", "max |diff| 3e-09, max |diff / old| 3e-09;"),  # old = 0: absolute
+        ("-1e-22", "-3e-22", "0 numeric cells differ, max |diff| 0, max |diff / old| 0; 1 cells below"),
+    ],
+    ids=["small-cell", "negative-cell", "zero-old-cell", "tiny-cells"],
+)
+def test_compare_csv_reports_relative_difference(old, new, expected):
+    one = "index,energy\n# na = 2\n0,{}\n1,{}\n"
+    verdict, same_shape = diff_outputs.compare_csv(one.format(old, "1.0"), one.format(new, "1.0"))
+    assert expected in verdict and same_shape
+
+
+def test_compare_csv_takes_the_largest_relative_difference_apart_from_the_absolute():
+    # The largest absolute difference sits in the big cell, the largest
+    # relative one in the small cell.
+    old, new = "a,b\n100,1e-6\n", "a,b\n100.001,1.5e-6\n"
+    verdict, _ = diff_outputs.compare_csv(old, new)
+    assert verdict.startswith("2 numeric cells differ, max |diff| 0.001, max |diff / old| 0.5;")
+
+
 @pytest.mark.parametrize("files", [1, 2000], ids=["flush-at-exit", "write-in-loop"])
 def test_diff_outputs_closed_pipe_is_quiet(tmp_path, files):
     # The read end is closed before the script starts, so its first write to

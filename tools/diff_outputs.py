@@ -4,9 +4,10 @@
 
 Meant for two ``tools/run_recipes.py`` output directories.  Prints one line
 per file: ``identical``, or for a ``.csv`` file the number of numeric cells
-that differ and their largest absolute difference, with cells where both
-values lie below 1e-20 (roundoff in exactly empty levels) counted apart,
-followed by one indented ``# key: old -> new`` line per differing metadata
+that differ and their largest absolute and relative differences, |new - old|
+and |new - old| / |old| (a cell whose old value is 0 counts its absolute
+difference as relative), with cells where both values lie below 1e-20
+(roundoff in exactly empty levels) counted apart, followed by one indented ``# key: old -> new`` line per differing metadata
 key.  Exits 1 if a file is missing on one side, a CSV header, metadata line,
 non-numeric cell or row count differs, or any other file differs at all;
 exits 0 otherwise.  If standard output closes early (piped into ``head``),
@@ -65,7 +66,7 @@ def compare_csv(old: str, new: str) -> tuple[str, bool]:
     if len(old_rows) != len(new_rows):
         return f"row count differs ({len(old_rows)} vs {len(new_rows)}){changes}", False
     count = tiny_count = 0
-    largest = tiny_largest = 0.0
+    largest = relative = tiny_largest = 0.0
     for i, (a_row, b_row) in enumerate(zip(old_rows, new_rows)):
         if len(a_row) != len(b_row):
             return f"row {i} has {len(a_row)} vs {len(b_row)} cells{changes}", False
@@ -81,8 +82,9 @@ def compare_csv(old: str, new: str) -> tuple[str, bool]:
             else:
                 count += 1
                 largest = max(largest, abs(x - y))
+                relative = max(relative, abs(y - x) / abs(x) if x != 0.0 else abs(y - x))
     return (
-        f"{count} numeric cells differ, max |diff| {largest:.3g}; "
+        f"{count} numeric cells differ, max |diff| {largest:.3g}, max |diff / old| {relative:.3g}; "
         f"{tiny_count} cells below {TINY:g} differ, max |diff| {tiny_largest:.3g}{changes}",
         old_meta == new_meta,
     )
