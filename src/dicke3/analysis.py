@@ -149,7 +149,11 @@ class RaySweep:
 
 
 def _ray_direction(theta: float) -> tuple[float, float]:
-    ca, sa = (0.0 if abs(v) < 1e-15 else v for v in (np.cos(theta), np.sin(theta)))
+    ca, sa = np.cos(theta), np.sin(theta)
+    if abs(ca) < 1e-15:
+        ca = 0.0
+    if abs(sa) < 1e-15:
+        sa = 0.0
     if ca < 0 or sa < 0:
         raise ValueError(f"ray must stay in the first quadrant, got theta={theta}")
     return float(ca), float(sa)
@@ -161,10 +165,12 @@ def _detect_minima(
     coords: list[tuple[float, float]],
     dmu: float,
 ) -> tuple[SweepMinimum, ...]:
-    """Strict interior minima above the noise floor, refined by a parabola."""
+    """Interior minima above the noise floor, refined by a parabola.  Each
+    lies more than NOISE_FLOOR below both neighbours: on a ray of constant
+    fidelity roundoff alone would otherwise make and place them."""
     out = []
     for i in range(1, len(fids) - 1):
-        if not (fids[i] < fids[i - 1] and fids[i] < fids[i + 1]):
+        if not fids[i] + NOISE_FLOOR < min(fids[i - 1], fids[i + 1]):
             continue
         if 1.0 - fids[i] < NOISE_FLOOR:
             continue

@@ -235,8 +235,10 @@ def cmd_spectrum(params: dict, out: str | None) -> int:
         label_values = spec.merged([np.full(e.size, counts[idx[0]]) for idx, e, _ in spec.sectors])
         header.append("n_isolated")
         meta["isolated_level"] = rp.isolated_level
-    rows = [[i, e] if label_values is None else [i, e, label_values[i]]
-            for i, e in enumerate(spec.energies)]
+    rows = []
+    for i, e in enumerate(spec.energies):
+        row = [i, e] if label_values is None else [i, e, label_values[i]]
+        rows.append(row)
     _emit(out, _render_csv(header, meta, rows))
     return EXIT_OK
 
@@ -291,8 +293,11 @@ def cmd_populations(params: dict, out: str | None) -> int:
         text = _render_csv(
             ["mu_a", "mu_b", "a11", "a22", "a33", "nphot"], meta, rows[frame]
         )
-        path = None if out is None else Path(out)
-        _emit(path and str(path.with_name(f"{path.stem}_{frame}{path.suffix}")), text)
+        if out is None:
+            _emit(None, text)
+        else:
+            path = Path(out)
+            _emit(str(path.with_name(f"{path.stem}_{frame}{path.suffix}")), text)
     return EXIT_OK
 
 
@@ -335,13 +340,18 @@ def cmd_separatrix(params: dict, out: str | None) -> int:
             r = separatrix_v(Om, w21, w31, theta)
             rows.append([r * np.cos(theta), r * np.sin(theta)])
         header = ["mu12", "mu13"]
-    else:  # the ladder's mu12 or the lambda's mu13 against mu23
-        xi = cfg is Configuration.XI
+    elif cfg is Configuration.XI:
         for mu23 in np.linspace(0.0, params["mu_max"], params["samples"]):
-            mu = (separatrix_xi if xi else separatrix_lambda)(Om, w21, w31, mu23)
-            if mu is not None:
-                rows.append([mu, mu23] if xi else [mu23, mu])
-        header = ["mu12", "mu23"] if xi else ["mu23", "mu13"]
+            mu12 = separatrix_xi(Om, w21, w31, mu23)
+            if mu12 is not None:
+                rows.append([mu12, mu23])
+        header = ["mu12", "mu23"]
+    else:
+        for mu23 in np.linspace(0.0, params["mu_max"], params["samples"]):
+            mu13 = separatrix_lambda(Om, w21, w31, mu23)
+            if mu13 is not None:
+                rows.append([mu23, mu13])
+        header = ["mu23", "mu13"]
     _emit(out, _render_csv(header, params, rows))
     return EXIT_OK
 
@@ -353,8 +363,14 @@ def cmd_store_retrieve(params: dict, out: str | None) -> int:
     stored, stored_content = protocol.store(m, initial)
     retrieved, retrieved_content = protocol.retrieve(m, stored)
 
-    stages = {"initial": initial, "stored": stored, "retrieved": retrieved}
-    rows = [[stage, *populations(state)] for stage, state in stages.items()]
+    rows = []
+    for stage, state in (
+        ("initial", initial),
+        ("stored", stored),
+        ("retrieved", retrieved),
+    ):
+        a11, a22, a33, nph = populations(state)
+        rows.append([stage, a11, a22, a33, nph])
     meta = {
         **params,
         "nmax": m.nmax,

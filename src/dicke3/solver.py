@@ -13,11 +13,12 @@ state touches.  Ground states and ground energies need each sector's
 lowest two eigenpairs: up to DENSE_SECTOR_MAX states from a dense block by
 LAPACK's dsyevr, larger ones by ARPACK's shift-invert Lanczos on the Cholesky
 factor of the sector's band.  Given a neighbouring point's state, its sector
-is first solved by inverse iteration on the band factor, kept only where band
-Cholesky factorisations prove the level found the lowest and single.  A later
-sector is skipped when a banded Cholesky factorisation proves (Sylvester's law
-of inertia) all its levels more than 2 DEGENERACY_GAP above the lowest solved
-so far; it could neither win a tie nor flag a degeneracy, so no result changes.
+is first solved by inverse iteration on the band factor, kept only where its
+residual is at roundoff and band Cholesky factorisations prove the level found
+the lowest and single.  A later sector is skipped when a banded Cholesky
+factorisation proves (Sylvester's law of inertia) all its levels more than
+2 DEGENERACY_GAP above the lowest solved so far; it could neither win a tie
+nor flag a degeneracy, so no result changes.
 """
 
 from __future__ import annotations
@@ -206,10 +207,12 @@ def _lies_above(band: np.ndarray, lowest: float) -> bool:
 def _continued(band: np.ndarray, x: np.ndarray):
     """Lowest eigenpair of a sector, in upper band storage, by inverse
     iteration from a neighbour's unit vector x under a shift stepped down from
-    x's Rayleigh quotient until the band factors below it, or None.  The level
-    mu found, with residual r, is the lowest and single when the band plus a
-    large entry at x's peak lies above mu + r: by rank-one interlacing so does
-    the second level, whose place that bound takes."""
+    x's Rayleigh quotient until the band factors below it, or None.  Under a
+    shift far below the level the vector settles slowly, so one that stopped
+    moving is kept only with a residual r at roundoff.  The level mu found is
+    then the lowest and single when the band plus a large entry at x's peak
+    lies above mu + r: by rank-one interlacing so does the second level,
+    whose place that bound takes."""
     w = band.shape[0] - 1
     ax = scipy.linalg.blas.dsbmv(w, 1.0, band, x)
     rho = x @ ax
@@ -223,9 +226,13 @@ def _continued(band: np.ndarray, x: np.ndarray):
         if moved @ moved < 1e-28:  # moved by less than 1e-14
             ax = scipy.linalg.blas.dsbmv(w, 1.0, band, x)
             mu = x @ ax
-            bound = mu + np.linalg.norm(ax - mu * x)
+            r = np.linalg.norm(ax - mu * x)
+            big = np.abs(band).max()
+            if not r <= 16.0 * (w + 1) ** 2 * np.finfo(float).eps * ((2 * w + 1) * big + abs(mu)):
+                return None
+            bound = mu + r
             spiked = band.copy(order="F")
-            spiked[w, np.argmax(np.abs(x))] += 4.0 * (w + 1) * np.abs(band).max()
+            spiked[w, np.argmax(np.abs(x))] += 4.0 * (w + 1) * big
             if _lies_above(spiked, bound):
                 return np.array([mu, bound + 2.0 * DEGENERACY_GAP]), x[:, None]
             return None
@@ -305,6 +312,11 @@ def populations(state: QuantumState) -> tuple[float, float, float, float]:
     )
 
 
+def lowest_energy(H: BlockHamiltonian, basis: BasisSet) -> float:
+    """Ground energy only: the lowest level over the sectors."""
+    return float(min(energies[0] for _, energies, _ in _sector_pairs(H, basis)))
+
+
 def converged_ground_state(
     config: ModelConfig,
     etol: float = DEFAULT_ENERGY_TOL,
@@ -329,7 +341,7 @@ def converged_ground_state(
         if cutoff not in energy_at:
             b = enumerate_basis(config.na, cutoff)
             m = dataclasses.replace(config, nmax=cutoff)
-            energy_at[cutoff] = min(e[0] for _, e, _ in _sector_pairs(build_hamiltonian(m, b), b))
+            energy_at[cutoff] = lowest_energy(build_hamiltonian(m, b), b)
         return energy_at[cutoff]
 
     cutoff = start

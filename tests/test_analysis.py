@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import dicke3 as d3
 from dicke3 import solver
 from dicke3.analysis import (
+    NOISE_FLOOR,
+    _detect_minima,
     _ray_direction,
     dalpha_dmu,
     fidelity,
@@ -211,6 +213,28 @@ class TestScanRay:
         assert np.array_equal(a.fidelities, b.fidelities)
         assert a.minima == b.minima
 
+    def test_minimum_needs_a_dip_above_the_noise_floor(self):
+        mids = 0.1 * np.arange(1, 5)
+        coords = [(s, 0.0) for s in mids]
+        # equal fidelities but for roundoff, as on the displaced vacuum's ray
+        flat = 0.94402748 + np.array([0.0, -2.2e-16, 1.6e-14, 1.6e-11])
+        assert _detect_minima(mids, flat, coords, 0.1) == ()
+        dipped = flat - np.array([0.0, 2 * NOISE_FLOOR, 0.0, 0.0])
+        (minimum,) = _detect_minima(mids, dipped, coords, 0.1)
+        assert 0.1 < minimum.s < 0.3 and minimum.fidelity <= dipped[1]
+
+    @pytest.mark.parametrize("steps", range(2, 9))
+    def test_displaced_vacuum_ray_has_no_minima(self, steps):
+        # Without level splittings the ladder's ground state along mu12 is a
+        # displaced vacuum: every neighbour fidelity is the same in exact
+        # arithmetic, so neither the continued nor the cold scan has a minimum.
+        m = ModelConfig(Configuration.XI, 0.0, 0.0, 0.0, mu12=0.0, mu13=0.0, mu23=0.0, na=1, nmax=8)
+        warm = scan_ray(m, 0.0, 1.2, 1.2 / steps)
+        with mock.patch.object(solver, "_continued", lambda band, x: None):
+            cold = scan_ray(m, 0.0, 1.2, 1.2 / steps)
+        assert np.ptp(cold.fidelities) < 1e-10
+        assert warm.minima == () and cold.minima == ()
+
     def test_rejects_bad_rays(self):
         with pytest.raises(ValueError):
             scan_ray(xi_resonant(), -0.2, 0.6, 0.02)
@@ -378,12 +402,6 @@ class TestScanLayout:
         both_cold = ~(warm[:-1] | warm[1:])
         assert sweep.fidelities[both_cold].tobytes() == want[both_cold].tobytes()
         np.testing.assert_allclose(sweep.fidelities, want, rtol=0, atol=1e-13)
-        # Neighbour fidelities that tie to roundoff (the displaced vacuum's
-        # are constant along a ray at zero frequencies) leave which of them
-        # is a strict minimum to the last bits; those rays' minima are not
-        # compared.
-        if np.any(np.abs(np.diff(want)) < 1e-12):
-            return
         assert len(sweep.minima) == len(cold.minima)
         for got, exact in zip(sweep.minima, cold.minima):
             assert got.s == pytest.approx(exact.s, rel=0, abs=1e-10)

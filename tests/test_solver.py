@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from dicke3.solver import (
     diagonalize,
     evolve,
     ground_state,
+    lowest_energy,
     populations,
 )
 
@@ -41,11 +43,6 @@ from oracles import (
     rint_band_labels,
     upper_band,
 )
-
-
-def lowest_energy(H, b):
-    """The lowest level over the sectors, as the cutoff search reads it."""
-    return min(e[0] for _, e, _ in solver._sector_pairs(H, b))
 
 
 def lam(na=1, nmax=8, mu13=0.6, mu23=0.8):
@@ -589,6 +586,20 @@ class TestContinuation:
         assert tried == [None]
         assert warm.amplitudes.tobytes() == cold.amplitudes.tobytes()
         assert not warm.degenerate and not cold.degenerate
+
+    def test_settled_vector_above_roundoff_falls_back(self):
+        # Levels 0, 1e-4 and 1.  The neighbour's large weight on the top level
+        # puts the shift about 0.65 below the lowest, where the 1e-4 level's
+        # component shrinks by only 1.5e-4 a step.  The vector stops moving by
+        # 1e-14 after 35 solves with that component still 2e-11 and the top
+        # level's 6e-15, a residual above roundoff, so no proof is tried.
+        band = np.array([[0.0, 1e-4, 1.0]], order="F")
+        x = np.array([1.0, 2e-11, 2.25])
+        inverse = mock.patch("scipy.linalg.lapack.dpbtrs", wraps=scipy.linalg.lapack.dpbtrs)
+        with inverse as solves, mock.patch.object(solver, "_lies_above") as proof:
+            assert solver._continued(band, x / np.linalg.norm(x)) is None
+        assert solves.call_count < solver.CONTINUE_STEPS  # it stopped early
+        proof.assert_not_called()
 
     @pytest.mark.parametrize("na", [1, 2])
     def test_degenerate_sector_falls_back(self, na):
