@@ -1,8 +1,8 @@
 """Ground-state fidelity, coupling-space scans, and variational separatrices.
 
 Abrupt ground-state changes show up as minima of the fidelity between
-neighbouring ground states along a path in coupling space.  Scans run along
-straight rays through the origin; a pencil of rays maps the whole phase
+neighbouring ground states along rays through the coupling-plane origin, on
+which H is affine in the radius; a pencil of rays maps the whole phase
 boundary.  The closed-form variational boundaries are provided for overlay.
 """
 
@@ -10,20 +10,21 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import enumerate_basis
 from .model import ModelConfig, build_hamiltonian, coupling_name, with_couplings
-from .operators import Configuration, SectorLayout
+from .operators import Configuration
 from .rotations import Branch, UndefinedAngleError, atomic_generator_matrix, rotate_amplitudes
 from .solver import (
     DEFAULT_ENERGY_TOL,
     DEFAULT_TAIL_TOL,
     QuantumState,
     converged_ground_state,
-    ground_state,
+    ray_ground_states,
 )
 
 NOISE_FLOOR = 1e-9
@@ -211,10 +212,11 @@ def scan_ray(
     The photon cutoff is converged once, in the unrotated frame, at the
     outermost point and shared by the whole ray (the converged cutoff grows
     monotonically with the couplings, so the outer point dominates); sharing
-    one basis keeps the overlaps well defined.  All points share one sector
-    layout, and only the previous point's state is kept: each point's ground
-    state is continued from it where the solver can prove that (fidelities
-    then agree with fresh solves to roundoff, not bitwise).
+    one basis keeps the overlaps well defined.  H is affine in the radius in
+    every frame (its hop blocks scale with it): one H, at unit radius, feeds
+    :func:`dicke3.solver.ray_ground_states`, which continues each point's
+    state from the one before where proven, two states held at a time;
+    fidelities agree with solves of freshly assembled points to roundoff.
     """
     if dmu <= 0:
         raise ValueError("dmu must be positive")
@@ -226,17 +228,9 @@ def scan_ray(
     coords = [(s * ca, s * sa) for s in radii]
     nmax, _ = converged_ground_state(with_couplings(config, *coords[-1]), etol, ptol)
     basis = enumerate_basis(config.na, nmax)
-    at_cutoff = dataclasses.replace(config, nmax=nmax)
-    layout, previous, fids = None, None, []
-    for a, b in coords:
-        H = build_hamiltonian(with_couplings(at_cutoff, a, b), basis, rotated)
-        if layout is None:
-            layout = SectorLayout(H.sector_labels, basis.atomic_dim)
-        state = ground_state(H, basis, layout, near=previous)
-        if previous is not None:
-            fids.append(fidelity(previous, state))
-        previous = state
-    fids = np.array(fids)
+    unit = with_couplings(dataclasses.replace(config, nmax=nmax), ca, sa)
+    states = ray_ground_states(build_hamiltonian(unit, basis, rotated), basis, radii)
+    fids = np.array([fidelity(p, q) for p, q in itertools.pairwise(states)])
     chi = 2.0 * (1.0 - fids) / dmu**2
     mids = (radii[:-1] + radii[1:]) / 2.0
     mid_coords = [((a0 + a1) / 2, (b0 + b1) / 2) for (a0, b0), (a1, b1) in zip(coords, coords[1:])]

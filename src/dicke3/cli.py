@@ -173,18 +173,9 @@ def _check_numbers(params: dict, defaults: dict) -> None:
 def _model_from(params: dict, nmax: int) -> ModelConfig:
     if params["configuration"] is None:
         raise ValueError("a configuration (xi, lambda or v) is required")
-    return ModelConfig(
-        cfg=Configuration.from_label(params["configuration"]),
-        omega1=params["omega1"],
-        omega2=params["omega2"],
-        omega3=params["omega3"],
-        mu12=params["mu12"],
-        mu13=params["mu13"],
-        mu23=params["mu23"],
-        na=params["na"],
-        nmax=nmax,
-        Omega=params["Omega"],
-    )
+    names = ("omega1", "omega2", "omega3", "mu12", "mu13", "mu23", "na", "Omega")
+    cfg = Configuration.from_label(params["configuration"])
+    return ModelConfig(cfg, nmax=nmax, **{name: params[name] for name in names})
 
 
 def _resolve_model(

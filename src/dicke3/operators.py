@@ -2,9 +2,10 @@
 
 All matrices are real.  Hamiltonians are real symmetric in the occupation
 basis and held in photon-block form (:class:`BlockHamiltonian`), whose dense
-view is built only on demand; a :class:`SectorLayout` reads the dense or
-band blocks of its sectors.  The package builds no dense full-basis
-operator; :class:`OperatorMatrix` holds the dense references of the tests.
+view is built only on demand; a :class:`SectorLayout` reads its sectors as
+bands, whole or split into photon-diagonal and hop parts.  The package
+builds no dense full-basis operator; :class:`OperatorMatrix` holds the dense
+references of the tests.
 Complex storage is only needed for states under time evolution.
 Collective operators are the identity on the photon factor, so only their
 m x m atomic factors are built, each entry placed at once by
@@ -176,8 +177,8 @@ class SectorLayout:
     """Each sector of equal labels and where its entries sit in the photon
     blocks of every :class:`BlockHamiltonian` with these labels and atomic
     block size m (``fits``).  ``indices`` holds each sector's basis indices,
-    the vacuum's sector first.  A read gathers one H's own entries; a dense
-    block is bitwise H[np.ix_(idx, idx)], signed zeros included."""
+    the vacuum's sector first.  A read gathers one H's own entries into a
+    band, which the solver writes out as a dense block where it needs one."""
 
     def __init__(self, labels: np.ndarray, m: int):
         self.labels, self.m, self.indices, self._entries = labels, m, (), []
@@ -186,17 +187,15 @@ class SectorLayout:
         for i in np.sort(first):
             kept = (labels == labels[i]).reshape(-1, m)
             local = np.cumsum(kept) - 1  # every kept state's index in the sector
-            parts = []
+            found = []
             for shift in (0, 1):  # the diagonal blocks, then the upper hop blocks
                 src = np.flatnonzero(kept[: len(kept) - shift, :, None] & kept[shift:, None, :])
                 row = src // m  # the basis indices of the entry's row and column
                 col = row - row % m + shift * m + src % m
-                found = (local[row], local[col], src + shift * labels.size * m)
-                parts.append([a.astype(small) for a in found])
-            (rd, cd, sd), (ru, cu, su) = parts
-            # local rows, local columns and positions in H._blocks: the diagonal
-            # blocks' entries, the upper hop blocks' and their mirror images
-            self._entries.append(tuple(map(np.concatenate, ([rd, ru, cu], [cd, cu, ru], [sd, su, su]))))
+                found.append((local[col] - local[row], local[col], src + shift * labels.size * m))
+            # every upper entry's superdiagonal, local column and position in H._blocks
+            d, col, src = map(np.concatenate, zip(*found))
+            self._entries.append(tuple(a[d >= 0].astype(small) for a in (d, col, src)))
             self.indices += (np.flatnonzero(kept),)
             self.indices[-1].setflags(write=False)
 
@@ -204,25 +203,22 @@ class SectorLayout:
         """Whether H has this layout's labels and block size."""
         return H.hops.shape[1] == self.m and np.array_equal(H.sector_labels, self.labels)
 
-    def dense_block(self, H: BlockHamiltonian, k: int) -> np.ndarray:
-        """Sector k of H as a fresh Fortran-order array."""
-        rows, cols, src = self._entries[k]
-        out = np.zeros((self.indices[k].size,) * 2, order="F")
-        out[rows, cols] = H._blocks[src]
-        return out
-
-    def upper_band(self, H: BlockHamiltonian, k: int) -> np.ndarray:
+    def upper_band(self, H: BlockHamiltonian, k: int, parts: bool = False):
         """Sector k of H in LAPACK's upper band storage: a fresh Fortran-order
         (w + 1, n) array whose row w - d holds the d-th superdiagonal, w the
-        farthest one with a nonzero entry in this H, and zeros are +0.0."""
-        rows, cols, src = self._entries[k]
+        farthest one with a nonzero entry in this H, and zeros are +0.0.  With
+        ``parts``, two such bands that add up to it: H's photon-diagonal
+        blocks (diagonal and on-site) and its hop blocks."""
+        d, cols, src = self._entries[k]
         vals = H._blocks[src]
-        kept = (rows <= cols) & (vals != 0.0)
-        rows, cols, vals = rows[kept], cols[kept], vals[kept]
-        w = int(np.max(cols - rows, initial=0))
-        out = np.zeros((w + 1, self.indices[k].size), order="F")
-        out[w + rows - cols, cols] = vals
-        return out
+        kept = vals != 0.0
+        d, cols, src, vals = d[kept], cols[kept], src[kept], vals[kept]
+        w = int(np.max(d, initial=0))
+        # hop entries sit after the H.dim * m photon-diagonal ones in H._blocks
+        layer = (src >= H.dim * self.m).astype(np.intp) if parts else 0
+        out = np.zeros((w + 1, self.indices[k].size, 1 + parts), order="F")
+        out[w - d, cols, layer] = vals
+        return (out[..., 0], out[..., 1]) if parts else out[..., 0]
 
 
 def atomic_collective_matrix(na: int, j: int, k: int) -> np.ndarray:

@@ -1,24 +1,20 @@
 """Eigensolver, ground states, observables, cutoff convergence, evolution.
 
-Every Hamiltonian built by this package is a :class:`BlockHamiltonian`,
-whose ``sector_labels`` name the conserved quantities: the excitation-number
-parity always, and the isolated level's occupation in a frame without a
-one-body term.  Every eigenproblem is solved per sector of equal labels,
-each gathered from the photon blocks through a :class:`SectorLayout` (one
-per scan, or one per call); no dim x dim array is built.
-Sectors come in the order of their lowest basis indices, so the vacuum's
-comes first, and a tie between sectors goes to the earlier one.  Full
-spectra solve every sector dense, and evolution works in the sectors its
-state touches.  Ground states and ground energies need each sector's
-lowest two eigenpairs: up to DENSE_SECTOR_MAX states from a dense block by
-LAPACK's dsyevr, larger ones by ARPACK's shift-invert Lanczos on the Cholesky
-factor of the sector's band.  Given a neighbouring point's state, its sector
-is first solved by inverse iteration on the band factor, kept only where its
-residual is at roundoff and band Cholesky factorisations prove the level found
-the lowest and single.  A later sector is skipped when a banded Cholesky
-factorisation proves (Sylvester's law of inertia) all its levels more than
-2 DEGENERACY_GAP above the lowest solved so far; it could neither win a tie
-nor flag a degeneracy, so no result changes.
+Every eigenproblem is solved per sector of a :class:`BlockHamiltonian`'s
+``sector_labels`` (the excitation-number parity, and the isolated level's
+occupation in a frame without a one-body term), each read as a band through
+a :class:`SectorLayout`; no dim x dim array is built.  Sectors come in the
+order of their lowest basis indices, the vacuum's first, and a tie between
+sectors goes to the earlier one.  Full spectra solve every sector dense.
+Ground states need each sector's lowest two eigenpairs: by LAPACK's dsyevr
+on a dense block written from the band up to DENSE_SECTOR_MAX states, by
+shift-invert Lanczos on the band's Cholesky factor above.  A neighbouring
+point's sector is solved first, by inverse iteration from its state where
+Cholesky factorisations prove the level found the lowest and single; a
+sector that one proves (Sylvester's law of inertia) more than
+2 DEGENERACY_GAP above a solved level is skipped, as it could neither win a
+tie nor flag a degeneracy.  Along a coupling ray H is affine in the radius,
+and :func:`ray_ground_states` gathers each sector's two band parts once.
 """
 
 from __future__ import annotations
@@ -124,12 +120,22 @@ def diagonalize(H: BlockHamiltonian, basis: BasisSet) -> Spectrum:
     layout = _layout(H, basis)
     sectors = []
     for k, idx in enumerate(layout.indices):
-        energies, vectors = scipy.linalg.eigh(layout.dense_block(H, k), overwrite_a=True)
+        energies, vectors = scipy.linalg.eigh(_dense(layout.upper_band(H, k)), overwrite_a=True)
         _fix_sign(vectors)
         for a in (energies, vectors):
             a.setflags(write=False)
         sectors.append((idx, energies, vectors))
     return Spectrum(tuple(sectors), basis)
+
+
+def _dense(band: np.ndarray) -> np.ndarray:
+    """A sector in upper band storage as a fresh Fortran-order symmetric block."""
+    w, n = band.shape[0] - 1, band.shape[1]
+    out = np.zeros((n, n), order="F")
+    flat = out.reshape(-1, order="F")  # a view: entry (i, j) at j n + i
+    for d in range(w + 1):  # entries (i + d, i) and (i, i + d) from row w - d
+        flat[d :: n + 1][: n - d] = flat[d * n :: n + 1][: n - d] = band[w - d, d:]
+    return out
 
 
 # dsyevr's workspace query, (work, iwork, info) at each order
@@ -187,13 +193,12 @@ def _shift_invert_pair(band: np.ndarray):
 
 
 def _lies_above(band: np.ndarray, lowest: float) -> bool:
-    """Whether every level of a sector, given in upper band storage (which
-    this overwrites), provably lies more than 2 DEGENERACY_GAP above
-    ``lowest``: the block minus sigma has a band Cholesky factor.  Sigma's
-    roundoff allowance is twice the factor's backward error at
-    half-bandwidth w, (2w + 1)(w + 1) eps times the largest shifted diagonal
-    entry, which ``scale`` bounds; the other half covers the eigensolvers'
-    own error."""
+    """Whether every level of a sector, in upper band storage (overwritten),
+    provably lies more than 2 DEGENERACY_GAP above ``lowest``: the block
+    minus sigma has a band Cholesky factor.  Sigma's roundoff allowance is
+    twice the factor's backward error at half-bandwidth w, (2w + 1)(w + 1)
+    eps times the largest shifted diagonal entry, which ``scale`` bounds;
+    the other half covers the eigensolvers' own error."""
     w = band.shape[0] - 1
     # each band diagonal's largest entry, counted on both sides of the main one
     peaks = np.abs(band).max(axis=1)
@@ -204,68 +209,100 @@ def _lies_above(band: np.ndarray, lowest: float) -> bool:
     return _factor(band, margin) is not None and bool(np.isfinite(scale))
 
 
+def _below(band: np.ndarray, shifts):
+    """The first of ``shifts`` the band factors below, with the factor, else (nan, None)."""
+    found = ((t, _factor(band.copy(order="F"), t)) for t in shifts)
+    return next((p for p in found if p[1] is not None), (np.nan, None))
+
+
 def _continued(band: np.ndarray, x: np.ndarray):
     """Lowest eigenpair of a sector, in upper band storage, by inverse
-    iteration from a neighbour's unit vector x under a shift stepped down from
-    x's Rayleigh quotient until the band factors below it, or None.  Under a
-    shift far below the level the vector settles slowly, so one that stopped
-    moving is kept only with a residual r at roundoff.  The level mu found is
-    then the lowest and single when the band plus a large entry at x's peak
-    lies above mu + r: by rank-one interlacing so does the second level,
-    whose place that bound takes."""
+    iteration from a neighbour's unit vector x, or None.  The shift steps
+    down from x's Rayleigh quotient until the band factors below it.  Once x
+    stops moving, its residual r against its Rayleigh quotient mu must be at
+    roundoff, and the band plus a large entry at x's peak must lie above
+    mu + r and mu + (mu - shift): by rank-one interlacing so does the second
+    level, so mu is the lowest level and single, and x lies within its last
+    move of the eigenvector (a solve leaves x's error times the first level's
+    distance from the shift over the gap).  Where only that second bound
+    fails, the iteration goes on under a shift within 2 DEGENERACY_GAP of mu."""
     w = band.shape[0] - 1
+    big, steps = np.abs(band).max(), 4.0 ** np.arange(CONTINUE_STEPS)
     ax = scipy.linalg.blas.dsbmv(w, 1.0, band, x)
     rho = x @ ax
     step = np.linalg.norm(ax - rho * x) / 64.0 + DEGENERACY_GAP  # 1/64 of x's residual first
-    shifted = (_factor(band.copy(order="F"), rho - step * 4.0**i) for i in range(CONTINUE_STEPS))
-    factor = next((f for f in shifted if f is not None), None)
-    for _ in range(0 if factor is None else CONTINUE_STEPS):
+    shift, factor = _below(band, rho - step * steps)
+    for _ in range(CONTINUE_STEPS):
+        if factor is None:
+            return None
         y = scipy.linalg.lapack.dpbtrs(factor, x)[0]
         y /= np.sqrt(y @ y)  # x . y > 0: the shifted inverse is positive definite
         x, moved = y, y - x
-        if moved @ moved < 1e-28:  # moved by less than 1e-14
-            ax = scipy.linalg.blas.dsbmv(w, 1.0, band, x)
-            mu = x @ ax
-            r = np.linalg.norm(ax - mu * x)
-            big = np.abs(band).max()
-            if not r <= 16.0 * (w + 1) ** 2 * np.finfo(float).eps * ((2 * w + 1) * big + abs(mu)):
-                return None
-            bound = mu + r
-            spiked = band.copy(order="F")
-            spiked[w, np.argmax(np.abs(x))] += 4.0 * (w + 1) * big
-            if _lies_above(spiked, bound):
-                return np.array([mu, bound + 2.0 * DEGENERACY_GAP]), x[:, None]
+        if moved @ moved >= 1e-28:  # moved by 1e-14 or more
+            continue
+        ax = scipy.linalg.blas.dsbmv(w, 1.0, band, x)
+        mu = x @ ax
+        r = np.linalg.norm(ax - mu * x)
+        tol = (w + 1) ** 2 * np.finfo(float).eps * ((2 * w + 1) * big + abs(mu))
+        if not r <= 16.0 * tol:
             return None
+        bound = mu + r + max(mu - shift - 2.0 * DEGENERACY_GAP, 0.0)
+        spiked = band.copy(order="F")
+        spiked[w, np.argmax(np.abs(x))] += 4.0 * (w + 1) * big
+        if _lies_above(spiked, bound):
+            return np.array([mu, bound + 2.0 * DEGENERACY_GAP]), x[:, None]
+        if mu - shift <= 2.0 * DEGENERACY_GAP:
+            return None
+        close = (r + tol) * steps  # r plus the factor's backward error, stepped up
+        shift, factor = _below(band, mu - close[close <= 2.0 * DEGENERACY_GAP])
     return None
 
 
-def _sector_pairs(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | None = None, near=None):
-    """(basis indices, lowest energies, eigenvectors) of every sector, in
-    sector order, but those :func:`_lies_above` the lowest level before.
+def _sector_pairs(indices, band_of, near=None):
+    """(basis indices, lowest energies, eigenvectors) of every sector in
+    ``indices``, in sector order, but those :func:`_lies_above` a level
+    solved before them; ``band_of(k)`` gives sector k's band, a fresh array.
 
-    Each sector yields its lowest two eigenpairs (one for a single state):
-    dense LAPACK up to DENSE_SECTOR_MAX states, band Lanczos above.  The
-    sector holding most of the state ``near`` is first :func:`_continued`
-    from it.  A sector whose levels are not finite (its entries overflow) is
-    refused.
+    The sector holding most of the state ``near`` comes first and is
+    :func:`_continued` from it, so its level bounds every skip proof; as a
+    skipped sector is proven above a solved level, no result depends on the
+    visiting order.  Sectors with non-finite levels (overflow) are refused.
     """
-    layout = _layout(H, basis, layout)
-    out = []
-    for k, idx in enumerate(layout.indices):
-        x = None if near is None else near.amplitudes.real[idx]
-        warm = x is not None and x @ x > 0.5
-        large = idx.size > DENSE_SECTOR_MAX
-        band = layout.upper_band(H, k) if out or large or warm else None
-        # a band that a solve still needs goes to the proof as a copy
-        if out and _lies_above(band.copy() if large or warm else band, min(e[0] for _, e, _ in out)):
+    x = [None if near is None else near.amplitudes.real[idx] for idx in indices]
+    warm = next((k for k, v in enumerate(x) if v is not None and v @ v > 0.5), None)
+    out = {}
+    for k in sorted(range(len(indices)), key=lambda k: k != warm):
+        idx, band = indices[k], band_of(k)
+        if out and _lies_above(band.copy(order="F"), min(e[0] for _, e, _ in out.values())):
             continue
-        pair = _continued(band, x / np.linalg.norm(x)) if warm else None
+        pair = _continued(band, x[k] / np.linalg.norm(x[k])) if k == warm else None
         if pair is None:
-            pair = _shift_invert_pair(band) if large else _lowest_two(layout.dense_block(H, k))
+            pair = _shift_invert_pair(band) if idx.size > DENSE_SECTOR_MAX else _lowest_two(_dense(band))
         if not np.isfinite(pair[0]).all():
             raise ValueError(f"sector {k} has non-finite levels: its entries overflow")
-        out.append((idx, *pair))
-    return out
+        out[k] = (idx, *pair)
+    return [out[k] for k in sorted(out)]
+
+
+def _pairs_of(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | None = None, near=None):
+    """:func:`_sector_pairs` of H, read through ``layout`` if it fits H."""
+    layout = _layout(H, basis, layout)
+    return _sector_pairs(layout.indices, functools.partial(layout.upper_band, H), near)
+
+
+def _ground(pairs, basis: BasisSet) -> QuantumState:
+    """The ground state of a Hamiltonian's sector pairs (see :func:`ground_state`)."""
+    lowest = min(energies[0] for _, energies, _ in pairs)
+    # Sector order decides a tie within DEGENERACY_GAP; a difference, as
+    # lowest + DEGENERACY_GAP rounds back to lowest once |lowest| >= 2**20.
+    idx, _, vectors = next(p for p in pairs if p[1][0] - lowest < DEGENERACY_GAP)
+    vec = np.zeros(basis.dim)
+    vec[idx] = vectors[:, 0]
+    _fix_sign(vec)
+    vec = vec / np.linalg.norm(vec)
+    levels = np.sort(np.concatenate([energies for _, energies, _ in pairs]))
+    degenerate = bool(levels.size > 1 and levels[1] - levels[0] < DEGENERACY_GAP)
+    return QuantumState(vec.astype(complex), basis, degenerate=degenerate)
 
 
 def ground_state(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | None = None, *, near=None):
@@ -275,24 +312,26 @@ def ground_state(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | No
     energies lie within DEGENERACY_GAP of it, the earliest in sector order
     does, the vacuum's before all.  Near-degeneracy (gap below
     DEGENERACY_GAP between the two lowest levels over all sectors) is
-    flagged on the returned state rather than raised.  A scan passes one
-    ``layout`` to all its points; one that does not fit H is not used.  It
-    may pass the previous point's state as ``near``: its sector is then
-    solved by inverse iteration from it where that is proven, which agrees
-    with the cold solve to roundoff, not bitwise.
+    flagged on the returned state rather than raised.  Many H of one
+    labelling may share a ``layout``; one that does not fit H is not used.
+    A neighbouring point's state as ``near`` is continued where that is
+    proven, which agrees with the cold solve to roundoff, not bitwise.
     """
-    pairs = _sector_pairs(H, basis, layout, near)
-    lowest = min(energies[0] for _, energies, _ in pairs)
-    # Sector order decides a tie within DEGENERACY_GAP; a difference, as
-    # lowest + DEGENERACY_GAP rounds back to lowest once |lowest| >= 2**20.
-    idx, _, vectors = next(p for p in pairs if p[1][0] - lowest < DEGENERACY_GAP)
-    vec = np.zeros(H.dim)
-    vec[idx] = vectors[:, 0]
-    _fix_sign(vec)
-    vec = vec / np.linalg.norm(vec)
-    levels = np.sort(np.concatenate([energies for _, energies, _ in pairs]))
-    degenerate = bool(levels.size > 1 and levels[1] - levels[0] < DEGENERACY_GAP)
-    return QuantumState(vec.astype(complex), basis, degenerate=degenerate)
+    return _ground(_pairs_of(H, basis, layout, near), basis)
+
+
+def ray_ground_states(H: BlockHamiltonian, basis: BasisSet, radii):
+    """Ground states of H's photon-diagonal blocks plus s times its hop
+    blocks for each s in ``radii``, yielded in turn: a coupling ray with H
+    at unit radius.  Each sector's two band parts are gathered once, and
+    each state is continued from the one before, as by :func:`ground_state`
+    with ``near``."""
+    layout = _layout(H, basis)
+    parts = [layout.upper_band(H, k, parts=True) for k in range(len(layout.indices))]
+    state = None
+    for s in radii:
+        state = _ground(_sector_pairs(layout.indices, lambda k: s * parts[k][1] + parts[k][0], state), basis)
+        yield state
 
 
 def populations(state: QuantumState) -> tuple[float, float, float, float]:
@@ -314,7 +353,7 @@ def populations(state: QuantumState) -> tuple[float, float, float, float]:
 
 def lowest_energy(H: BlockHamiltonian, basis: BasisSet) -> float:
     """Ground energy only: the lowest level over the sectors."""
-    return float(min(energies[0] for _, energies, _ in _sector_pairs(H, basis)))
+    return float(min(energies[0] for _, energies, _ in _pairs_of(H, basis)))
 
 
 def converged_ground_state(

@@ -18,9 +18,9 @@ import scipy.linalg
 from dicke3.basis import BasisSet, BasisState, enumerate_basis
 from dicke3.model import ModelConfig, _assemble, rotated_parameters
 from dicke3.operators import (
+    BlockHamiltonian,
     Configuration,
     OperatorMatrix,
-    SectorLayout,
     atomic_collective_matrix,
     excitation_values,
 )
@@ -183,9 +183,8 @@ def build_effective_two_level(config: ModelConfig, branch: Branch, n_fixed: int)
     params = rotated_parameters(config, branch)
     basis = enumerate_basis(config.na, config.nmax)
     H = _assemble(config, basis, params.omega_ts, {params.coupled_pair: params.coupled_mu})
-    n_iso = basis.level_counts[:, params.isolated_level - 1]
-    layout = SectorLayout(n_iso, basis.atomic_dim)
-    return layout.dense_block(H, [n_iso[idx[0]] for idx in layout.indices].index(n_fixed))
+    keep = np.flatnonzero(basis.level_counts[:, params.isolated_level - 1] == n_fixed)
+    return H.matrix[np.ix_(keep, keep)]
 
 
 def upper_band(block: np.ndarray) -> np.ndarray:
@@ -252,6 +251,12 @@ def all_sector_pairs(H, basis, layout=None, near=None) -> list:
             pair = solver._shift_invert_pair(upper_band(H.matrix[np.ix_(idx, idx)]))
         out.append((idx, *pair))
     return out
+
+
+def affine_ray(H1: BlockHamiltonian, s: float) -> BlockHamiltonian:
+    """The point at radius s of the coupling ray whose point at unit radius
+    is H1: H1's photon-diagonal blocks and s times its hop blocks."""
+    return BlockHamiltonian(H1.diagonal, H1.on_site, s * H1.hops, H1.sector_labels)
 
 
 def fidelity_susceptibility(H: np.ndarray, dH: np.ndarray) -> tuple[float, float]:

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dicke3 as d3
-from dicke3 import solver
+from dicke3 import analysis, solver
 from dicke3.analysis import (
     NOISE_FLOOR,
     _detect_minima,
@@ -31,7 +31,7 @@ from dicke3.rotations import Branch, UndefinedAngleError, decoupling_angle
 from dicke3.solver import QuantumState, ground_state
 
 from conftest import framed_models, random_model
-from oracles import fidelity_susceptibility, generator_K
+from oracles import affine_ray, fidelity_susceptibility, generator_K
 
 
 def xi_resonant(na=1, nmax=8, mu12=0.0, mu23=0.0):
@@ -360,52 +360,94 @@ def framed_rays(draw):
 
 
 def _continued_points(scan):
-    """scan()'s result and, for every ground state it solved, whether the
-    continuation from the previous point's state produced it."""
+    """scan()'s result and, for every ground state of its ray (the points
+    after its cutoff search), whether the continuation from the previous
+    point's state produced it."""
     flags, results = [], []
-    real = solver._continued
+    real_continued, real_pairs = solver._continued, solver._sector_pairs
 
     def continued(*args):
-        results.append(real(*args))
+        results.append(real_continued(*args))
         return results[-1]
 
-    def solve(*args, **kwargs):
+    def pairs(*args):
         results.clear()
-        state = ground_state(*args, **kwargs)
+        out = real_pairs(*args)
         flags.append(any(r is not None for r in results))
-        return state
+        return out
 
-    with mock.patch.object(solver, "_continued", continued), mock.patch("dicke3.analysis.ground_state", solve):
-        return scan(), np.array(flags)
+    with mock.patch.object(solver, "_continued", continued), mock.patch.object(solver, "_sector_pairs", pairs):
+        sweep = scan()
+    return sweep, np.array(flags[len(flags) - len(sweep.s_values) :])
+
+
+def _solved_by(solve, m, theta, s_max, dmu, frame):
+    """scan_ray with every point's ground state from solve(H, basis, s), H
+    the ray's Hamiltonian at unit radius that the scan builds."""
+    def states(H, basis, radii):
+        return [solve(H, basis, s) for s in radii]
+
+    with mock.patch("dicke3.analysis.ray_ground_states", states):
+        return scan_ray(m, theta, s_max, dmu, rotated=frame)
 
 
 class TestScanLayout:
-    """scan_ray gathers every point's sectors through one layout.  Without
-    the continuation each fidelity is the one of solving every point afresh,
-    bit for bit; with it, still bitwise between two points solved cold (the
-    ray's first among them) and within roundoff elsewhere."""
+    """scan_ray builds one H per ray and gathers its sectors once.  Without
+    the continuation each fidelity is the one of solving every point afresh
+    on the affine ray through that H, bit for bit; with it, still bitwise
+    between two points solved cold (the ray's first among them), and within
+    roundoff of fresh solves of each point's assembled H."""
 
     @pytest.mark.parametrize("crossover", [solver.DENSE_SECTOR_MAX, 8])
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(ray=framed_rays(), steps=st.integers(2, 8))
     def test_matches_fresh_solves(self, crossover, ray, steps):
         m, frame, theta = ray
+        args = (m, theta, 1.2, 1.2 / steps, frame)
         with mock.patch.object(solver, "DENSE_SECTOR_MAX", crossover):
-            sweep, warm = _continued_points(lambda: scan_ray(m, theta, 1.2, 1.2 / steps, rotated=frame))
+            sweep, warm = _continued_points(lambda: scan_ray(*args[:4], rotated=frame))
             with mock.patch.object(solver, "_continued", lambda band, x: None):
-                cold = scan_ray(m, theta, 1.2, 1.2 / steps, rotated=frame)
-            H_at, b = _ray_hamiltonians(m, sweep, frame)
-            states = [ground_state(H_at(s), b) for s in sweep.s_values]
-        want = np.array([fidelity(p, q) for p, q in zip(states, states[1:])])
-        assert cold.fidelities.tobytes() == want.tobytes()
+                cold = scan_ray(*args[:4], rotated=frame)
+            oracle = _solved_by(lambda H, b, s: ground_state(affine_ray(H, s), b), *args)
+            H_at, _ = _ray_hamiltonians(m, sweep, frame)
+            fresh = _solved_by(lambda H, b, s: ground_state(H_at(s), b), *args)
+        assert cold.fidelities.tobytes() == oracle.fidelities.tobytes()
+        assert cold.minima == oracle.minima
         assert not warm[0] and len(warm) == len(sweep.s_values)
         both_cold = ~(warm[:-1] | warm[1:])
-        assert sweep.fidelities[both_cold].tobytes() == want[both_cold].tobytes()
-        np.testing.assert_allclose(sweep.fidelities, want, rtol=0, atol=1e-13)
-        assert len(sweep.minima) == len(cold.minima)
-        for got, exact in zip(sweep.minima, cold.minima):
+        assert sweep.fidelities[both_cold].tobytes() == oracle.fidelities[both_cold].tobytes()
+        np.testing.assert_allclose(sweep.fidelities, fresh.fidelities, rtol=0, atol=1e-13)
+        assert len(sweep.minima) == len(fresh.minima)
+        for got, exact in zip(sweep.minima, fresh.minima):
             assert got.s == pytest.approx(exact.s, rel=0, abs=1e-10)
             assert got.fidelity == pytest.approx(exact.fidelity, rel=0, abs=1e-10)
+
+    @pytest.mark.parametrize("frame", [None, Branch.FIRST])
+    def test_one_assembly_and_one_gather_per_sector(self, frame):
+        m = ModelConfig(Configuration.V, 0.0, 1.0, 1.0, mu12=0.0, mu13=0.0, mu23=0.0, na=2, nmax=8)
+        searching, gathers = [], []
+        real_search, real_gather = analysis.converged_ground_state, SectorLayout.upper_band
+
+        def search(*args):
+            searching.append(True)
+            try:
+                return real_search(*args)
+            finally:
+                searching.pop()
+
+        def gather(layout, H, k, parts=False):
+            if not searching:
+                gathers.append((len(layout.indices), k, parts))
+            return real_gather(layout, H, k, parts)
+
+        built = mock.patch("dicke3.analysis.build_hamiltonian", wraps=d3.build_hamiltonian)
+        with built as assembled, mock.patch.object(SectorLayout, "upper_band", gather), \
+                mock.patch("dicke3.analysis.converged_ground_state", search):
+            sweep = scan_ray(m, np.pi / 4, 1.5, 0.05, rotated=frame)
+        assert assembled.call_count == 1 and len(sweep.s_values) == 30
+        sectors = gathers[0][0]
+        assert sectors == (2 if frame is None else 6)  # parity, and n_iso in 0..2
+        assert gathers == [(sectors, k, True) for k in range(sectors)]
 
     def test_stale_layout_is_replaced(self):
         # At equal detuning the rotated frame adds n_iso to the lab frame's

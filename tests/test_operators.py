@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dicke3 as d3
+from dicke3 import solver
 from dicke3.basis import BasisState, enumerate_basis, index_of
 from dicke3.operators import (
     BlockHamiltonian,
@@ -67,7 +68,7 @@ def test_dense_view_places_transposed_hops_below_the_diagonal():
     hop = np.array([[[0.0, 0.7], [0.0, 0.0]]])
     op = BlockHamiltonian(np.arange(4.0), None, hop, np.zeros(4, dtype=int))
     assert np.array_equal(op.matrix, op.matrix.T)
-    assert np.array_equal(op.matrix, SectorLayout(op.sector_labels, 2).dense_block(op, 0))
+    assert np.array_equal(op.matrix, solver._dense(SectorLayout(op.sector_labels, 2).upper_band(op, 0)))
     assert op.matrix[0, 3] == op.matrix[3, 0] == 0.7
 
 

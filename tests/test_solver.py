@@ -404,9 +404,9 @@ def block_models(draw):
 
 
 class TestSectorBuilders:
-    """Both sector builders, dense and band, on both sectors whatever their
-    size, against the dense view: bitwise, signed zeros included in the
-    dense block and stored as +0.0 in the band."""
+    """The band read of every sector whatever its size, whole and in its two
+    parts, and the solver's dense block written from it, against the dense
+    view: bitwise, zeros stored as +0.0."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(block_models())
@@ -419,19 +419,24 @@ class TestSectorBuilders:
         assert [idx.tolist() for idx in layout.indices] == [idx.tolist() for idx in want]
         assert layout.fits(H)
         for k, idx in enumerate(want):
-            block = layout.dense_block(H, k)
-            assert block.flags.f_contiguous
-            assert block.tobytes() == H.matrix[np.ix_(idx, idx)].tobytes()
+            block = H.matrix[np.ix_(idx, idx)]
             upper = layout.upper_band(H, k)
             w = upper.shape[0] - 1
             assert upper.flags.f_contiguous
-            unpacked = np.zeros((idx.size, idx.size))
-            for d in range(w + 1):  # row w - d holds the d-th superdiagonal
-                j = np.arange(d, idx.size)
-                unpacked[j - d, j] = unpacked[j, j - d] = upper[w - d, d:]
-            assert np.array_equal(unpacked, H.matrix[np.ix_(idx, idx)])
+            dense = solver._dense(upper)
+            assert dense.flags.f_contiguous
+            assert dense.tobytes() == block.tobytes()
             assert w == 0 or upper[0].any()
-            assert upper.tobytes() == upper_band(H.matrix[np.ix_(idx, idx)]).tobytes()
+            assert upper.tobytes() == upper_band(block).tobytes()
+            base, hop = layout.upper_band(H, k, parts=True)
+            assert base.shape == hop.shape == upper.shape
+            assert base.flags.f_contiguous and hop.flags.f_contiguous
+            assert (base + hop).tobytes() == upper.tobytes()
+            # the parts are the photon-diagonal blocks and the hop blocks
+            photons = b.photon_numbers[idx]
+            on_site = np.where(photons[:, None] == photons, block, 0.0)
+            assert solver._dense(base).tobytes() == on_site.tobytes()
+            assert not (base.astype(bool) & hop.astype(bool)).any()
 
 
 def _scaled(m, factor):
@@ -461,7 +466,7 @@ class TestSectorSkip:
         m, b, H = _framed_hamiltonian((_scaled(m, factor), frame))
         with mock.patch.object(solver, "DENSE_SECTOR_MAX", crossover):
             got = ground_state(H, b), lowest_energy(H, b)
-            with mock.patch.object(solver, "_sector_pairs", all_sector_pairs):
+            with mock.patch.object(solver, "_pairs_of", all_sector_pairs):
                 want = ground_state(H, b), lowest_energy(H, b)
         assert got[0].amplitudes.tobytes() == want[0].amplitudes.tobytes()
         assert got[0].degenerate == want[0].degenerate
@@ -587,6 +592,20 @@ class TestContinuation:
         assert warm.amplitudes.tobytes() == cold.amplitudes.tobytes()
         assert not warm.degenerate and not cold.degenerate
 
+    def test_doublet_tie_goes_to_the_earlier_sector(self):
+        # A parity doublet continued from the odd sector's state: that sector
+        # is visited first, but the tie rule reads the sectors in sector
+        # order, so the vacuum's wins as in the cold solve.
+        m = ModelConfig(Configuration.V, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, na=3, nmax=40)
+        b = enumerate_basis(3, 40)
+        H = build_hamiltonian(with_couplings(m, 1.5, 2.0), b)
+        cold = ground_state(H, b)
+        idx, _, vectors = diagonalize(H, b).sectors[1]
+        warm, tried = _continuations(lambda: ground_state(H, b, near=_embedded(b, idx, vectors[:, 0])))
+        assert len(tried) == 1 and tried[0] is not None
+        assert warm.amplitudes.tobytes() == cold.amplitudes.tobytes()
+        assert warm.degenerate and cold.degenerate
+
     def test_settled_vector_above_roundoff_falls_back(self):
         # Levels 0, 1e-4 and 1.  The neighbour's large weight on the top level
         # puts the shift about 0.65 below the lowest, where the 1e-4 level's
@@ -600,6 +619,20 @@ class TestContinuation:
             assert solver._continued(band, x / np.linalg.norm(x)) is None
         assert solves.call_count < solver.CONTINUE_STEPS  # it stopped early
         proof.assert_not_called()
+
+    def test_settled_far_below_a_close_second_level(self):
+        # As above, with 2.5 in place of 2.25: the shift lands about 0.52
+        # below the lowest level, and the vector stops moving with its 1e-4
+        # component still 2e-11 and a residual of 3.4e-15, at roundoff.  Only
+        # under a shift close below the settled level does a solve move the
+        # vector by its error.
+        band = np.array([[0.0, 1e-4, 1.0]], order="F")
+        x = np.array([1.0, 2e-11, 2.5])
+        pair = solver._continued(band, x / np.linalg.norm(x))
+        assert pair is not None
+        energies, vectors = pair
+        assert np.abs(vectors[:, 0] - [1.0, 0.0, 0.0]).max() <= 1e-13
+        assert abs(energies[0]) <= 1e-15 and energies[1] < 1e-4
 
     @pytest.mark.parametrize("na", [1, 2])
     def test_degenerate_sector_falls_back(self, na):
@@ -615,6 +648,37 @@ class TestContinuation:
             assert tried == [None]
             assert warm.amplitudes.tobytes() == cold.amplitudes.tobytes()
             assert warm.degenerate and cold.degenerate
+
+
+def _in_sector_order(keys, key=None):
+    return list(keys)
+
+
+@pytest.mark.parametrize("frame", [Branch.FIRST, Branch.SECOND])
+@pytest.mark.parametrize("cfg, omegas", [
+    (Configuration.V, (0.0, 1.0, 1.0)),
+    (Configuration.LAMBDA, (0.0, 0.0, 1.0)),
+])
+def test_warm_sector_first_on_a_ray(cfg, omegas, frame):
+    # At equal detuning the rotated frame has 2 (na + 1) sectors, the
+    # vacuum's first.  In Lambda's first branch the ground state leaves the
+    # vacuum's sector (n_iso = na) for n_iso = 0 along the ray: visited in
+    # sector order, every sector before it is solved cold at every point.
+    m = ModelConfig(cfg, *omegas, 0.0, 0.0, 0.0, na=4, nmax=32)
+    b = enumerate_basis(4, 32)
+    H = build_hamiltonian(with_couplings(m, np.cos(np.pi / 4), np.sin(np.pi / 4)), b, frame)
+    radii = 0.02 * np.arange(1, 76)
+    runs = []
+    for order in (mock.patch.object(solver, "sorted", _in_sector_order, create=True), contextlib.nullcontext()):
+        with order, mock.patch.object(solver, "_lowest_two", wraps=solver._lowest_two) as cold:
+            runs.append((list(solver.ray_ground_states(H, b, radii)), cold.call_count))
+    (in_order, in_order_solves), (warm_first, warm_first_solves) = runs
+    for got, want in zip(warm_first, in_order):
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert got.degenerate == want.degenerate
+    assert warm_first_solves <= 10
+    if cfg is Configuration.LAMBDA and frame is Branch.FIRST:
+        assert in_order_solves > 3 * radii.size
 
 
 class TestMemory:
