@@ -12,9 +12,9 @@ built by ``build_hamiltonian`` (``rotated=None`` for the lab frame, else a
 branch) through one routine, in photon-block form
 (:class:`dicke3.operators.BlockHamiltonian`): the field and level terms are
 the diagonal, read from the basis's photon numbers and level counts, and the
-couplings are atomic (m x m) blocks between and on the photon blocks of the
-photon-major basis.  No dim x dim array is built unless the dense view is
-read.  The similarity transform U H U.T is left to the tests, as an oracle.
+couplings are one atomic (m x m) block each, placed between (dipolar) or on
+(one-body) the photon blocks.  No dim x dim array is built unless the dense
+view is read.  The similarity transform U H U.T is left to the tests.
 """
 
 from __future__ import annotations
@@ -151,8 +151,9 @@ def _assemble(
     """Common assembly: field term + level terms + dipolar couplings.
 
     The field and level terms form the diagonal, read from the basis's
-    occupation arrays.  The dipolar couplings make the hop blocks between
-    photon blocks nu and nu + 1, the one-body term the on-site block.  Every
+    occupation arrays.  The dipolar couplings sum into the atomic coupling
+    that -(a + a^dagger) / sqrt(na) joins photon blocks with, the one-body
+    term into the on-site block.  Every
     entry of the dense view rounds exactly as in the term-by-term sum of
     photon (x) atomic products (the tests pin this bitwise, signed zeros
     included).  Every term conserves the excitation-number parity, in the
@@ -170,10 +171,6 @@ def _assemble(
     for (j, k), mu in couplings.items():
         if mu != 0.0:
             atomic_coupling += mu * _symmetric_pair(basis.na, j, k)
-    # -(a + a^dagger) joins photon blocks nu and nu + 1 with sqrt(nu + 1)
-    root = np.sqrt(np.arange(1, basis.nmax + 1))[:, None, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # the solver refuses overflow
-        hops = 0.0 - root * atomic_coupling / np.sqrt(basis.na)
 
     on_site = None
     if one_body is not None:
@@ -183,7 +180,7 @@ def _assemble(
     labels = excitation_values(basis, config.cfg) % 2
     if isolated is not None:
         labels += 2 * basis.level_counts[:, isolated - 1]
-    return BlockHamiltonian(diagonal, on_site, hops, labels)
+    return BlockHamiltonian(diagonal, on_site, atomic_coupling, labels)
 
 
 def _symmetric_pair(na: int, j: int, k: int) -> np.ndarray:

@@ -1,27 +1,30 @@
 """Configurations, the operator containers, and the collective atomic operators.
 
 All matrices are real.  Hamiltonians are real symmetric in the occupation
-basis and held in photon-block form (:class:`BlockHamiltonian`), whose dense
-view is built only on demand; a :class:`SectorLayout` reads its sectors as
-bands, whole or split into photon-diagonal and hop parts.  The package
+basis and held as their atomic factors in photon-block form
+(:class:`BlockHamiltonian`), whose dense view is built only on demand; a
+:class:`SectorLayout` gathers each sector's band from the factors' nonzeros,
+whole or split into photon-diagonal and hop parts.  The package
 builds no dense full-basis operator; :class:`OperatorMatrix` holds the dense
 references of the tests.
 Complex storage is only needed for states under time evolution.
 Collective operators are the identity on the photon factor, so only their
 m x m atomic factors are built, each entry placed at once by
-:func:`dicke3.basis.atomic_index`; :mod:`dicke3.model` places them as
-photon blocks.  Diagonal operators are occupation-array vectors.
+:func:`dicke3.basis.atomic_index`; :mod:`dicke3.model` sums them into a
+Hamiltonian's atomic coupling and on-site block.  Diagonal operators are
+occupation-array vectors.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .basis import BasisSet, atomic_index, atomic_occupations
+from .basis import BasisSet, atomic_dimension, atomic_index, atomic_occupations
 
 
 class Configuration(Enum):
@@ -97,111 +100,105 @@ class OperatorMatrix:
 
 @dataclass(frozen=True)
 class BlockHamiltonian:
-    """Real symmetric Hamiltonian in photon-block form.
+    """Real symmetric Hamiltonian of na atoms and a photon mode, as atomic factors.
 
     In the photon-major basis H is block tridiagonal over photon number with
-    atomic (m x m) blocks.  Photon block nu holds ``diagonal`` on its
-    diagonal plus the ``on_site`` block (None for none); block (nu, nu + 1)
-    is ``hops[nu]`` and block (nu + 1, nu) its transpose.  The builders make
-    every ``on_site`` block symmetric, so H is too and nothing checks it at
-    run time.
+    atomic (m x m) blocks, m = (na + 1)(na + 2) / 2.  Photon block nu holds
+    ``diagonal`` on its diagonal plus the ``on_site`` block (None for none);
+    block (nu, nu + 1) holds ``0.0 - (sqrt(nu + 1) * c) / sqrt(na)`` for each
+    entry c of the atomic ``coupling``, and block (nu + 1, nu) its transpose.
+    The builders make every ``on_site`` block symmetric, so H is too and
+    nothing checks it at run time.
     ``sector_labels`` holds one integer per basis state: the excitation-number
     parity (0 even, 1 odd), plus twice the isolated level's occupation in a
     frame that conserves it.  The solver solves each set of equal labels as
     one sector, in the order of the sectors' lowest basis indices, so the
     vacuum's (basis state 0) comes first and wins ties.  Construction
-    refuses labels that a nonzero entry of ``on_site`` or ``hops`` crosses.
-    The dense view ``matrix`` is built only when read, and kept.
+    refuses labels that a nonzero entry of ``on_site`` or ``coupling``
+    crosses.  The dense view ``matrix`` is built only when read, and kept.
     """
 
     diagonal: np.ndarray
     on_site: np.ndarray | None
-    hops: np.ndarray
+    coupling: np.ndarray
     sector_labels: np.ndarray
 
     def __post_init__(self):
-        m = self.hops.shape[1]
-        dim = (self.hops.shape[0] + 1) * m
-        if self.diagonal.shape != (dim,) or self.sector_labels.shape != (dim,):
-            raise ValueError(
-                f"diagonal {self.diagonal.shape} and sector labels "
-                f"{self.sector_labels.shape} do not match photon blocks {self.hops.shape}"
-            )
-        labels = self.sector_labels.reshape(-1, m)
-        joined = [(self.hops, labels[:-1], labels[1:])]
-        if self.on_site is not None:
-            joined.append((self.on_site, labels, labels))
-        for block, rows, cols in joined:
-            if np.any((block != 0.0) & (rows[:, :, None] != cols[:, None, :])):
+        m, dim = self.coupling.shape[0], self.dim
+        blocks = [(b, shift) for b, shift in ((self.on_site, 0), (self.coupling, 1)) if b is not None]
+        if any(b.shape != (m, m) for b, _ in blocks) or self.na < 1 or atomic_dimension(self.na) != m:
+            raise ValueError(f"coupling {self.coupling.shape} is not the atomic block of na >= 1 atoms")
+        if not self.diagonal.shape == self.sector_labels.shape == (dim,) or dim % m or not dim:
+            raise ValueError(f"diagonal {self.diagonal.shape} and sector labels "
+                             f"{self.sector_labels.shape} do not fill photon blocks of {m} states")
+        for block, shift in blocks:
+            rows, cols, _ = self._placed(block, shift)
+            if np.any(self.sector_labels[rows] != self.sector_labels[cols]):
                 raise ValueError("a nonzero entry joins states of different sector labels")
-        for a in (self.diagonal, self.on_site, self.hops, self.sector_labels):
-            if a is not None:
-                a.setflags(write=False)
+        for a in (self.diagonal, self.sector_labels, *(b for b, _ in blocks)):
+            a.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.diagonal.shape[0]
 
-    @functools.cached_property
-    def _blocks(self) -> np.ndarray:
-        """The (nmax + 1, m, m) photon-diagonal blocks of H and then its hop
-        blocks, flattened into one read-only array: the values a
-        :class:`SectorLayout` gathers."""
-        m = self.hops.shape[1]
-        diagonal = np.zeros((self.dim // m, m, m))
-        diagonal.reshape(-1, m * m)[:, :: m + 1] = self.diagonal.reshape(-1, m)
-        if self.on_site is not None:
-            diagonal += self.on_site
-        out = np.concatenate([diagonal.ravel(), self.hops.ravel()])
-        out.setflags(write=False)
-        return out
+    @property
+    def na(self) -> int:
+        """The atom count whose atomic block has the coupling's size."""
+        return (math.isqrt(8 * self.coupling.shape[0] + 1) - 3) // 2
+
+    def _placed(self, block: np.ndarray, shift: int, upper: bool = False):
+        """Every nonzero entry (a, b) of an atomic block, b > a only with
+        ``upper``, placed at photon blocks (nu, nu + shift): its basis row,
+        basis column and value, as arrays with one row per photon block nu."""
+        m = block.shape[0]
+        a, b = np.nonzero(np.triu(block, 1) if upper else block)
+        start = m * np.arange(self.dim // m - shift)[:, None]
+        return start + a, start + shift * m + b, np.broadcast_to(block[a, b], (len(start), len(a)))
+
+    def _hops(self, nu, c) -> np.ndarray:
+        """The hop entries of coupling entries c at photon blocks (nu, nu + 1)."""
+        with np.errstate(over="ignore", invalid="ignore"):  # the solver refuses overflow
+            return 0.0 - (np.sqrt(nu + 1.0) * c) / np.sqrt(self.na)
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """Dense read-only view, dim x dim, scattered from the blocks.
-
-        Nothing in the package reads it; only the tests (as an oracle) and
-        the benchmark's tracer do."""
-        m = self.hops.shape[1]
+        """Dense read-only view, dim x dim, scattered from the factors: only
+        the tests (as an oracle) and the benchmark's tracer read it."""
+        m = self.coupling.shape[0]
         nu = np.arange(self.dim // m)
         out = np.zeros((self.dim, self.dim))
         blocks = out.reshape(nu.size, m, nu.size, m)
-        blocks[nu, :, nu, :] = self._blocks[: self.dim * m].reshape(-1, m, m)
-        blocks[nu[:-1], :, nu[1:], :] = self.hops
-        blocks[nu[1:], :, nu[:-1], :] = self.hops.transpose(0, 2, 1)
+        diagonal = np.zeros((nu.size, m, m))
+        diagonal.reshape(-1, m * m)[:, :: m + 1] = self.diagonal.reshape(-1, m)
+        blocks[nu, :, nu, :] = diagonal if self.on_site is None else diagonal + self.on_site
+        blocks[nu[:-1], :, nu[1:], :] = hops = self._hops(nu[:-1, None, None], self.coupling)
+        blocks[nu[1:], :, nu[:-1], :] = hops.transpose(0, 2, 1)
         out.setflags(write=False)
         return out
 
 
 class SectorLayout:
-    """Each sector of equal labels and where its entries sit in the photon
-    blocks of every :class:`BlockHamiltonian` with these labels and atomic
-    block size m (``fits``).  ``indices`` holds each sector's basis indices,
-    the vacuum's sector first.  A read gathers one H's own entries into a
-    band, which the solver writes out as a dense block where it needs one."""
+    """Each sector of equal labels of every :class:`BlockHamiltonian` with
+    these labels and atomic block size m (``fits``): ``indices`` holds each
+    sector's basis indices, the vacuum's first, ``sector`` and ``local`` every
+    basis state's sector and position in it.  A read gathers one H's nonzero
+    entries into a band, which the solver writes out as a dense block."""
 
     def __init__(self, labels: np.ndarray, m: int):
-        self.labels, self.m, self.indices, self._entries = labels, m, (), []
-        _, first = np.unique(labels, return_index=True)
-        small = np.int32 if 2 * labels.size * m < 2**31 else np.intp  # halves the memory
-        for i in np.sort(first):
-            kept = (labels == labels[i]).reshape(-1, m)
-            local = np.cumsum(kept) - 1  # every kept state's index in the sector
-            found = []
-            for shift in (0, 1):  # the diagonal blocks, then the upper hop blocks
-                src = np.flatnonzero(kept[: len(kept) - shift, :, None] & kept[shift:, None, :])
-                row = src // m  # the basis indices of the entry's row and column
-                col = row - row % m + shift * m + src % m
-                found.append((local[col] - local[row], local[col], src + shift * labels.size * m))
-            # every upper entry's superdiagonal, local column and position in H._blocks
-            d, col, src = map(np.concatenate, zip(*found))
-            self._entries.append(tuple(a[d >= 0].astype(small) for a in (d, col, src)))
-            self.indices += (np.flatnonzero(kept),)
-            self.indices[-1].setflags(write=False)
+        self.labels, self.m = labels, m
+        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        self.sector = np.argsort(np.argsort(first))[inverse.ravel()]  # sectors by first index
+        order = np.argsort(self.sector, kind="stable")
+        self.indices = tuple(np.split(order, np.cumsum(np.bincount(self.sector))[:-1]))
+        self.local = np.empty_like(order)
+        for idx in self.indices:
+            self.local[idx] = np.arange(idx.size)
+            idx.setflags(write=False)
 
     def fits(self, H: BlockHamiltonian) -> bool:
         """Whether H has this layout's labels and block size."""
-        return H.hops.shape[1] == self.m and np.array_equal(H.sector_labels, self.labels)
+        return H.coupling.shape[0] == self.m and np.array_equal(H.sector_labels, self.labels)
 
     def upper_band(self, H: BlockHamiltonian, k: int, parts: bool = False):
         """Sector k of H in LAPACK's upper band storage: a fresh Fortran-order
@@ -209,15 +206,22 @@ class SectorLayout:
         farthest one with a nonzero entry in this H, and zeros are +0.0.  With
         ``parts``, two such bands that add up to it: H's photon-diagonal
         blocks (diagonal and on-site) and its hop blocks."""
-        d, cols, src = self._entries[k]
-        vals = H._blocks[src]
+        idx = self.indices[k]
+        on_site = 0.0 if H.on_site is None else np.diagonal(H.on_site)[idx % self.m]
+        found = [(idx, idx, H.diagonal[idx] + on_site)]  # a zero of either sign is dropped
+        for block, shift in ((H.on_site, 0), (H.coupling, 1)):  # the hops last
+            if block is not None:
+                rows, cols, c = H._placed(block, shift, upper=not shift)
+                nu, j = np.nonzero(self.sector[rows] == k)  # the entries in sector k
+                found.append((rows[nu, j], cols[nu, j], H._hops(nu, c[nu, j]) if shift else c[nu, j]))
+        first_hop = sum(len(f[2]) for f in found[:-1])
+        rows, cols, vals = map(np.concatenate, zip(*found))
         kept = vals != 0.0
-        d, cols, src, vals = d[kept], cols[kept], src[kept], vals[kept]
-        w = int(np.max(d, initial=0))
-        # hop entries sit after the H.dim * m photon-diagonal ones in H._blocks
-        layer = (src >= H.dim * self.m).astype(np.intp) if parts else 0
-        out = np.zeros((w + 1, self.indices[k].size, 1 + parts), order="F")
-        out[w - d, cols, layer] = vals
+        layer = (np.flatnonzero(kept) >= first_hop).astype(np.intp) if parts else 0
+        rows, cols = self.local[rows[kept]], self.local[cols[kept]]
+        w = int(np.max(cols - rows, initial=0))
+        out = np.zeros((w + 1, idx.size, 1 + parts), order="F")
+        out[w - cols + rows, cols, layer] = vals[kept]
         return (out[..., 0], out[..., 1]) if parts else out[..., 0]
 
 

@@ -2,10 +2,10 @@
 
 Every eigenproblem is solved per sector of a :class:`BlockHamiltonian`'s
 ``sector_labels`` (the excitation-number parity, and the isolated level's
-occupation in a frame without a one-body term), each read as a band through
-a :class:`SectorLayout`; no dim x dim array is built.  Sectors come in the
-order of their lowest basis indices, the vacuum's first, and a tie between
-sectors goes to the earlier one.  Full spectra solve every sector dense.
+occupation in a frame without a one-body term), each gathered as a band
+from H's factors by a :class:`SectorLayout`; no dim x dim array is built.
+Sectors come in the order of their lowest basis indices, the vacuum's
+first; a tie goes to the earlier one.  Full spectra solve each sector dense.
 Ground states need each sector's lowest two eigenpairs: by LAPACK's dsyevr
 on a dense block written from the band up to DENSE_SECTOR_MAX states, by
 shift-invert Lanczos on the band's Cholesky factor above.  A neighbouring
@@ -111,8 +111,7 @@ def _layout(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | None = 
     """``layout`` if it fits H, else one for H's labels; H must match the basis."""
     if H.dim != basis.dim:
         raise ValueError(f"operator dim {H.dim} does not match basis dim {basis.dim}")
-    fits = layout is not None and layout.fits(H)
-    return layout if fits else SectorLayout(H.sector_labels, basis.atomic_dim)
+    return layout if layout and layout.fits(H) else SectorLayout(H.sector_labels, basis.atomic_dim)
 
 
 def diagonalize(H: BlockHamiltonian, basis: BasisSet) -> Spectrum:

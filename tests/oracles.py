@@ -7,8 +7,9 @@ decoupled frame, for its rotated frames.  The band read-back of a dense
 block, the oracle for the solver's Lanczos sectors; whole-matrix
 expectation values, eigenvectors, evolution and band labels, the oracles
 for the per-sector solver; the solve of every sector, the oracle for the
-solver's sector skip; and the fidelity susceptibility from a full
-eigendecomposition, the oracle for the fidelity scans."""
+solver's sector skip; a ray point's cold solve read from the dense view,
+the oracle for the ray's band parts; and the fidelity susceptibility from a
+full eigendecomposition, the oracle for the fidelity scans."""
 
 from dataclasses import dataclass
 
@@ -253,10 +254,18 @@ def all_sector_pairs(H, basis, layout=None, near=None) -> list:
     return out
 
 
-def affine_ray(H1: BlockHamiltonian, s: float) -> BlockHamiltonian:
-    """The point at radius s of the coupling ray whose point at unit radius
-    is H1: H1's photon-diagonal blocks and s times its hop blocks."""
-    return BlockHamiltonian(H1.diagonal, H1.on_site, s * H1.hops, H1.sector_labels)
+def affine_ray_ground_state(H1: BlockHamiltonian, basis: BasisSet, s: float) -> QuantumState:
+    """The cold-solved ground state at radius s of the coupling ray whose
+    point at unit radius is H1: H1's photon-diagonal blocks and s times its
+    hop blocks, each sector's band the :func:`upper_band` read-back of the
+    dense view scaled off the photon diagonal."""
+    photons = basis.photon_numbers
+    dense = np.where(photons[:, None] == photons, H1.matrix, s * H1.matrix)
+    labels = H1.sector_labels
+    _, first = np.unique(labels, return_index=True)
+    indices = [np.flatnonzero(labels == labels[i]) for i in np.sort(first)]
+    pairs = solver._sector_pairs(indices, lambda k: upper_band(dense[np.ix_(indices[k], indices[k])]))
+    return solver._ground(pairs, basis)
 
 
 def fidelity_susceptibility(H: np.ndarray, dH: np.ndarray) -> tuple[float, float]:

@@ -31,7 +31,7 @@ from dicke3.rotations import Branch, UndefinedAngleError, decoupling_angle
 from dicke3.solver import QuantumState, ground_state
 
 from conftest import framed_models, random_model
-from oracles import affine_ray, fidelity_susceptibility, generator_K
+from oracles import affine_ray_ground_state, fidelity_susceptibility, generator_K
 
 
 def xi_resonant(na=1, nmax=8, mu12=0.0, mu23=0.0):
@@ -408,7 +408,7 @@ class TestScanLayout:
             sweep, warm = _continued_points(lambda: scan_ray(*args[:4], rotated=frame))
             with mock.patch.object(solver, "_continued", lambda band, x: None):
                 cold = scan_ray(*args[:4], rotated=frame)
-            oracle = _solved_by(lambda H, b, s: ground_state(affine_ray(H, s), b), *args)
+            oracle = _solved_by(affine_ray_ground_state, *args)
             H_at, _ = _ray_hamiltonians(m, sweep, frame)
             fresh = _solved_by(lambda H, b, s: ground_state(H_at(s), b), *args)
         assert cold.fidelities.tobytes() == oracle.fidelities.tobytes()
@@ -476,7 +476,7 @@ class TestScanLayout:
         layout = SectorLayout(H.sector_labels, b.atomic_dim)
         diagonal = H.diagonal.copy()
         diagonal[0 if where == "vacuum" else -1] = np.nan
-        bad = BlockHamiltonian(diagonal, H.on_site, H.hops, H.sector_labels)
+        bad = BlockHamiltonian(diagonal, H.on_site, H.coupling, H.sector_labels)
         assert layout.fits(bad)
         with mock.patch.object(solver, "DENSE_SECTOR_MAX", crossover):
             for solve in (lambda: ground_state(bad, b, layout), lambda: ground_state(bad, b)):

@@ -40,36 +40,55 @@ def test_package_calls_no_kron():
     assert calls == []
 
 
+def _coupling(entries) -> np.ndarray:
+    """The 3 x 3 atomic coupling of one atom with the given {(a, b): c} entries."""
+    out = np.zeros((3, 3))
+    for (a, b), c in entries.items():
+        out[a, b] = c
+    return out
+
+
 def test_sector_labels_contract():
-    # Two photon blocks of one atomic state each, joined by one hop: one sector.
-    op = BlockHamiltonian(np.array([0.0, 1.0]), None, np.full((1, 1, 1), -0.5), np.array([2, 2]))
-    assert op.dim == 2
-    assert not op.sector_labels.flags.writeable
-    assert np.array_equal(op.matrix, [[0.0, -0.5], [-0.5, 1.0]])
+    # Two photon blocks of one atom (three atomic states each); the coupling
+    # joins atomic state 0 of block 0 to that of block 1, hop
+    # 0.0 - (sqrt(1) * 0.5) / sqrt(1) = -0.5.  Equal labels: one sector.
+    diagonal = np.array([0.0, 2.0, 2.0, 1.0, 2.0, 2.0])
+    op = BlockHamiltonian(diagonal, None, _coupling({(0, 0): 0.5}), np.full(6, 2))
+    assert op.dim == 6 and op.na == 1
+    assert not op.sector_labels.flags.writeable and not op.coupling.flags.writeable
+    want = np.diag(diagonal)
+    want[0, 3] = want[3, 0] = -0.5
+    assert np.array_equal(op.matrix, want)
     with pytest.raises(ValueError, match="sector labels"):
-        BlockHamiltonian(np.zeros(2), None, np.zeros((1, 1, 1)), np.zeros(3, dtype=int))
+        BlockHamiltonian(np.zeros(6), None, _coupling({}), np.zeros(5, dtype=int))
+    with pytest.raises(ValueError, match="sector labels"):  # not whole photon blocks
+        BlockHamiltonian(np.zeros(4), None, _coupling({}), np.zeros(4, dtype=int))
+    # An atomic block is (na + 1)(na + 2) / 2 square, na >= 1.
+    for size in (1, 2, 4):
+        with pytest.raises(ValueError, match="atomic block"):
+            BlockHamiltonian(np.zeros(size), None, np.zeros((size, size)), np.zeros(size, dtype=int))
     # Different labels joined by the hop: its eigenvalues are -0.207 and
     # 1.207, not the diagonal's 0 and 1, so the labels are refused.
+    split = np.array([0, 0, 0, 1, 0, 0])
     with pytest.raises(ValueError, match="joins states of different sector labels"):
-        BlockHamiltonian(np.array([0.0, 1.0]), None, np.full((1, 1, 1), -0.5), np.array([0, 1]))
-    # A zero hop (of either sign) joins nothing.
-    BlockHamiltonian(np.array([0.0, 1.0]), None, np.full((1, 1, 1), -0.0), np.array([0, 1]))
+        BlockHamiltonian(diagonal, None, _coupling({(0, 0): 0.5}), split)
+    # A zero coupling entry (of either sign) joins nothing.
+    BlockHamiltonian(diagonal, None, _coupling({(0, 0): -0.0}), split)
     # Within one photon block, the on-site term is checked the same way.
-    on_site = np.array([[0.0, 0.3], [0.3, 0.0]])
+    on_site = _coupling({(0, 1): 0.3, (1, 0): 0.3})
     with pytest.raises(ValueError, match="joins states of different sector labels"):
-        BlockHamiltonian(np.zeros(2), on_site, np.zeros((0, 2, 2)), np.array([0, 1]))
-    BlockHamiltonian(np.zeros(2), on_site, np.zeros((0, 2, 2)), np.array([1, 1]))
+        BlockHamiltonian(np.zeros(3), on_site, _coupling({}), np.array([0, 1, 1]))
+    BlockHamiltonian(np.zeros(3), on_site, _coupling({}), np.array([1, 1, 0]))
 
 
 def test_dense_view_places_transposed_hops_below_the_diagonal():
-    # Two photon blocks of two atomic states, joined by an asymmetric hop:
-    # block (0, 1) is the hop and block (1, 0) its transpose, as in the
-    # blocks the solver diagonalizes.
-    hop = np.array([[[0.0, 0.7], [0.0, 0.0]]])
-    op = BlockHamiltonian(np.arange(4.0), None, hop, np.zeros(4, dtype=int))
+    # Two photon blocks of three atomic states, joined by an asymmetric
+    # coupling: block (0, 1) is the hop and block (1, 0) its transpose, as
+    # in the blocks the solver diagonalizes.
+    op = BlockHamiltonian(np.arange(6.0), None, _coupling({(0, 1): -0.7}), np.zeros(6, dtype=int))
     assert np.array_equal(op.matrix, op.matrix.T)
-    assert np.array_equal(op.matrix, solver._dense(SectorLayout(op.sector_labels, 2).upper_band(op, 0)))
-    assert op.matrix[0, 3] == op.matrix[3, 0] == 0.7
+    assert np.array_equal(op.matrix, solver._dense(SectorLayout(op.sector_labels, 3).upper_band(op, 0)))
+    assert op.matrix[0, 4] == op.matrix[4, 0] == 0.7
 
 
 def test_atomic_matrices_cached_read_only():

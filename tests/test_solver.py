@@ -59,10 +59,15 @@ class TestDiagonalize:
         assert np.allclose(spec.energies, [0.0, 1.0, 2.0], atol=1e-14)
 
     def test_two_by_two_closed_form(self):
-        # Two photon blocks of one state each, of one parity, joined by one hop.
+        # Two photon blocks of one atom, joined by one hop -g between atomic
+        # state 0 of each; the other four states lie far above in their own
+        # sector.
         g = 0.37
-        H = BlockHamiltonian(np.array([0.0, 1.0]), None, np.full((1, 1, 1), -g), np.zeros(2, dtype=int))
-        b = _FakeBasis(2)
+        coupling = np.zeros((3, 3))
+        coupling[0, 0] = g
+        diagonal = np.array([0.0, 5.0, 5.0, 1.0, 5.0, 5.0])
+        H = BlockHamiltonian(diagonal, None, coupling, np.array([0, 1, 1, 0, 1, 1]))
+        b = enumerate_basis(1, 1)
         spec = diagonalize(H, b)
         lo = (1 - np.sqrt(1 + 4 * g * g)) / 2
         hi = (1 + np.sqrt(1 + 4 * g * g)) / 2
@@ -107,22 +112,6 @@ class TestDiagonalize:
         for solve in (diagonalize, ground_state, lowest_energy):
             with pytest.raises(ValueError, match="does not match basis dim"):
                 solve(H, enumerate_basis(1, 5))
-
-
-class _FakeBasis:
-    """Minimal stand-in for tiny hand-built matrices."""
-
-    def __init__(self, dim):
-        self._dim = dim
-        self.na = 1
-        self.nmax = dim - 1
-        self.atomic_dim = 1
-        self.photon_numbers = np.arange(dim)
-        self.level_counts = np.zeros((dim, 3), dtype=int)
-
-    @property
-    def dim(self):
-        return self._dim
 
 
 class TestGroundState:
@@ -705,6 +694,23 @@ class TestMemory:
 
         (H, _, _), peak = self._peak(solve)
         assert peak < 32 * 2**20
+        assert "matrix" not in vars(H)
+
+    def test_factors_and_bands_stay_small(self):
+        # dim 5805: nmax = 128 dense hop blocks alone would take 2 MB, a
+        # table of every block entry's position many more; H's factors, the
+        # layout and the two sectors' bands (1.3 MB together) need less.
+        m = lam(na=8, nmax=128)
+        b = enumerate_basis(8, 128)
+
+        def gather():
+            H = build_hamiltonian(m, b)
+            layout = SectorLayout(H.sector_labels, b.atomic_dim)
+            return H, [layout.upper_band(H, k) for k in range(len(layout.indices))]
+
+        (H, bands), peak = self._peak(gather)
+        assert len(bands) == 2
+        assert peak < 4 * 2**20
         assert "matrix" not in vars(H)
 
     def test_spectrum_and_evolution_build_no_dense_matrix(self):
