@@ -3,7 +3,9 @@
 Abrupt ground-state changes show up as minima of the fidelity between
 neighbouring ground states along rays through the coupling-plane origin, on
 which H is affine in the radius; a pencil of rays maps the whole phase
-boundary.  The closed-form variational boundaries are provided for overlay.
+boundary, its rays of one photon cutoff solved together (a single ray is a
+pencil of one).  The closed-form variational boundaries are provided for
+overlay.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .solver import (
     DEFAULT_TAIL_TOL,
     QuantumState,
     converged_ground_state,
-    ray_ground_states,
+    pencil_ground_states,
 )
 
 NOISE_FLOOR = 1e-9
@@ -197,6 +199,41 @@ def _detect_minima(
     return tuple(out)
 
 
+def _sweeps(config, thetas, s_max, dmu, rotated, etol, ptol) -> list[RaySweep]:
+    """The :class:`RaySweep` of every ray in ``thetas``; see :func:`scan_ray`.
+    Rays of one cutoff go to :func:`dicke3.solver.pencil_ground_states`
+    together, which solves those of one band shape in lockstep."""
+    if dmu <= 0:
+        raise ValueError("dmu must be positive")
+    directions = [_ray_direction(theta) for theta in thetas]
+    n_steps = int(np.floor(s_max / dmu + 1e-9))
+    if n_steps < 2:
+        raise ValueError("ray too short: needs at least two radii")
+    radii = dmu * np.arange(1, n_steps + 1)
+    cutoffs = [converged_ground_state(with_couplings(config, radii[-1] * ca, radii[-1] * sa), etol, ptol)[0]
+               for ca, sa in directions]
+    fids = np.empty((len(thetas), n_steps - 1))
+    for nmax in dict.fromkeys(cutoffs):
+        rays = [i for i, cutoff in enumerate(cutoffs) if cutoff == nmax]
+        basis = enumerate_basis(config.na, nmax)
+        unit = dataclasses.replace(config, nmax=nmax)
+        Hs = [build_hamiltonian(with_couplings(unit, *directions[i]), basis, rotated) for i in rays]
+        for group, walk in pencil_ground_states(Hs, basis, radii):
+            overlaps = [(p * q).sum(axis=1) for (p, _), (q, _) in itertools.pairwise(walk)]  # along C-order rows
+            fids[[rays[g] for g in group]] = np.square(overlaps).T
+    chi = 2.0 * (1.0 - fids) / dmu**2
+    for a in (fids, chi):
+        a.setflags(write=False)
+    mids = (radii[:-1] + radii[1:]) / 2.0
+    sweeps = []
+    for i, (theta, (ca, sa)) in enumerate(zip(thetas, directions)):
+        coords = [(s * ca, s * sa) for s in radii]
+        mid_coords = [((a0 + a1) / 2, (b0 + b1) / 2) for (a0, b0), (a1, b1) in zip(coords, coords[1:])]
+        minima = _detect_minima(mids, fids[i], mid_coords, dmu)
+        sweeps.append(RaySweep(config, theta, dmu, cutoffs[i], rotated, radii, fids[i], chi[i], minima))
+    return sweeps
+
+
 def scan_ray(
     config: ModelConfig,
     theta: float,
@@ -214,39 +251,12 @@ def scan_ray(
     monotonically with the couplings, so the outer point dominates); sharing
     one basis keeps the overlaps well defined.  H is affine in the radius in
     every frame (its hop blocks scale with it): one H, at unit radius, feeds
-    :func:`dicke3.solver.ray_ground_states`, which continues each point's
-    state from the one before where proven, two states held at a time;
-    fidelities agree with solves of freshly assembled points to roundoff.
+    :func:`dicke3.solver.pencil_ground_states` as a pencil of one ray, which
+    continues each point's state from those before where proven, two states
+    held at a time; fidelities agree with solves of freshly assembled points
+    to roundoff, and with the ray's in any pencil bit for bit.
     """
-    if dmu <= 0:
-        raise ValueError("dmu must be positive")
-    ca, sa = _ray_direction(theta)
-    n_steps = int(np.floor(s_max / dmu + 1e-9))
-    if n_steps < 2:
-        raise ValueError("ray too short: needs at least two radii")
-    radii = dmu * np.arange(1, n_steps + 1)
-    coords = [(s * ca, s * sa) for s in radii]
-    nmax, _ = converged_ground_state(with_couplings(config, *coords[-1]), etol, ptol)
-    basis = enumerate_basis(config.na, nmax)
-    unit = with_couplings(dataclasses.replace(config, nmax=nmax), ca, sa)
-    states = ray_ground_states(build_hamiltonian(unit, basis, rotated), basis, radii)
-    fids = np.array([fidelity(p, q) for p, q in itertools.pairwise(states)])
-    chi = 2.0 * (1.0 - fids) / dmu**2
-    mids = (radii[:-1] + radii[1:]) / 2.0
-    mid_coords = [((a0 + a1) / 2, (b0 + b1) / 2) for (a0, b0), (a1, b1) in zip(coords, coords[1:])]
-    fids.setflags(write=False)
-    chi.setflags(write=False)
-    return RaySweep(
-        config=config,
-        theta=theta,
-        dmu=dmu,
-        nmax=nmax,
-        rotated=rotated,
-        s_values=radii,
-        fidelities=fids,
-        susceptibilities=chi,
-        minima=_detect_minima(mids, fids, mid_coords, dmu),
-    )
+    return _sweeps(config, [theta], s_max, dmu, rotated, etol, ptol)[0]
 
 
 @dataclass(frozen=True)
@@ -287,24 +297,26 @@ def phase_diagram(
     etol: float = DEFAULT_ENERGY_TOL,
     ptol: float = DEFAULT_TAIL_TOL,
 ) -> PhaseDiagram:
-    """Minima loci over a pencil of rays; rays are independent workloads.
+    """Minima loci over a pencil of rays, solved together (see :func:`_sweeps`).
 
-    Results are merged in the given theta order, so the output is identical
-    for any worker count.
+    With ``workers`` > 1 each worker process takes one contiguous chunk of
+    the rays.  Results are merged in the given theta order, and a ray's
+    result does not depend on the rays solved beside it, so the output is
+    identical for any worker count.
     """
     thetas = tuple(float(t) for t in thetas)
     if not thetas:
         raise ValueError("need a nonempty pencil of rays")
-    scan = functools.partial(
-        scan_ray, config, s_max=s_max, dmu=dmu, rotated=rotated, etol=etol, ptol=ptol
-    )
+    sweeps = functools.partial(_sweeps, config, s_max=s_max, dmu=dmu, rotated=rotated, etol=etol, ptol=ptol)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        size = -(-len(thetas) // workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rays = tuple(pool.map(scan, thetas))
+            rays = tuple(itertools.chain.from_iterable(
+                pool.map(sweeps, [thetas[i : i + size] for i in range(0, len(thetas), size)])))
     else:
-        rays = tuple(map(scan, thetas))
+        rays = tuple(sweeps(thetas))
     minima = tuple(
         DiagramLocus(ray.theta, m.s, m.mu_a, m.mu_b, m.fidelity)
         for ray in rays

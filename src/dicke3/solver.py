@@ -8,13 +8,17 @@ Sectors come in the order of their lowest basis indices, the vacuum's
 first; a tie goes to the earlier one.  Full spectra solve each sector dense.
 Ground states need each sector's lowest two eigenpairs: by LAPACK's dsyevr
 on a dense block written from the band up to DENSE_SECTOR_MAX states, by
-shift-invert Lanczos on the band's Cholesky factor above.  A neighbouring
-point's sector is solved first, by inverse iteration from its state where
-Cholesky factorisations prove the level found the lowest and single; a
-sector that one proves (Sylvester's law of inertia) more than
+shift-invert Lanczos on the band's Cholesky factor above.  A sector that
+a band Cholesky factorisation proves (Sylvester's law of inertia) more than
 2 DEGENERACY_GAP above a solved level is skipped, as it could neither win a
-tie nor flag a degeneracy.  Along a coupling ray H is affine in the radius,
-and :func:`ray_ground_states` gathers each sector's two band parts once.
+tie nor flag a degeneracy.  Along a coupling ray H is affine in the radius:
+:func:`pencil_ground_states` gathers each sector's two band parts once per
+ray and solves a point's sector first by inverse iteration from the ray's
+states before, where factorisations prove the level found the lowest and
+single.  Rays of one band shape walk in lockstep, their bands stacked
+(rays, n, w + 1) so that one LAPACK call serves all of them: rows of a
+stack are C-ordered, and every reduction runs along them, so a ray's
+result does not depend on its neighbours, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ DEGENERACY_GAP = 1e-10
 # BLAS thread); a lower cap would move degenerate rows of populations output.
 DENSE_SECTOR_MAX = 400
 CONTINUE_STEPS = 40  # shift trials, then inverse iterations, before the cold solve
+PENCIL_ENTRIES = 2**14  # band entries a part of rays walked in lockstep may hold
 DEFAULT_ENERGY_TOL = 1e-8
 DEFAULT_TAIL_TOL = 1e-10
 CUTOFF_START = 8
@@ -104,7 +109,7 @@ def _fix_sign(columns: np.ndarray) -> None:
     """Flip every column in place so that its largest-magnitude component is
     positive (ties broken by the lowest index)."""
     peak = np.argmax(np.abs(columns), axis=0)
-    columns *= np.sign(np.take_along_axis(columns, peak[None], axis=0))
+    columns *= np.sign(columns[peak, np.arange(columns.shape[1])])
 
 
 def _layout(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | None = None):
@@ -156,12 +161,10 @@ def _lowest_two(block: np.ndarray):
     return w[:found], v[:, :found]
 
 
-def _factor(band: np.ndarray, shift: float):
-    """Band Cholesky factor of a sector (upper band storage, overwritten) minus
-    ``shift``, or None; a factor proves every level above the shift (Sylvester)."""
-    band[-1] -= shift
-    factor, info = scipy.linalg.lapack.dpbtrf(band, overwrite_ab=1)
-    return factor if info == 0 else None
+def _factored(stack: np.ndarray) -> np.ndarray:
+    """Whether each band of a stack has a band Cholesky factor, which
+    overwrites it: a factor proves every level positive (Sylvester)."""
+    return np.array([scipy.linalg.lapack.dpbtrf(band.T, overwrite_ab=1)[1] == 0 for band in stack], dtype=bool)
 
 
 def _shift_invert_pair(band: np.ndarray):
@@ -179,10 +182,10 @@ def _shift_invert_pair(band: np.ndarray):
         sigma = float(np.min(band[w] - radius)) - 1.0
     if not np.isfinite(sigma):  # a NaN or inf entry, or an overflowing row
         raise ValueError("array must not contain infs or NaNs")
-    factor = _factor(band, sigma)
-    if factor is None:
+    band[-1] -= sigma
+    if not _factored(band.T[None])[0]:
         raise scipy.linalg.LinAlgError("dpbtrf failed below the Gershgorin bound")
-    solve = functools.partial(scipy.linalg.lapack.dpbtrs, factor)  # (x, info)
+    solve = functools.partial(scipy.linalg.lapack.dpbtrs, band)  # (x, info)
     inverse = scipy.sparse.linalg.LinearOperator((n, n), lambda x: solve(x)[0], dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)  # deterministic start
     # in shift-invert mode eigsh reads only the shape and dtype of its matrix
@@ -191,120 +194,193 @@ def _shift_invert_pair(band: np.ndarray):
     return energies[order], vectors[:, order]
 
 
-def _lies_above(band: np.ndarray, lowest: float) -> bool:
-    """Whether every level of a sector, in upper band storage (overwritten),
-    provably lies more than 2 DEGENERACY_GAP above ``lowest``: the block
-    minus sigma has a band Cholesky factor.  Sigma's roundoff allowance is
-    twice the factor's backward error at half-bandwidth w, (2w + 1)(w + 1)
-    eps times the largest shifted diagonal entry, which ``scale`` bounds;
-    the other half covers the eigensolvers' own error."""
-    w = band.shape[0] - 1
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row's dot product, summed along the rows of a fresh C-order
+    product: a row's sum has the same bits whatever rows lie beside it."""
+    return (a * b).sum(axis=1)
+
+
+def _lies_above(stack: np.ndarray, lowest: np.ndarray) -> np.ndarray:
+    """Whether every level of each band of a stack (overwritten) provably lies
+    more than 2 DEGENERACY_GAP above its entry of ``lowest``: the band minus
+    sigma has a band Cholesky factor.  Sigma's roundoff allowance is twice
+    the factor's backward error at half-bandwidth w, (2w + 1)(w + 1) eps
+    times the largest shifted diagonal entry, which ``scale`` bounds; the
+    other half covers the eigensolvers' own error."""
+    w = stack.shape[2] - 1
     # each band diagonal's largest entry, counted on both sides of the main one
-    peaks = np.abs(band).max(axis=1)
+    peaks = np.abs(stack).max(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite scale fails below
-        scale = 2.0 * peaks[:-1].sum() + peaks[-1] + abs(lowest)
-    margin = 2.0 * DEGENERACY_GAP + 4.0 * (w + 1) ** 2 * np.finfo(float).eps * scale
-    band[w] -= lowest  # then the margin apart: lowest + margin may round back to lowest
-    return _factor(band, margin) is not None and bool(np.isfinite(scale))
+        scale = 2.0 * peaks[:, :-1].sum(axis=1) + peaks[:, -1] + np.abs(lowest)
+        margin = 2.0 * DEGENERACY_GAP + 4.0 * (w + 1) ** 2 * np.finfo(float).eps * scale
+        stack[:, :, w] -= lowest[:, None]  # then the margin apart: lowest + margin may round back to lowest
+        stack[:, :, w] -= margin[:, None]
+    return _factored(stack) & np.isfinite(scale)
 
 
-def _below(band: np.ndarray, shifts):
-    """The first of ``shifts`` the band factors below, with the factor, else (nan, None)."""
-    found = ((t, _factor(band.copy(order="F"), t)) for t in shifts)
-    return next((p for p in found if p[1] is not None), (np.nan, None))
+def _below(stack: np.ndarray, shifts: np.ndarray, rows: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """For each of ``rows``, the first of its row of ``shifts`` (a NaN ends
+    them) that its band factors below, the factor written into ``factors``
+    (a row without one keeps the factor it had); NaN where there is none."""
+    found, left = np.full(len(rows), np.nan), np.arange(len(rows))
+    for column in shifts.T:
+        left = left[column[left] == column[left]]
+        if not left.size:
+            break
+        trial = stack[rows[left]]
+        trial[:, :, -1] -= column[left, None]
+        ok = _factored(trial)
+        factors[rows[left[ok]]], found[left[ok]] = trial[ok], column[left[ok]]
+        left = left[~ok]
+    return found
 
 
-def _continued(band: np.ndarray, x: np.ndarray):
-    """Lowest eigenpair of a sector, in upper band storage, by inverse
-    iteration from a neighbour's unit vector x, or None.  The shift steps
-    down from x's Rayleigh quotient until the band factors below it.  Once x
-    stops moving, its residual r against its Rayleigh quotient mu must be at
-    roundoff, and the band plus a large entry at x's peak must lie above
-    mu + r and mu + (mu - shift): by rank-one interlacing so does the second
-    level, so mu is the lowest level and single, and x lies within its last
-    move of the eigenvector (a solve leaves x's error times the first level's
-    distance from the shift over the gap).  Where only that second bound
-    fails, the iteration goes on under a shift within 2 DEGENERACY_GAP of mu."""
-    w = band.shape[0] - 1
-    big, steps = np.abs(band).max(), 4.0 ** np.arange(CONTINUE_STEPS)
-    ax = scipy.linalg.blas.dsbmv(w, 1.0, band, x)
-    rho = x @ ax
-    step = np.linalg.norm(ax - rho * x) / 64.0 + DEGENERACY_GAP  # 1/64 of x's residual first
-    shift, factor = _below(band, rho - step * steps)
-    for _ in range(CONTINUE_STEPS):
-        if factor is None:
-            return None
-        y = scipy.linalg.lapack.dpbtrs(factor, x)[0]
-        y /= np.sqrt(y @ y)  # x . y > 0: the shifted inverse is positive definite
-        x, moved = y, y - x
-        if moved @ moved >= 1e-28:  # moved by 1e-14 or more
+def _continued(stack: np.ndarray, x: np.ndarray, active: np.ndarray):
+    """Lowest levels (+inf where none is proven) and vectors of the
+    ``active`` bands of a stack, by inverse iteration from the unit rows of
+    x.  The shift steps down from x's Rayleigh quotient until the band
+    factors below it.  Once x stops moving, its residual r against its
+    Rayleigh quotient mu must be at roundoff, and the band plus a large
+    entry at x's peak must lie above mu + r and mu + (mu - shift): by
+    rank-one interlacing so does the second level, so mu is the lowest and
+    single, and x lies within its last move of the eigenvector (a solve
+    leaves x's error times the first level's distance from the shift over
+    the gap).  Where only the second bound fails, the iteration goes on
+    under a shift within 2 DEGENERACY_GAP of mu, up to CONTINUE_STEPS solves
+    in all.  Each pass is one dpbtrs over the stack's block-diagonal factor
+    (an identity for idle bands); a band that stops moving waits for the
+    rest, unchanged."""
+    n, w = stack.shape[1], stack.shape[2] - 1
+    big, steps = np.abs(stack).reshape(len(stack), -1).max(axis=1), 4.0 ** np.arange(CONTINUE_STEPS)
+    band, factors = stack.reshape(-1, w + 1).T, np.zeros_like(stack)  # the blocks as one band
+    factors[:, :, w] = 1.0
+    x = np.where(active[:, None], x, 1.0)  # an idle row: any vector but zero
+    ax = scipy.linalg.blas.dsbmv(w, 1.0, band, x.reshape(-1)).reshape(-1, n)
+    rho = _rowdot(x, ax)
+    res = ax - rho[:, None] * x
+    step = np.sqrt(_rowdot(res, res)) / 64.0 + DEGENERACY_GAP  # 1/64 of x's residual first
+    rows, shift = np.flatnonzero(active), np.full(len(stack), np.nan)
+    shift[rows] = _below(stack, rho[rows, None] - step[rows, None] * steps, rows, factors)
+    levels, solves = np.full((len(stack), 2), np.inf), np.zeros(len(stack), dtype=int)
+    moving, waiting = shift == shift, np.zeros(len(stack), dtype=bool)
+    busy, chol = moving.any(), factors.reshape(-1, w + 1).T
+    while busy or waiting.any():
+        if busy:
+            y = scipy.linalg.lapack.dpbtrs(chol, x.reshape(-1))[0].reshape(-1, n)
+            y /= np.sqrt(_rowdot(y, y))[:, None]  # x . y > 0: the shifted inverse is positive definite
+            moved = y - x
+            np.copyto(x, y, where=moving[:, None])
+            solves += moving
+            settled = moving & (_rowdot(moved, moved) < 1e-28)  # moved by less than 1e-14
+            waiting |= settled
+            moving &= ~settled & (solves < CONTINUE_STEPS)
+            busy = moving.any()
+            if busy:
+                continue
+        rows = np.flatnonzero(waiting)
+        waiting[rows] = False
+        ax = scipy.linalg.blas.dsbmv(w, 1.0, band, x.reshape(-1)).reshape(-1, n)
+        mu = _rowdot(x, ax)
+        res = ax - mu[:, None] * x
+        r = np.sqrt(_rowdot(res, res))
+        tol = (w + 1) ** 2 * np.finfo(float).eps * ((2 * w + 1) * big + np.abs(mu))
+        rows = rows[r[rows] <= 16.0 * tol[rows]]  # the rest have a residual above roundoff
+        if not rows.size:
             continue
-        ax = scipy.linalg.blas.dsbmv(w, 1.0, band, x)
-        mu = x @ ax
-        r = np.linalg.norm(ax - mu * x)
-        tol = (w + 1) ** 2 * np.finfo(float).eps * ((2 * w + 1) * big + abs(mu))
-        if not r <= 16.0 * tol:
-            return None
-        bound = mu + r + max(mu - shift - 2.0 * DEGENERACY_GAP, 0.0)
-        spiked = band.copy(order="F")
-        spiked[w, np.argmax(np.abs(x))] += 4.0 * (w + 1) * big
-        if _lies_above(spiked, bound):
-            return np.array([mu, bound + 2.0 * DEGENERACY_GAP]), x[:, None]
-        if mu - shift <= 2.0 * DEGENERACY_GAP:
-            return None
-        close = (r + tol) * steps  # r plus the factor's backward error, stepped up
-        shift, factor = _below(band, mu - close[close <= 2.0 * DEGENERACY_GAP])
-    return None
+        bound = mu + r + np.maximum(mu - shift - 2.0 * DEGENERACY_GAP, 0.0)
+        spiked = stack[rows]
+        spiked[np.arange(rows.size), np.argmax(np.abs(x[rows]), axis=1), w] += 4.0 * (w + 1) * big[rows]
+        proven = rows[_lies_above(spiked, bound[rows])]
+        levels[proven, 0], levels[proven, 1] = mu[proven], bound[proven] + 2.0 * DEGENERACY_GAP
+        rows = rows[(levels[rows, 0] == np.inf) & (mu[rows] - shift[rows] > 2.0 * DEGENERACY_GAP)]
+        rows = rows[solves[rows] < CONTINUE_STEPS]
+        if rows.size:
+            close = (r[rows, None] + tol[rows, None]) * steps  # r plus the factor's backward error, stepped up
+            shift[rows] = _below(stack, np.where(close <= 2.0 * DEGENERACY_GAP, mu[rows, None] - close, np.nan),
+                                 rows, factors)
+            moving[rows] = shift[rows] == shift[rows]
+            busy = moving.any()
+    return levels, x
 
 
-def _sector_pairs(indices, band_of, near=None):
-    """(basis indices, lowest energies, eigenvectors) of every sector in
-    ``indices``, in sector order, but those :func:`_lies_above` a level
-    solved before them; ``band_of(k)`` gives sector k's band, a fresh array.
+def _visits(warm: np.ndarray, count: int) -> np.ndarray:
+    """Each ray's sectors in the order it visits them: its warm one (-1 for
+    none) first, then the rest in sector order."""
+    return np.argsort(np.arange(count) != warm[:, None], axis=1, kind="stable")
 
-    The sector holding most of the state ``near`` comes first and is
-    :func:`_continued` from it, so its level bounds every skip proof; as a
-    skipped sector is proven above a solved level, no result depends on the
-    visiting order.  Sectors with non-finite levels (overflow) are refused.
+
+def _sector_pairs(indices, stack_of, warm=None, near=None):
+    """Lowest levels (R, K, 2) and vectors of R rays' K sectors, ``indices``
+    their basis indices and ``stack_of(k)`` the stack (R, n, w + 1) of
+    sector k's bands, a fresh array: ``levels[r, k]`` the lowest two of ray
+    r's sector k (+inf where it has one state, or was skipped), and
+    ``vectors[k][r]`` the lowest eigenvector.  A ray visits its sectors in
+    sector order, but ``warm[r]`` (-1 for none) first, :func:`_continued`
+    there from twice its last state less the one before, ``near[0][k][r]``
+    and ``near[1][k][r]`` (or the last state alone, where that keeps half
+    its weight or less), so its level bounds every skip proof: a sector
+    that :func:`_lies_above` a level solved before it is skipped, and no
+    result depends on the visiting order.  Non-finite levels are refused.
     """
-    x = [None if near is None else near.amplitudes.real[idx] for idx in indices]
-    warm = next((k for k, v in enumerate(x) if v is not None and v @ v > 0.5), None)
-    out = {}
-    for k in sorted(range(len(indices)), key=lambda k: k != warm):
-        idx, band = indices[k], band_of(k)
-        if out and _lies_above(band.copy(order="F"), min(e[0] for _, e, _ in out.values())):
-            continue
-        pair = _continued(band, x[k] / np.linalg.norm(x[k])) if k == warm else None
-        if pair is None:
-            pair = _shift_invert_pair(band) if idx.size > DENSE_SECTOR_MAX else _lowest_two(_dense(band))
-        if not np.isfinite(pair[0]).all():
-            raise ValueError(f"sector {k} has non-finite levels: its entries overflow")
-        out[k] = (idx, *pair)
-    return [out[k] for k in sorted(out)]
+    warm = np.full(1, -1) if warm is None else warm
+    levels = np.full((warm.size, len(indices), 2), np.inf)
+    vectors = [np.zeros((warm.size, idx.size)) for idx in indices]
+    for column in _visits(warm, len(indices)).T:
+        for k in dict.fromkeys(column.tolist()):
+            stack, visit = stack_of(k), column == k
+            lowest = levels[:, :, 0].min(axis=1)
+            known = np.flatnonzero(visit & (lowest < np.inf))
+            if known.size:
+                visit[known[_lies_above(stack[known], lowest[known])]] = False
+            hot = visit & (warm == k)
+            if hot.any():
+                last, x = near[0][k], 2.0 * near[0][k] - near[1][k]
+                weight = _rowdot(x, x)[:, None]
+                with np.errstate(invalid="ignore", divide="ignore"):  # a row not in sector k is zero
+                    found, x = _continued(stack, np.where(weight > 0.5, x / np.sqrt(weight), last), hot)
+                ok = found[:, 0] < np.inf
+                levels[ok, k], vectors[k][ok] = found[ok], x[ok]
+                visit &= ~ok
+            for r in np.flatnonzero(visit):  # no view outlives the visit: it would keep the stack
+                large = indices[k].size > DENSE_SECTOR_MAX
+                energies, v = _shift_invert_pair(stack[r].T) if large else _lowest_two(_dense(stack[r].T))
+                if not np.isfinite(energies).all():
+                    raise ValueError(f"sector {k} has non-finite levels: its entries overflow")
+                levels[r, k, : energies.size], vectors[k][r] = energies, v[:, 0]
+    return levels, vectors
 
 
-def _pairs_of(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | None = None, near=None):
-    """:func:`_sector_pairs` of H, read through ``layout`` if it fits H."""
-    layout = _layout(H, basis, layout)
-    return _sector_pairs(layout.indices, functools.partial(layout.upper_band, H), near)
-
-
-def _ground(pairs, basis: BasisSet) -> QuantumState:
-    """The ground state of a Hamiltonian's sector pairs (see :func:`ground_state`)."""
-    lowest = min(energies[0] for _, energies, _ in pairs)
+def _grounds(indices, levels: np.ndarray, vectors, dim: int):
+    """Ground states (R, dim) of :func:`_sector_pairs`' levels and vectors,
+    the sector each lies in and their degeneracy flags, by the rules of
+    :func:`ground_state`, row by row; ``vectors`` become the states' parts."""
+    lowest = levels[:, :, 0].min(axis=1)
     # Sector order decides a tie within DEGENERACY_GAP; a difference, as
     # lowest + DEGENERACY_GAP rounds back to lowest once |lowest| >= 2**20.
-    idx, _, vectors = next(p for p in pairs if p[1][0] - lowest < DEGENERACY_GAP)
-    vec = np.zeros(basis.dim)
-    vec[idx] = vectors[:, 0]
-    _fix_sign(vec)
-    vec = vec / np.linalg.norm(vec)
-    levels = np.sort(np.concatenate([energies for _, energies, _ in pairs]))
-    degenerate = bool(levels.size > 1 and levels[1] - levels[0] < DEGENERACY_GAP)
-    return QuantumState(vec.astype(complex), basis, degenerate=degenerate)
+    sector = np.argmax(levels[:, :, 0] - lowest[:, None] < DEGENERACY_GAP, axis=1)
+    ordered = np.sort(levels.reshape(len(levels), -1), axis=1)
+    degenerate = ordered[:, 1] - ordered[:, 0] < DEGENERACY_GAP
+    states = np.empty((len(levels), dim))
+    for k, idx in enumerate(indices):
+        vectors[k][sector != k] = 0.0
+        states[:, idx] = vectors[k]
+    _fix_sign(states.T)
+    states /= np.sqrt([row.dot(row) for row in states])[:, None]  # each norm as np.linalg.norm takes it
+    vectors[:] = [states.take(idx, axis=1) for idx in indices]  # C-order rows
+    worst = np.max(np.abs(np.sqrt(_rowdot(states, states)) - 1.0))
+    if not worst <= 1e-12:  # NaN fails too
+        raise ValueError(f"state is not normalized: |norm - 1| = {worst:.3e}")
+    return states, sector, degenerate
 
 
-def ground_state(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | None = None, *, near=None):
+def _pairs_of(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | None = None):
+    """H's sector indices and :func:`_sector_pairs`, read through ``layout``
+    if it fits H."""
+    layout = _layout(H, basis, layout)
+    return layout.indices, *_sector_pairs(layout.indices, lambda k: layout.upper_band(H, k).T[None])
+
+
+def ground_state(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | None = None) -> QuantumState:
     """Lowest eigenvector under the sign convention, from one sector.
 
     The lowest level over the sectors wins; when several sectors' ground
@@ -313,24 +389,56 @@ def ground_state(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | No
     DEGENERACY_GAP between the two lowest levels over all sectors) is
     flagged on the returned state rather than raised.  Many H of one
     labelling may share a ``layout``; one that does not fit H is not used.
-    A neighbouring point's state as ``near`` is continued where that is
-    proven, which agrees with the cold solve to roundoff, not bitwise.
     """
-    return _ground(_pairs_of(H, basis, layout, near), basis)
+    states, _, degenerate = _grounds(*_pairs_of(H, basis, layout), basis.dim)
+    return QuantumState(states[0].astype(complex), basis, degenerate=bool(degenerate[0]))
 
 
-def ray_ground_states(H: BlockHamiltonian, basis: BasisSet, radii):
-    """Ground states of H's photon-diagonal blocks plus s times its hop
-    blocks for each s in ``radii``, yielded in turn: a coupling ray with H
-    at unit radius.  Each sector's two band parts are gathered once, and
-    each state is continued from the one before, as by :func:`ground_state`
-    with ``near``."""
-    layout = _layout(H, basis)
-    parts = [layout.upper_band(H, k, parts=True) for k in range(len(layout.indices))]
-    state = None
+def _walk(indices, parts, radii, dim: int):
+    """The ground states (R, dim) of R rays and their degeneracy flags at each
+    radius s in turn, sector k's bands the stack ``parts[k][0]`` plus s
+    times ``parts[k][1]``, each continued in the sector of its last one."""
+    warm = np.full(len(parts[0][0]), -1)
+    near = [[np.zeros((warm.size, idx.size)) for idx in indices]] * 2
     for s in radii:
-        state = _ground(_sector_pairs(layout.indices, lambda k: s * parts[k][1] + parts[k][0], state), basis)
-        yield state
+        stacks = [s * hop + diagonal for diagonal, hop in parts]
+        levels, vectors = _sector_pairs(indices, stacks.__getitem__, warm, near)
+        states, warm, degenerate = _grounds(indices, levels, vectors, dim)
+        near = [vectors, near[0]]
+        yield states, degenerate
+
+
+def _pencil(indices, members, radii, dim: int):
+    """(rays, walk) of gathered rays ``members``, (ray, sector parts) pairs of
+    one band shape, their parts stacked (rays, n, w + 1) per sector (a lone
+    ray's are its own, not copied)."""
+    rays, parts = zip(*members)
+    stack = (lambda bands: bands[0][None]) if len(rays) == 1 else np.stack
+    return list(rays), _walk(indices, [tuple(map(stack, zip(*sector))) for sector in zip(*parts)], radii, dim)
+
+
+def pencil_ground_states(Hs, basis: BasisSet, radii):
+    """Ground states along coupling rays, one per H in ``Hs`` (on ``basis``):
+    at radius s, H's photon-diagonal blocks plus s times its hop blocks.
+    Yields (rays, walk) pairs, ``rays`` indices into Hs and ``walk`` yielding
+    their ground states (len(rays), dim), real rows under the conventions of
+    :func:`ground_state`, and degeneracy flags at each radius in turn.  Each
+    state is continued from the ray's states before where proven, which
+    agrees with the cold solve to roundoff.  Rays of equal sector labels and
+    band shapes walk in lockstep, each sector's two band parts gathered
+    once, in pencils of up to PENCIL_ENTRIES band entries a part, each
+    walked once full: a ray above that walks alone.  A ray's states do not
+    depend on the rays beside it, bit for bit."""
+    groups, layout = {}, None
+    for r, H in enumerate(Hs):
+        layout = _layout(H, basis, layout)
+        parts = [(p.T, q.T) for p, q in (layout.upper_band(H, k, parts=True) for k in range(len(layout.indices)))]
+        key = (H.sector_labels.tobytes(), tuple(p.shape for p, _ in parts))
+        groups.setdefault(key, (layout.indices, []))[1].append((r, parts))
+        if (len(groups[key][1]) + 1) * sum(p.size for p, _ in parts) > PENCIL_ENTRIES:
+            yield _pencil(*groups.pop(key), radii, basis.dim)
+    for key in list(groups):  # popped, so that a walk holds only its stacks
+        yield _pencil(*groups.pop(key), radii, basis.dim)
 
 
 def populations(state: QuantumState) -> tuple[float, float, float, float]:
@@ -352,7 +460,8 @@ def populations(state: QuantumState) -> tuple[float, float, float, float]:
 
 def lowest_energy(H: BlockHamiltonian, basis: BasisSet) -> float:
     """Ground energy only: the lowest level over the sectors."""
-    return float(min(energies[0] for _, energies, _ in _pairs_of(H, basis)))
+    levels = _pairs_of(H, basis)[1][0, :, 0]
+    return float(levels[np.argmin(levels)])  # the first of equal levels, -0.0 or 0.0
 
 
 def converged_ground_state(

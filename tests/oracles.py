@@ -233,25 +233,26 @@ def rint_band_labels(spectrum: Spectrum, level: int) -> np.ndarray:
     return spectrum.merged(labels).astype(int)
 
 
-def all_sector_pairs(H, basis, layout=None, near=None) -> list:
-    """(basis indices, lowest two energies, eigenvectors) of every sector in
-    sector order, none skipped, each read from the dense view: scipy's
+def all_sector_pairs(H, basis, layout=None) -> tuple:
+    """Basis indices, lowest two levels (1, K, 2) and lowest eigenvectors
+    (one row each) of every sector in sector order, as ``solver._pairs_of``
+    gives them but none skipped, each read from the dense view: scipy's
     ``eigh`` on a Fortran-order copy up to the solver's DENSE_SECTOR_MAX
     states, its band Lanczos on the :func:`upper_band` read-back above.  The
-    sectors come from ``np.unique`` of the labels; ``layout`` and ``near``
-    are ignored."""
+    sectors come from ``np.unique`` of the labels; ``layout`` is ignored."""
     labels = H.sector_labels
     _, first = np.unique(labels, return_index=True)
-    out = []
-    for i in np.sort(first):
-        idx = np.flatnonzero(labels == labels[i])
+    indices = [np.flatnonzero(labels == labels[i]) for i in np.sort(first)]
+    levels, vectors = np.full((1, len(indices), 2), np.inf), []
+    for k, idx in enumerate(indices):
         if idx.size <= solver.DENSE_SECTOR_MAX:
             block = np.asfortranarray(H.matrix[np.ix_(idx, idx)])
-            pair = scipy.linalg.eigh(block, subset_by_index=(0, min(1, idx.size - 1)), overwrite_a=True)
+            energies, v = scipy.linalg.eigh(block, subset_by_index=(0, min(1, idx.size - 1)), overwrite_a=True)
         else:
-            pair = solver._shift_invert_pair(upper_band(H.matrix[np.ix_(idx, idx)]))
-        out.append((idx, *pair))
-    return out
+            energies, v = solver._shift_invert_pair(upper_band(H.matrix[np.ix_(idx, idx)]))
+        levels[0, k, : energies.size] = energies
+        vectors.append(np.ascontiguousarray(v[:, 0])[None])
+    return indices, levels, vectors
 
 
 def affine_ray_ground_state(H1: BlockHamiltonian, basis: BasisSet, s: float) -> QuantumState:
@@ -264,8 +265,9 @@ def affine_ray_ground_state(H1: BlockHamiltonian, basis: BasisSet, s: float) -> 
     labels = H1.sector_labels
     _, first = np.unique(labels, return_index=True)
     indices = [np.flatnonzero(labels == labels[i]) for i in np.sort(first)]
-    pairs = solver._sector_pairs(indices, lambda k: upper_band(dense[np.ix_(indices[k], indices[k])]))
-    return solver._ground(pairs, basis)
+    pairs = solver._sector_pairs(indices, lambda k: upper_band(dense[np.ix_(indices[k], indices[k])]).T[None])
+    states, _, degenerate = solver._grounds(indices, *pairs, basis.dim)
+    return QuantumState(states[0].astype(complex), basis, degenerate=bool(degenerate[0]))
 
 
 def fidelity_susceptibility(H: np.ndarray, dH: np.ndarray) -> tuple[float, float]:

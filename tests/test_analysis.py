@@ -34,6 +34,11 @@ from conftest import framed_models, random_model
 from oracles import affine_ray_ground_state, fidelity_susceptibility, generator_K
 
 
+def _no_continuation(stack, x, active):
+    """solver._continued finding nothing: every point is solved cold."""
+    return np.full((len(stack), 2), np.inf), x
+
+
 def xi_resonant(na=1, nmax=8, mu12=0.0, mu23=0.0):
     return ModelConfig(
         Configuration.XI, 0.0, 1.0, 2.0, mu12=mu12, mu13=0.0, mu23=mu23, na=na, nmax=nmax
@@ -230,7 +235,7 @@ class TestScanRay:
         # arithmetic, so neither the continued nor the cold scan has a minimum.
         m = ModelConfig(Configuration.XI, 0.0, 0.0, 0.0, mu12=0.0, mu13=0.0, mu23=0.0, na=1, nmax=8)
         warm = scan_ray(m, 0.0, 1.2, 1.2 / steps)
-        with mock.patch.object(solver, "_continued", lambda band, x: None):
+        with mock.patch.object(solver, "_continued", _no_continuation):
             cold = scan_ray(m, 0.0, 1.2, 1.2 / steps)
         assert np.ptp(cold.fidelities) < 1e-10
         assert warm.minima == () and cold.minima == ()
@@ -288,6 +293,46 @@ class TestPhaseDiagram:
     def test_empty_pencil_rejected(self):
         with pytest.raises(ValueError):
             phase_diagram(xi_resonant(), [], 1.0, 0.02)
+
+
+class TestPencil:
+    """A pencil's rays of one cutoff are solved together, those of one band
+    shape in lockstep, one stacked band step for every ray; each ray's
+    states and fidelities are bitwise those it has alone, whatever rays lie
+    beside it."""
+
+    @pytest.mark.parametrize("cfg, omegas, frame", [
+        (Configuration.XI, (0.0, 1.0, 2.0), None),  # cutoffs 32, 16 and 8 along the pencil
+        (Configuration.LAMBDA, (0.0, 0.5, 1.0), None),  # theta = 0: narrower bands
+        (Configuration.V, (0.0, 1.0, 1.0), Branch.FIRST),  # 6 sectors
+    ])
+    def test_rays_alone_and_together_agree_bitwise(self, cfg, omegas, frame):
+        m = ModelConfig(cfg, *omegas, 0.0, 0.0, 0.0, na=2, nmax=8)
+        thetas = ray_pencil(7)
+        together = phase_diagram(m, thetas, 1.0, 0.05, rotated=frame)
+        chunks = phase_diagram(m, thetas, 1.0, 0.05, rotated=frame, workers=2)
+        for i, theta in enumerate(thetas):
+            alone = scan_ray(m, theta, 1.0, 0.05, rotated=frame)
+            for sweep in (together.rays[i], chunks.rays[i]):
+                assert sweep.nmax == alone.nmax
+                assert sweep.fidelities.tobytes() == alone.fidelities.tobytes()
+                assert sweep.minima == alone.minima
+        b, radii = enumerate_basis(2, 32), 0.05 * np.arange(1, 21)
+        unit = dataclasses.replace(m, nmax=32)
+        Hs = [d3.build_hamiltonian(with_couplings(unit, *_ray_direction(t)), b, frame) for t in thetas]
+        groups = [(rays, list(walk)) for rays, walk in solver.pencil_ground_states(Hs, b, radii)]
+        assert len(groups) == (2 if cfg is Configuration.LAMBDA else 1)
+        largest = max(len(rays) for rays, _ in groups)
+        with mock.patch.object(solver, "PENCIL_ENTRIES", 2000):  # a few rays' parts at most
+            small = [(rays, list(walk)) for rays, walk in solver.pencil_ground_states(Hs, b, radii)]
+        assert max(len(rays) for rays, _ in small) < largest
+        groups += small
+        assert sorted(r for rays, _ in groups for r in rays) == sorted(2 * list(range(len(thetas))))
+        for rays, walk in groups:
+            for j, r in enumerate(rays):
+                ((_, alone),) = solver.pencil_ground_states([Hs[r]], b, radii)
+                for (states, flags), (state, flag) in zip(walk, alone, strict=True):
+                    assert states[j].tobytes() == state[0].tobytes() and flags[j] == flag[0]
 
 
 class TestSeparatrices:
@@ -367,13 +412,14 @@ def _continued_points(scan):
     real_continued, real_pairs = solver._continued, solver._sector_pairs
 
     def continued(*args):
-        results.append(real_continued(*args))
-        return results[-1]
+        levels, vectors = real_continued(*args)
+        results.append(bool((levels[:, 0] < np.inf).any()))
+        return levels, vectors
 
     def pairs(*args):
         results.clear()
         out = real_pairs(*args)
-        flags.append(any(r is not None for r in results))
+        flags.append(any(results))
         return out
 
     with mock.patch.object(solver, "_continued", continued), mock.patch.object(solver, "_sector_pairs", pairs):
@@ -384,10 +430,11 @@ def _continued_points(scan):
 def _solved_by(solve, m, theta, s_max, dmu, frame):
     """scan_ray with every point's ground state from solve(H, basis, s), H
     the ray's Hamiltonian at unit radius that the scan builds."""
-    def states(H, basis, radii):
-        return [solve(H, basis, s) for s in radii]
+    def pencil(Hs, basis, radii):
+        for r, H in enumerate(Hs):
+            yield [r], ((np.array([solve(H, basis, s).amplitudes.real]), None) for s in radii)
 
-    with mock.patch("dicke3.analysis.ray_ground_states", states):
+    with mock.patch("dicke3.analysis.pencil_ground_states", pencil):
         return scan_ray(m, theta, s_max, dmu, rotated=frame)
 
 
@@ -406,7 +453,7 @@ class TestScanLayout:
         args = (m, theta, 1.2, 1.2 / steps, frame)
         with mock.patch.object(solver, "DENSE_SECTOR_MAX", crossover):
             sweep, warm = _continued_points(lambda: scan_ray(*args[:4], rotated=frame))
-            with mock.patch.object(solver, "_continued", lambda band, x: None):
+            with mock.patch.object(solver, "_continued", _no_continuation):
                 cold = scan_ray(*args[:4], rotated=frame)
             oracle = _solved_by(affine_ray_ground_state, *args)
             H_at, _ = _ray_hamiltonians(m, sweep, frame)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import resource
 import sys
 import warnings
 
@@ -516,6 +517,24 @@ class TestExitCodes:
     def test_bad_count_named(self, tmp_path, capsys, argv, message):
         assert run(*argv, "--out", str(tmp_path / "x.csv")) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--rays", "1", "--s-max", "1", "--dmu", "1e-12"],  # 1e12 radii
+        ["--rays", "1000000000000"],
+    ])
+    def test_refused_allocation_exits_invalid(self, tmp_path, capsys, argv):
+        # Each request asks numpy for 7.28 TiB at once, which is refused;
+        # the address-space cap makes sure of it wherever memory overcommits.
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (2**40, hard))
+        try:
+            rc = run("phase-diagram", "--configuration", "xi", *argv, "--out", str(tmp_path / "x.csv"))
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "out of memory: Unable to allocate 7.28 TiB" in err and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_negative_mu_max_named(self, tmp_path, capsys):

@@ -434,6 +434,11 @@ def _scaled(m, factor):
     return dataclasses.replace(m, **{n: factor * getattr(m, n) for n in names})
 
 
+def _lies_above(band, lowest):
+    """solver._lies_above on one band, as a stack of one."""
+    return bool(solver._lies_above(band.T[None], np.array([lowest]))[0])
+
+
 def _solve_count(fn):
     """fn's result and the number of sector eigensolves it made."""
     dense = mock.patch.object(solver, "_lowest_two", wraps=solver._lowest_two)
@@ -474,9 +479,9 @@ class TestSectorSkip:
         for k, idx in enumerate(layout.indices):
             exact = np.linalg.eigvalsh(H.matrix[np.ix_(idx, idx)])[0]
             room = 1e-6 * max(1.0, abs(exact))
-            assert solver._lies_above(layout.upper_band(H, k), exact - room)
+            assert _lies_above(layout.upper_band(H, k), exact - room)
             for lowest in (exact - solver.DEGENERACY_GAP, exact, exact + room):
-                assert not solver._lies_above(layout.upper_band(H, k), lowest)
+                assert not _lies_above(layout.upper_band(H, k), lowest)
 
     def test_one_solve_in_the_normal_phase(self):
         m = ModelConfig(Configuration.XI, 0.0, 1.0, 2.0, mu12=0.3, mu13=0.0, mu23=0.2, na=2, nmax=32)
@@ -513,16 +518,39 @@ class TestSectorSkip:
 
 
 def _continuations(fn):
-    """fn's result and what every continuation it tried returned."""
+    """fn's result and what every continuation it tried returned, per band
+    continued: its two levels and vector column, or None."""
     results = []
     real = solver._continued
 
-    def continued(*args):
-        results.append(real(*args))
-        return results[-1]
+    def continued(stack, x, active):
+        levels, vectors = real(stack, x, active)
+        results.extend((levels[r], vectors[r][:, None]) if levels[r, 0] < np.inf else None
+                       for r in np.flatnonzero(active))
+        return levels, vectors
 
     with mock.patch.object(solver, "_continued", continued):
         return fn(), results
+
+
+def _continue_one(band, x):
+    """solver._continued on one band from x normalized: (levels, vector
+    column), or None."""
+    levels, vectors = solver._continued(band.T[None].copy(), (x / np.linalg.norm(x))[None], np.ones(1, bool))
+    return (levels[0], vectors[0][:, None]) if levels[0, 0] < np.inf else None
+
+
+def _near(H, b, near, layout=None):
+    """ground_state(H, b, layout) continued from the state ``near``, as a
+    ray's walk continues from its last state: in the sector holding more
+    than half of near's weight, from near's part there, normalized."""
+    layout = layout or SectorLayout(H.sector_labels, b.atomic_dim)
+    x = [near.amplitudes.real[idx][None] for idx in layout.indices]
+    warm = next(k for k, v in enumerate(x) if (v * v).sum() > 0.5)
+    before = [np.zeros_like(v) for v in x]  # twice x less zero: x, normalized
+    pairs = solver._sector_pairs(layout.indices, lambda k: layout.upper_band(H, k).T[None], np.array([warm]), [x, before])
+    states, _, degenerate = solver._grounds(layout.indices, *pairs, b.dim)
+    return QuantumState(states[0].astype(complex), b, degenerate=bool(degenerate[0]))
 
 
 def _embedded(b, idx, column):
@@ -548,7 +576,7 @@ class TestContinuation:
         with mock.patch.object(solver, "DENSE_SECTOR_MAX", crossover):
             near = ground_state(build_hamiltonian(neighbour, b, frame), b)
             cold = ground_state(H, b, layout)
-            warm, tried = _continuations(lambda: ground_state(H, b, layout, near=near))
+            warm, tried = _continuations(lambda: _near(H, b, near, layout))
         sector = H.sector_labels[np.argmax(np.abs(cold.amplitudes))]
         assert H.sector_labels[np.argmax(np.abs(warm.amplitudes))] == sector
         assert warm.degenerate == cold.degenerate
@@ -562,7 +590,7 @@ class TestContinuation:
         b = enumerate_basis(2, 32)
         H = build_hamiltonian(m, b)
         near = ground_state(build_hamiltonian(with_couplings(m, 0.29, 0.19), b), b)
-        (warm, tried), solves = _solve_count(lambda: _continuations(lambda: ground_state(H, b, near=near)))
+        (warm, tried), solves = _solve_count(lambda: _continuations(lambda: _near(H, b, near)))
         assert solves == 0 and len(tried) == 1 and tried[0] is not None
         energies, _ = tried[0]
         exact = np.linalg.eigvalsh(H.matrix)[:2]
@@ -576,7 +604,7 @@ class TestContinuation:
         H = build_hamiltonian(m, b)
         idx, _, vectors = diagonalize(H, b).sectors[0]
         cold = ground_state(H, b)
-        warm, tried = _continuations(lambda: ground_state(H, b, near=_embedded(b, idx, vectors[:, 1])))
+        warm, tried = _continuations(lambda: _near(H, b, _embedded(b, idx, vectors[:, 1])))
         assert tried == [None]
         assert warm.amplitudes.tobytes() == cold.amplitudes.tobytes()
         assert not warm.degenerate and not cold.degenerate
@@ -590,7 +618,7 @@ class TestContinuation:
         H = build_hamiltonian(with_couplings(m, 1.5, 2.0), b)
         cold = ground_state(H, b)
         idx, _, vectors = diagonalize(H, b).sectors[1]
-        warm, tried = _continuations(lambda: ground_state(H, b, near=_embedded(b, idx, vectors[:, 0])))
+        warm, tried = _continuations(lambda: _near(H, b, _embedded(b, idx, vectors[:, 0])))
         assert len(tried) == 1 and tried[0] is not None
         assert warm.amplitudes.tobytes() == cold.amplitudes.tobytes()
         assert warm.degenerate and cold.degenerate
@@ -605,7 +633,7 @@ class TestContinuation:
         x = np.array([1.0, 2e-11, 2.25])
         inverse = mock.patch("scipy.linalg.lapack.dpbtrs", wraps=scipy.linalg.lapack.dpbtrs)
         with inverse as solves, mock.patch.object(solver, "_lies_above") as proof:
-            assert solver._continued(band, x / np.linalg.norm(x)) is None
+            assert _continue_one(band, x) is None
         assert solves.call_count < solver.CONTINUE_STEPS  # it stopped early
         proof.assert_not_called()
 
@@ -617,7 +645,7 @@ class TestContinuation:
         # vector by its error.
         band = np.array([[0.0, 1e-4, 1.0]], order="F")
         x = np.array([1.0, 2e-11, 2.5])
-        pair = solver._continued(band, x / np.linalg.norm(x))
+        pair = _continue_one(band, x)
         assert pair is not None
         energies, vectors = pair
         assert np.abs(vectors[:, 0] - [1.0, 0.0, 0.0]).max() <= 1e-13
@@ -633,14 +661,20 @@ class TestContinuation:
         cold = ground_state(H, b)
         idx, _, vectors = diagonalize(H, b).sectors[0]
         for near in (cold, _embedded(b, idx, vectors[:, 0])):
-            warm, tried = _continuations(lambda: ground_state(H, b, near=near))
+            warm, tried = _continuations(lambda: _near(H, b, near))
             assert tried == [None]
             assert warm.amplitudes.tobytes() == cold.amplitudes.tobytes()
             assert warm.degenerate and cold.degenerate
 
 
-def _in_sector_order(keys, key=None):
-    return list(keys)
+def _in_sector_order(warm, count):
+    return np.tile(np.arange(count), (warm.size, 1))
+
+
+def _ray_states(H, b, radii):
+    """(state, degenerate) at each point of the ray of H, a pencil of one."""
+    ((_, walk),) = solver.pencil_ground_states([H], b, radii)
+    return [(states[0], degenerate[0]) for states, degenerate in walk]
 
 
 @pytest.mark.parametrize("frame", [Branch.FIRST, Branch.SECOND])
@@ -658,13 +692,13 @@ def test_warm_sector_first_on_a_ray(cfg, omegas, frame):
     H = build_hamiltonian(with_couplings(m, np.cos(np.pi / 4), np.sin(np.pi / 4)), b, frame)
     radii = 0.02 * np.arange(1, 76)
     runs = []
-    for order in (mock.patch.object(solver, "sorted", _in_sector_order, create=True), contextlib.nullcontext()):
+    for order in (mock.patch.object(solver, "_visits", _in_sector_order), contextlib.nullcontext()):
         with order, mock.patch.object(solver, "_lowest_two", wraps=solver._lowest_two) as cold:
-            runs.append((list(solver.ray_ground_states(H, b, radii)), cold.call_count))
+            runs.append((_ray_states(H, b, radii), cold.call_count))
     (in_order, in_order_solves), (warm_first, warm_first_solves) = runs
     for got, want in zip(warm_first, in_order):
-        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
-        assert got.degenerate == want.degenerate
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1]
     assert warm_first_solves <= 10
     if cfg is Configuration.LAMBDA and frame is Branch.FIRST:
         assert in_order_solves > 3 * radii.size

@@ -22,6 +22,7 @@ def _load(path):
 
 diff_outputs = _load(_SCRIPT)
 run_recipes = _load(_ROOT / "tools" / "run_recipes.py")
+bench_pairs = _load(_ROOT / "tools" / "bench_pairs.py")
 
 CSV = "index,energy\n# na = 2\n# nmax = 2\n0,-1.5\n1,0.25\n"
 
@@ -126,3 +127,44 @@ def test_tracer_runs_a_workload_command(tmp_path, argv):
     metrics = tracing.per_layer(spans, 1.0, 1.0)
     assert metrics["solver.ground_state.calls"] > 0
     assert metrics["basis.enumerate_basis.calls"] > 0
+
+
+def _bench_record(wall):
+    """One ``perfbench/run.py`` result line with a wall time."""
+    metrics = {"wall_s": {"value": wall, "unit": "s"}, "setup_s": {"value": 0.5, "unit": "s"}}
+    return {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}
+
+
+def test_bench_pairs_summary():
+    seeds = bench_pairs.seeds_of("130..139")
+    parent = [_bench_record(1.0 + 0.01 * i) for i in range(10)]
+    change = [_bench_record(0.8 + 0.01 * i) for i in range(10)]
+    entry = bench_pairs.summary(seeds, parent, change)
+    assert entry["pairs"] == 10 and entry["seeds"] == list(range(130, 140))
+    assert entry["first_in_pair"][:3] == ["change", "parent", "change"]  # the parent first on odd seeds
+    assert entry["parent"]["runs"]["wall_s"][:2] == [1.0, 1.01]
+    assert entry["parent"]["stats"]["wall_s"] == {"q1": 1.0225, "median": 1.045, "q3": 1.0675}
+    assert entry["change"]["stats"]["wall_s"]["median"] == 0.845
+    assert (entry["parent"]["attempted"], entry["parent"]["failed"], entry["parent"]["correct"]) == (30, 0, True)
+    assert entry["change_lower_in_pairs"] == {"wall_s": 10, "setup_s": 0}
+    assert entry["change_over_parent_median"] == {"wall_s": round(0.845 / 1.045, 4), "setup_s": 1.0}
+
+
+@pytest.mark.parametrize("shift, losses, met", [
+    (0.2, 0, True),
+    (0.2, 1, True),  # 9 of 10 pairs
+    (0.2, 2, False),  # 8 of 10 pairs, though the medians lie 0.19 apart
+    (0.04, 0, False),  # 10 of 10 pairs, but 0.04 apart within the parent's IQR 0.045
+])
+def test_bench_pairs_verdict(shift, losses, met):
+    parent = [_bench_record(1.0 + 0.01 * i) for i in range(10)]
+    change = [_bench_record(2.0 if i < losses else 1.0 + 0.01 * i - shift) for i in range(10)]
+    result = bench_pairs.verdict(bench_pairs.summary(range(10), parent, change), "wall_s")
+    assert result["change_lower_in_pairs"] == 10 - losses and result["parent_iqr"] == 0.045
+    assert result["met"] is met
+
+
+def test_bench_pairs_seed_range():
+    assert bench_pairs.seeds_of("7..7") == [7]
+    with pytest.raises(ValueError, match="A <= B"):
+        bench_pairs.seeds_of("9..3")
