@@ -299,10 +299,11 @@ def phase_diagram(
 ) -> PhaseDiagram:
     """Minima loci over a pencil of rays, solved together (see :func:`_sweeps`).
 
-    With ``workers`` > 1 each worker process takes one contiguous chunk of
-    the rays.  Results are merged in the given theta order, and a ray's
-    result does not depend on the rays solved beside it, so the output is
-    identical for any worker count.
+    With ``workers`` > 1 worker j of W takes every W-th ray from the j-th,
+    so that each holds rays from all along the pencil, whose costs vary with
+    theta.  Results are merged in the given theta order, and a ray's result
+    does not depend on the rays solved beside it, so the output is identical
+    for any worker count.
     """
     thetas = tuple(float(t) for t in thetas)
     if not thetas:
@@ -311,10 +312,10 @@ def phase_diagram(
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        size = -(-len(thetas) // workers)
+        workers = min(workers, len(thetas))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rays = tuple(itertools.chain.from_iterable(
-                pool.map(sweeps, [thetas[i : i + size] for i in range(0, len(thetas), size)])))
+            dealt = list(pool.map(sweeps, [thetas[j::workers] for j in range(workers)]))
+        rays = tuple(dealt[i % workers][i // workers] for i in range(len(thetas)))
     else:
         rays = tuple(sweeps(thetas))
     minima = tuple(

@@ -109,7 +109,7 @@ def _fix_sign(columns: np.ndarray) -> None:
     """Flip every column in place so that its largest-magnitude component is
     positive (ties broken by the lowest index)."""
     peak = np.argmax(np.abs(columns), axis=0)
-    columns *= np.sign(columns[peak, np.arange(columns.shape[1])])
+    columns *= np.sign(np.take_along_axis(columns, peak[None], axis=0))
 
 
 def _layout(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | None = None):
@@ -161,10 +161,12 @@ def _lowest_two(block: np.ndarray):
     return w[:found], v[:, :found]
 
 
-def _factored(stack: np.ndarray) -> np.ndarray:
-    """Whether each band of a stack has a band Cholesky factor, which
-    overwrites it: a factor proves every level positive (Sylvester)."""
-    return np.array([scipy.linalg.lapack.dpbtrf(band.T, overwrite_ab=1)[1] == 0 for band in stack], dtype=bool)
+def _factor(band: np.ndarray, shift: float):
+    """Band Cholesky factor of a sector (upper band storage, overwritten) minus
+    ``shift``, or None; a factor proves every level above the shift (Sylvester)."""
+    band[-1] -= shift
+    factor, info = scipy.linalg.lapack.dpbtrf(band, overwrite_ab=1)
+    return factor if info == 0 else None
 
 
 def _shift_invert_pair(band: np.ndarray):
@@ -182,10 +184,10 @@ def _shift_invert_pair(band: np.ndarray):
         sigma = float(np.min(band[w] - radius)) - 1.0
     if not np.isfinite(sigma):  # a NaN or inf entry, or an overflowing row
         raise ValueError("array must not contain infs or NaNs")
-    band[-1] -= sigma
-    if not _factored(band.T[None])[0]:
+    factor = _factor(band, sigma)
+    if factor is None:
         raise scipy.linalg.LinAlgError("dpbtrf failed below the Gershgorin bound")
-    solve = functools.partial(scipy.linalg.lapack.dpbtrs, band)  # (x, info)
+    solve = functools.partial(scipy.linalg.lapack.dpbtrs, factor)  # (x, info)
     inverse = scipy.sparse.linalg.LinearOperator((n, n), lambda x: solve(x)[0], dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)  # deterministic start
     # in shift-invert mode eigsh reads only the shape and dtype of its matrix
@@ -194,19 +196,13 @@ def _shift_invert_pair(band: np.ndarray):
     return energies[order], vectors[:, order]
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each row's dot product, summed along the rows of a fresh C-order
-    product: a row's sum has the same bits whatever rows lie beside it."""
-    return (a * b).sum(axis=1)
-
-
 def _lies_above(stack: np.ndarray, lowest: np.ndarray) -> np.ndarray:
-    """Whether every level of each band of a stack (overwritten) provably lies
-    more than 2 DEGENERACY_GAP above its entry of ``lowest``: the band minus
-    sigma has a band Cholesky factor.  Sigma's roundoff allowance is twice
-    the factor's backward error at half-bandwidth w, (2w + 1)(w + 1) eps
-    times the largest shifted diagonal entry, which ``scale`` bounds; the
-    other half covers the eigensolvers' own error."""
+    """Whether every level of each band of a stack (rays, n, w + 1;
+    overwritten) provably lies more than 2 DEGENERACY_GAP above its entry of
+    ``lowest``: the band minus sigma has a band Cholesky factor.  Sigma's
+    roundoff allowance is twice the factor's backward error at half-bandwidth
+    w, (2w + 1)(w + 1) eps times the largest shifted diagonal entry, which
+    ``scale`` bounds; the other half covers the eigensolvers' own error."""
     w = stack.shape[2] - 1
     # each band diagonal's largest entry, counted on both sides of the main one
     peaks = np.abs(stack).max(axis=1)
@@ -214,77 +210,77 @@ def _lies_above(stack: np.ndarray, lowest: np.ndarray) -> np.ndarray:
         scale = 2.0 * peaks[:, :-1].sum(axis=1) + peaks[:, -1] + np.abs(lowest)
         margin = 2.0 * DEGENERACY_GAP + 4.0 * (w + 1) ** 2 * np.finfo(float).eps * scale
         stack[:, :, w] -= lowest[:, None]  # then the margin apart: lowest + margin may round back to lowest
-        stack[:, :, w] -= margin[:, None]
-    return _factored(stack) & np.isfinite(scale)
+        factored = [_factor(band.T, t) is not None for band, t in zip(stack, margin)]
+    return np.array(factored, dtype=bool) & np.isfinite(scale)
 
 
-def _below(stack: np.ndarray, shifts: np.ndarray, rows: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """For each of ``rows``, the first of its row of ``shifts`` (a NaN ends
-    them) that its band factors below, the factor written into ``factors``
-    (a row without one keeps the factor it had); NaN where there is none."""
-    found, left = np.full(len(rows), np.nan), np.arange(len(rows))
-    for column in shifts.T:
-        left = left[column[left] == column[left]]
-        if not left.size:
-            break
-        trial = stack[rows[left]]
-        trial[:, :, -1] -= column[left, None]
-        ok = _factored(trial)
-        factors[rows[left[ok]]], found[left[ok]] = trial[ok], column[left[ok]]
-        left = left[~ok]
-    return found
+def _below(band: np.ndarray, shifts):
+    """The first of ``shifts`` the band factors below, with the factor, else (nan, None)."""
+    found = ((t, _factor(band.copy(order="F"), t)) for t in shifts)
+    return next((p for p in found if p[1] is not None), (np.nan, None))
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row's dot product, summed along the rows of a fresh C-order
+    product: a row's sum has the same bits whatever rows lie beside it."""
+    return (a * b).sum(axis=1)
+
+
+def _rayleigh(band: np.ndarray, x: np.ndarray):
+    """The Rayleigh quotient of each unit row of x against its block of a
+    block-diagonal band, and the norm of the row's residual."""
+    ax = scipy.linalg.blas.dsbmv(band.shape[0] - 1, 1.0, band, x.reshape(-1)).reshape(x.shape)
+    mu = _rowdot(x, ax)
+    res = ax - mu[:, None] * x
+    return mu, np.sqrt(_rowdot(res, res))
 
 
 def _continued(stack: np.ndarray, x: np.ndarray, active: np.ndarray):
     """Lowest levels (+inf where none is proven) and vectors of the
-    ``active`` bands of a stack, by inverse iteration from the unit rows of
-    x.  The shift steps down from x's Rayleigh quotient until the band
-    factors below it.  Once x stops moving, its residual r against its
-    Rayleigh quotient mu must be at roundoff, and the band plus a large
-    entry at x's peak must lie above mu + r and mu + (mu - shift): by
-    rank-one interlacing so does the second level, so mu is the lowest and
-    single, and x lies within its last move of the eigenvector (a solve
+    ``active`` bands of a stack (rays, n, w + 1), by inverse iteration from
+    the unit rows of x.  The shift steps down from x's Rayleigh quotient
+    until the band factors below it.  Once x stops moving, its residual r
+    against its Rayleigh quotient mu must be at roundoff, and the band plus
+    a large entry at x's peak must lie above mu + r and mu + (mu - shift):
+    by rank-one interlacing so does the second level, so mu is the lowest
+    and single, and x lies within its last move of the eigenvector (a solve
     leaves x's error times the first level's distance from the shift over
     the gap).  Where only the second bound fails, the iteration goes on
     under a shift within 2 DEGENERACY_GAP of mu, up to CONTINUE_STEPS solves
-    in all.  Each pass is one dpbtrs over the stack's block-diagonal factor
-    (an identity for idle bands); a band that stops moving waits for the
-    rest, unchanged."""
+    in all.  Each step is one dpbtrs over the stack's block-diagonal factor
+    (an identity for idle bands); a band not iterating keeps its row of x."""
     n, w = stack.shape[1], stack.shape[2] - 1
     big, steps = np.abs(stack).reshape(len(stack), -1).max(axis=1), 4.0 ** np.arange(CONTINUE_STEPS)
     band, factors = stack.reshape(-1, w + 1).T, np.zeros_like(stack)  # the blocks as one band
     factors[:, :, w] = 1.0
     x = np.where(active[:, None], x, 1.0)  # an idle row: any vector but zero
-    ax = scipy.linalg.blas.dsbmv(w, 1.0, band, x.reshape(-1)).reshape(-1, n)
-    rho = _rowdot(x, ax)
-    res = ax - rho[:, None] * x
-    step = np.sqrt(_rowdot(res, res)) / 64.0 + DEGENERACY_GAP  # 1/64 of x's residual first
-    rows, shift = np.flatnonzero(active), np.full(len(stack), np.nan)
-    shift[rows] = _below(stack, rho[rows, None] - step[rows, None] * steps, rows, factors)
-    levels, solves = np.full((len(stack), 2), np.inf), np.zeros(len(stack), dtype=int)
-    moving, waiting = shift == shift, np.zeros(len(stack), dtype=bool)
-    busy, chol = moving.any(), factors.reshape(-1, w + 1).T
-    while busy or waiting.any():
-        if busy:
-            y = scipy.linalg.lapack.dpbtrs(chol, x.reshape(-1))[0].reshape(-1, n)
+    rho, res = _rayleigh(band, x)  # the shift steps down from 1/64 of x's residual below rho
+    trials = {i: rho[i] - (res[i] / 64.0 + DEGENERACY_GAP) * steps for i in np.flatnonzero(active)}
+    levels, shift = np.full((len(stack), 2), np.inf), np.full(len(stack), np.nan)
+    solves = np.zeros(len(stack), dtype=int)
+    moving, waiting = np.zeros(len(stack), dtype=bool), np.zeros(len(stack), dtype=bool)
+    while True:
+        for i, shifts in trials.items():
+            shift[i], factor = _below(stack[i].T, shifts)
+            if factor is not None:
+                factors[i], moving[i] = factor.T, True
+        trials = {}
+        if moving.any():
+            y = scipy.linalg.lapack.dpbtrs(factors.reshape(-1, w + 1).T, x.reshape(-1))[0].reshape(-1, n)
             y /= np.sqrt(_rowdot(y, y))[:, None]  # x . y > 0: the shifted inverse is positive definite
             moved = y - x
             np.copyto(x, y, where=moving[:, None])
             solves += moving
             settled = moving & (_rowdot(moved, moved) < 1e-28)  # moved by less than 1e-14
-            waiting |= settled
+            waiting |= settled  # until no band moves
             moving &= ~settled & (solves < CONTINUE_STEPS)
-            busy = moving.any()
-            if busy:
-                continue
-        rows = np.flatnonzero(waiting)
-        waiting[rows] = False
-        ax = scipy.linalg.blas.dsbmv(w, 1.0, band, x.reshape(-1)).reshape(-1, n)
-        mu = _rowdot(x, ax)
-        res = ax - mu[:, None] * x
-        r = np.sqrt(_rowdot(res, res))
+            continue
+        if not waiting.any():
+            return levels, x
+        settled, waiting[:] = np.flatnonzero(waiting), False
+        mu, r = _rayleigh(band, x)
         tol = (w + 1) ** 2 * np.finfo(float).eps * ((2 * w + 1) * big + np.abs(mu))
-        rows = rows[r[rows] <= 16.0 * tol[rows]]  # the rest have a residual above roundoff
+        rows = settled[r[settled] <= 16.0 * tol[settled]]  # the rest have a residual above roundoff
         if not rows.size:
             continue
         bound = mu + r + np.maximum(mu - shift - 2.0 * DEGENERACY_GAP, 0.0)
@@ -293,14 +289,9 @@ def _continued(stack: np.ndarray, x: np.ndarray, active: np.ndarray):
         proven = rows[_lies_above(spiked, bound[rows])]
         levels[proven, 0], levels[proven, 1] = mu[proven], bound[proven] + 2.0 * DEGENERACY_GAP
         rows = rows[(levels[rows, 0] == np.inf) & (mu[rows] - shift[rows] > 2.0 * DEGENERACY_GAP)]
-        rows = rows[solves[rows] < CONTINUE_STEPS]
-        if rows.size:
-            close = (r[rows, None] + tol[rows, None]) * steps  # r plus the factor's backward error, stepped up
-            shift[rows] = _below(stack, np.where(close <= 2.0 * DEGENERACY_GAP, mu[rows, None] - close, np.nan),
-                                 rows, factors)
-            moving[rows] = shift[rows] == shift[rows]
-            busy = moving.any()
-    return levels, x
+        for i in rows[solves[rows] < CONTINUE_STEPS]:
+            close = (r[i] + tol[i]) * steps  # r plus the factor's backward error, stepped up
+            trials[i] = mu[i] - close[close <= 2.0 * DEGENERACY_GAP]
 
 
 def _visits(warm: np.ndarray, count: int) -> np.ndarray:
@@ -410,11 +401,9 @@ def _walk(indices, parts, radii, dim: int):
 
 def _pencil(indices, members, radii, dim: int):
     """(rays, walk) of gathered rays ``members``, (ray, sector parts) pairs of
-    one band shape, their parts stacked (rays, n, w + 1) per sector (a lone
-    ray's are its own, not copied)."""
+    one band shape, their parts stacked (rays, n, w + 1) per sector."""
     rays, parts = zip(*members)
-    stack = (lambda bands: bands[0][None]) if len(rays) == 1 else np.stack
-    return list(rays), _walk(indices, [tuple(map(stack, zip(*sector))) for sector in zip(*parts)], radii, dim)
+    return list(rays), _walk(indices, [tuple(map(np.stack, zip(*sector))) for sector in zip(*parts)], radii, dim)
 
 
 def pencil_ground_states(Hs, basis: BasisSet, radii):

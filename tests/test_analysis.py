@@ -310,10 +310,10 @@ class TestPencil:
         m = ModelConfig(cfg, *omegas, 0.0, 0.0, 0.0, na=2, nmax=8)
         thetas = ray_pencil(7)
         together = phase_diagram(m, thetas, 1.0, 0.05, rotated=frame)
-        chunks = phase_diagram(m, thetas, 1.0, 0.05, rotated=frame, workers=2)
+        dealt = phase_diagram(m, thetas, 1.0, 0.05, rotated=frame, workers=2)  # rays 0, 2, .. and 1, 3, ..
         for i, theta in enumerate(thetas):
             alone = scan_ray(m, theta, 1.0, 0.05, rotated=frame)
-            for sweep in (together.rays[i], chunks.rays[i]):
+            for sweep in (together.rays[i], dealt.rays[i]):
                 assert sweep.nmax == alone.nmax
                 assert sweep.fidelities.tobytes() == alone.fidelities.tobytes()
                 assert sweep.minima == alone.minima

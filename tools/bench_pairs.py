@@ -1,18 +1,18 @@
 """Alternating parent/change pairs of ``perfbench/run.py`` runs, summarised.
 
     python tools/bench_pairs.py PARENT_CHECKOUT CHANGE_CHECKOUT \
-        --workload W --seeds A..B [--seconds 35] [--metric wall_s] [--out FILE]
+        --workload W --seeds A..B
 
 For every seed N in A..B (both included) it runs
-``python3 perfbench/run.py --workload W --seed N --seconds S --trace 0`` once
+``python3 perfbench/run.py --workload W --seed N --seconds 35 --trace 0`` once
 in each checkout, one after the other, the parent first on odd seeds.  It
 prints one workload's entry of a ``BENCH_*.json`` ``benchmark`` block as
-JSON (and writes it to FILE with ``--out``): every run's end-to-end
-metrics, per side their median and inclusive quartiles and the failed
-invocations, the pairs in which the change is lower and the ratio of the
-medians.  The last line gives the verdict on ``--metric``: a gain holds when
-the change is lower in at least 9 of every 10 pairs and its median lies
-below the parent's by more than the parent's quartile spread.
+JSON: every run's end-to-end metrics, per side their median and inclusive
+quartiles and the failed invocations, the pairs in which the change is
+lower and the ratio of the medians.  The last line gives the verdict on
+``wall_s``: a gain holds when the change is lower in at least 9 of every 10
+pairs and its median lies below the parent's by more than the parent's
+quartile spread.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import sys
 from pathlib import Path
 
 WIN_SHARE = 0.9  # pairs the change must win
+SECONDS = 35  # each run's length, the benchmark's own
+METRIC = "wall_s"  # the metric a gain is claimed on
 
 
 def seeds_of(text: str) -> list[int]:
@@ -35,10 +37,10 @@ def seeds_of(text: str) -> list[int]:
     return list(range(int(first), int(last) + 1))
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One untraced benchmark run in a checkout: its last output line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(SECONDS), "--trace", "0"]
     out = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -93,23 +95,16 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=seeds_of)
-    parser.add_argument("--seconds", type=float, default=35.0)
-    parser.add_argument("--metric", default="wall_s")
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     runs = {"parent": [], "change": []}
     for seed in args.seeds:
         for side in ("parent", "change") if seed % 2 else ("change", "parent"):
-            runs[side].append(run_once(getattr(args, side), args.workload, seed, args.seconds))
-            value = runs[side][-1]["metrics"][args.metric]["value"]
-            print(f"# seed {seed} {side}: {args.metric} = {value:.4f}", file=sys.stderr, flush=True)
+            runs[side].append(run_once(getattr(args, side), args.workload, seed))
+            value = runs[side][-1]["metrics"][METRIC]["value"]
+            print(f"# seed {seed} {side}: {METRIC} = {value:.4f}", file=sys.stderr, flush=True)
     entry = summary(args.seeds, runs["parent"], runs["change"])
-    text = json.dumps(entry, indent=1)
-    if args.out:
-        args.out.write_text(text + "\n")
-    print(text)
-    result = verdict(entry, args.metric)
-    print(json.dumps(result))
+    print(json.dumps(entry, indent=1))
+    print(json.dumps(verdict(entry, METRIC)))
     return 0
 
 
