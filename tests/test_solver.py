@@ -436,7 +436,7 @@ def _scaled(m, factor):
 
 def _lies_above(band, lowest):
     """solver._lies_above on one band, as a stack of one."""
-    return bool(solver._lies_above(band.T[None].copy(), np.array([lowest]))[0])
+    return bool(solver._lies_above(band.T[None], np.array([lowest]))[0])
 
 
 def _solve_count(fn):
