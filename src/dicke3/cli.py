@@ -33,7 +33,7 @@ from .model import (
     rotated_parameters,
     with_couplings,
 )
-from .operators import Configuration, SectorLayout, atomic_collective_matrix
+from .operators import Configuration, atomic_collective_matrix
 from .rotations import (
     Branch,
     UndefinedAngleError,
@@ -206,6 +206,15 @@ def _branch_option(value: str | None) -> Branch | None:
 
 def cmd_spectrum(params: dict, out: str | None) -> int:
     rotated = _branch_option(params["rotated"])
+    if params["band_labels"]:  # checked before the cutoff search, which changes nothing they read
+        if rotated is None:
+            raise ValueError("band labels require a rotated frame")
+        rp = rotated_parameters(_model_from(params, nmax=8), rotated)
+        if rp.lambda_t != 0.0:
+            raise ValueError(
+                "band labels require a vanishing one-body coupling "
+                f"(lambda_t = {rp.lambda_t:g})"
+            )
     m, basis, _ = _resolve_model(params)
     spec = diagonalize(build_hamiltonian(m, basis, rotated), basis)
 
@@ -213,14 +222,6 @@ def cmd_spectrum(params: dict, out: str | None) -> int:
     header = ["index", "energy"]
     label_values = None
     if params["band_labels"]:
-        if rotated is None:
-            raise ValueError("band labels require a rotated frame")
-        rp = rotated_parameters(m, rotated)
-        if rp.lambda_t != 0.0:
-            raise ValueError(
-                "band labels require a vanishing one-body coupling "
-                f"(lambda_t = {rp.lambda_t:g})"
-            )
         # every sector holds one isolated-level count: read it off its first state
         counts = basis.level_counts[:, rp.isolated_level - 1]
         label_values = spec.merged([np.full(e.size, counts[idx[0]]) for idx, e, _ in spec.sectors])
@@ -253,7 +254,6 @@ def cmd_populations(params: dict, out: str | None) -> int:
     branches = {frame: _branch_option(frame if frame != "unrotated" else None) for frame in frames}
     rows = {frame: [] for frame in frames}
     origin_seen = False
-    layout = None  # every lab-frame point has the same sectors
     for mu_a in values:
         for mu_b in values:
             at_origin = mu_a == 0.0 and mu_b == 0.0  # no decoupling angle there
@@ -265,10 +265,7 @@ def cmd_populations(params: dict, out: str | None) -> int:
             if corner_state is not None and (mu_a, mu_b) == corner:
                 psi = corner_state
             else:
-                H = build_hamiltonian(m, basis)
-                if layout is None:
-                    layout = SectorLayout(H.sector_labels, basis.atomic_dim)
-                psi = ground_state(H, basis, layout)
+                psi = ground_state(build_hamiltonian(m, basis), basis)
             for frame in wanted:
                 state = psi
                 if branches[frame] is not None:
@@ -407,21 +404,20 @@ def cmd_rotate_check(params: dict, out: str | None) -> int:
 
 def cmd_evolve(params: dict, out: str | None) -> int:
     rotated = _branch_option(params["rotated"])
+    if params["initial"] is not None:  # a malformed state is refused before the cutoff search
+        try:
+            occ = BasisState(*(int(x) for x in str(params["initial"]).split(",")))
+        except (TypeError, ValueError):  # not four integers
+            raise ValueError("--initial must be 'nu,n1,n2,n3'") from None
     m, basis, _ = _resolve_model(params)
     H = build_hamiltonian(m, basis, rotated)
-    spec = diagonalize(H, basis)
     if params["initial"] is None:
         state = ground_state(H, basis)
-    else:
-        try:
-            occ = [int(x) for x in str(params["initial"]).split(",")]
-        except ValueError:
-            occ = []
-        if len(occ) != 4:
-            raise ValueError("--initial must be 'nu,n1,n2,n3'")
+    else:  # and one outside the basis before the solve
         amps = np.zeros(basis.dim, dtype=complex)
-        amps[index_of(basis, BasisState(*occ))] = 1.0
+        amps[index_of(basis, occ)] = 1.0
         state = QuantumState(amps, basis)
+    spec = diagonalize(H, basis)
     times = np.linspace(0.0, params["t_max"], params["t_steps"])
     rows = []
     for start in range(0, times.size, EVOLVE_CHUNK):

@@ -2,11 +2,11 @@
 
 All matrices are real.  Hamiltonians are real symmetric in the occupation
 basis and held as their atomic factors in photon-block form
-(:class:`BlockHamiltonian`), whose dense view is built only on demand; a
-:class:`SectorLayout` gathers each sector's band from the factors' nonzeros,
-whole or split into photon-diagonal and hop parts.  The package
-builds no dense full-basis operator; :class:`OperatorMatrix` holds the dense
-references of the tests.
+(:class:`BlockHamiltonian`), whose dense view is built only on demand.  An H
+splits its basis into sectors once and gathers each sector's band from the
+factors' nonzeros, whole or split into photon-diagonal and hop parts.  The
+package builds no dense full-basis operator; :class:`OperatorMatrix` holds
+the dense references of the tests.
 Complex storage is only needed for states under time evolution.
 Collective operators are the identity on the photon factor, so only their
 m x m atomic factors are built, each entry placed at once by
@@ -112,8 +112,9 @@ class BlockHamiltonian:
     ``sector_labels`` holds one integer per basis state: the excitation-number
     parity (0 even, 1 odd), plus twice the isolated level's occupation in a
     frame that conserves it.  The solver solves each set of equal labels as
-    one sector, in the order of the sectors' lowest basis indices, so the
-    vacuum's (basis state 0) comes first and wins ties.  Construction
+    one sector (``sectors``, split once per H), in the order of the sectors'
+    lowest basis indices, so the vacuum's (basis state 0) comes first and
+    wins ties; ``upper_band`` gathers one as a band.  Construction
     refuses labels that a nonzero entry of ``on_site`` or ``coupling``
     crosses.  The dense view ``matrix`` is built only when read, and kept.
     """
@@ -162,6 +163,49 @@ class BlockHamiltonian:
             return 0.0 - (np.sqrt(nu + 1.0) * c) / np.sqrt(self.na)
 
     @functools.cached_property
+    def _split(self):
+        """(:attr:`sectors`, each basis state's sector, its position there), split once per H."""
+        _, first, inverse = np.unique(self.sector_labels, return_index=True, return_inverse=True)
+        sector = np.argsort(np.argsort(first))[inverse.ravel()]  # sectors by first index
+        order = np.argsort(sector, kind="stable")
+        indices = tuple(np.split(order, np.cumsum(np.bincount(sector))[:-1]))
+        local = np.empty_like(order)
+        for idx in indices:
+            local[idx] = np.arange(idx.size)
+            idx.setflags(write=False)
+        return indices, sector, local
+
+    @property
+    def sectors(self) -> tuple[np.ndarray, ...]:
+        """Each sector's basis indices, read-only, in order of lowest index: the vacuum's first."""
+        return self._split[0]
+
+    def upper_band(self, k: int, parts: bool = False):
+        """Sector k in LAPACK's upper band storage: a fresh Fortran-order
+        (w + 1, n) array whose row w - d holds the d-th superdiagonal, w the
+        farthest one with a nonzero entry, and zeros are +0.0.  With
+        ``parts``, two such bands that add up to it: the photon-diagonal
+        blocks (diagonal and on-site) and the hop blocks."""
+        indices, sector, local = self._split
+        idx = indices[k]
+        on_site = 0.0 if self.on_site is None else np.diagonal(self.on_site)[idx % self.coupling.shape[0]]
+        found = [(idx, idx, self.diagonal[idx] + on_site)]  # a zero of either sign is dropped
+        for block, shift in ((self.on_site, 0), (self.coupling, 1)):  # the hops last
+            if block is not None:
+                rows, cols, c = self._placed(block, shift, upper=not shift)
+                nu, j = np.nonzero(sector[rows] == k)  # the entries in sector k
+                found.append((rows[nu, j], cols[nu, j], self._hops(nu, c[nu, j]) if shift else c[nu, j]))
+        first_hop = sum(len(f[2]) for f in found[:-1])
+        rows, cols, vals = map(np.concatenate, zip(*found))
+        kept = vals != 0.0
+        layer = (np.flatnonzero(kept) >= first_hop).astype(np.intp) if parts else 0
+        rows, cols = local[rows[kept]], local[cols[kept]]
+        w = int(np.max(cols - rows, initial=0))
+        out = np.zeros((w + 1, idx.size, 1 + parts), order="F")
+        out[w - cols + rows, cols, layer] = vals[kept]
+        return (out[..., 0], out[..., 1]) if parts else out[..., 0]
+
+    @functools.cached_property
     def matrix(self) -> np.ndarray:
         """Dense read-only view, dim x dim, scattered from the factors: only
         the tests (as an oracle) and the benchmark's tracer read it."""
@@ -176,53 +220,6 @@ class BlockHamiltonian:
         blocks[nu[1:], :, nu[:-1], :] = hops.transpose(0, 2, 1)
         out.setflags(write=False)
         return out
-
-
-class SectorLayout:
-    """Each sector of equal labels of every :class:`BlockHamiltonian` with
-    these labels and atomic block size m (``fits``): ``indices`` holds each
-    sector's basis indices, the vacuum's first, ``sector`` and ``local`` every
-    basis state's sector and position in it.  A read gathers one H's nonzero
-    entries into a band, which the solver writes out as a dense block."""
-
-    def __init__(self, labels: np.ndarray, m: int):
-        self.labels, self.m = labels, m
-        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-        self.sector = np.argsort(np.argsort(first))[inverse.ravel()]  # sectors by first index
-        order = np.argsort(self.sector, kind="stable")
-        self.indices = tuple(np.split(order, np.cumsum(np.bincount(self.sector))[:-1]))
-        self.local = np.empty_like(order)
-        for idx in self.indices:
-            self.local[idx] = np.arange(idx.size)
-            idx.setflags(write=False)
-
-    def fits(self, H: BlockHamiltonian) -> bool:
-        """Whether H has this layout's labels and block size."""
-        return H.coupling.shape[0] == self.m and np.array_equal(H.sector_labels, self.labels)
-
-    def upper_band(self, H: BlockHamiltonian, k: int, parts: bool = False):
-        """Sector k of H in LAPACK's upper band storage: a fresh Fortran-order
-        (w + 1, n) array whose row w - d holds the d-th superdiagonal, w the
-        farthest one with a nonzero entry in this H, and zeros are +0.0.  With
-        ``parts``, two such bands that add up to it: H's photon-diagonal
-        blocks (diagonal and on-site) and its hop blocks."""
-        idx = self.indices[k]
-        on_site = 0.0 if H.on_site is None else np.diagonal(H.on_site)[idx % self.m]
-        found = [(idx, idx, H.diagonal[idx] + on_site)]  # a zero of either sign is dropped
-        for block, shift in ((H.on_site, 0), (H.coupling, 1)):  # the hops last
-            if block is not None:
-                rows, cols, c = H._placed(block, shift, upper=not shift)
-                nu, j = np.nonzero(self.sector[rows] == k)  # the entries in sector k
-                found.append((rows[nu, j], cols[nu, j], H._hops(nu, c[nu, j]) if shift else c[nu, j]))
-        first_hop = sum(len(f[2]) for f in found[:-1])
-        rows, cols, vals = map(np.concatenate, zip(*found))
-        kept = vals != 0.0
-        layer = (np.flatnonzero(kept) >= first_hop).astype(np.intp) if parts else 0
-        rows, cols = self.local[rows[kept]], self.local[cols[kept]]
-        w = int(np.max(cols - rows, initial=0))
-        out = np.zeros((w + 1, idx.size, 1 + parts), order="F")
-        out[w - cols + rows, cols, layer] = vals[kept]
-        return (out[..., 0], out[..., 1]) if parts else out[..., 0]
 
 
 def atomic_collective_matrix(na: int, j: int, k: int) -> np.ndarray:

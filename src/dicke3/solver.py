@@ -2,11 +2,11 @@
 
 Every eigenproblem is solved per sector of a :class:`BlockHamiltonian`'s
 ``sector_labels`` (the excitation-number parity, and the isolated level's
-occupation in a frame without a one-body term), each gathered as a band
-from H's factors by a :class:`SectorLayout`; no dim x dim array is built.
+occupation in a frame without a one-body term), which H splits once, each
+gathered as a band from H's factors; no dim x dim array is built.
 Sectors come in the order of their lowest basis indices, the vacuum's
 first; a tie goes to the earlier one.  Full spectra solve each sector dense.
-Ground states need each sector's lowest two eigenpairs: by LAPACK's dsyevr
+Ground states need each sector's lowest two eigenpairs: by scipy's eigh
 on a dense block written from the band up to DENSE_SECTOR_MAX states, by
 shift-invert Lanczos on the band's Cholesky factor above.  A sector that
 a band Cholesky factorisation proves (Sylvester's law of inertia) more than
@@ -32,7 +32,7 @@ import scipy.linalg
 
 from .basis import BasisSet, DimensionLimitError, enumerate_basis
 from .model import ModelConfig, build_hamiltonian
-from .operators import BlockHamiltonian, SectorLayout
+from .operators import BlockHamiltonian
 
 DEGENERACY_GAP = 1e-10
 # Larger sectors go to band Lanczos, faster from 200-250 states (na 2-8, one
@@ -112,19 +112,18 @@ def _fix_sign(columns: np.ndarray) -> None:
     columns *= np.sign(np.take_along_axis(columns, peak[None], axis=0))
 
 
-def _layout(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | None = None):
-    """``layout`` if it fits H, else one for H's labels; H must match the basis."""
+def _sectors(H: BlockHamiltonian, basis: BasisSet):
+    """H's sectors; H must match the basis."""
     if H.dim != basis.dim:
         raise ValueError(f"operator dim {H.dim} does not match basis dim {basis.dim}")
-    return layout if layout and layout.fits(H) else SectorLayout(H.sector_labels, basis.atomic_dim)
+    return H.sectors
 
 
 def diagonalize(H: BlockHamiltonian, basis: BasisSet) -> Spectrum:
     """Full spectrum, every sector solved dense by LAPACK."""
-    layout = _layout(H, basis)
     sectors = []
-    for k, idx in enumerate(layout.indices):
-        energies, vectors = scipy.linalg.eigh(_dense(layout.upper_band(H, k)), overwrite_a=True)
+    for k, idx in enumerate(_sectors(H, basis)):
+        energies, vectors = scipy.linalg.eigh(_dense(H.upper_band(k)), overwrite_a=True)
         _fix_sign(vectors)
         for a in (energies, vectors):
             a.setflags(write=False)
@@ -142,23 +141,10 @@ def _dense(band: np.ndarray) -> np.ndarray:
     return out
 
 
-# dsyevr's workspace query, (work, iwork, info) at each order
-_dsyevr_work = functools.lru_cache(maxsize=None)(scipy.linalg.lapack.dsyevr_lwork)
-
-
 def _lowest_two(block: np.ndarray):
     """Lowest two eigenpairs (one for a single state) of a Fortran-order block,
-    overwritten, by the dsyevr call of ``eigh(subset_by_index=...)``: bitwise its result."""
-    if not np.isfinite(block).all():
-        raise ValueError("array must not contain infs or NaNs")
-    n = block.shape[0]
-    work, iwork, _ = _dsyevr_work(n, lower=1)  # a failed query fails the solve
-    w, v, found, _, info = scipy.linalg.lapack.dsyevr(
-        block, range="I", lower=1, il=1, iu=min(2, n), lwork=int(work), liwork=iwork, overwrite_a=1
-    )
-    if info != 0:
-        raise scipy.linalg.LinAlgError(f"dsyevr failed: info = {info}")
-    return w[:found], v[:, :found]
+    overwritten, by scipy's eigh (LAPACK's dsyevr), which refuses non-finite entries."""
+    return scipy.linalg.eigh(block, subset_by_index=[0, min(1, block.shape[0] - 1)], overwrite_a=True)
 
 
 def _factor(band: np.ndarray, shift: float):
@@ -364,24 +350,22 @@ def _grounds(indices, levels: np.ndarray, vectors, dim: int):
     return states, sector, degenerate
 
 
-def _pairs_of(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | None = None):
-    """H's sector indices and :func:`_sector_pairs`, read through ``layout``
-    if it fits H."""
-    layout = _layout(H, basis, layout)
-    return layout.indices, *_sector_pairs(layout.indices, lambda k: layout.upper_band(H, k).T[None])
+def _pairs_of(H: BlockHamiltonian, basis: BasisSet):
+    """H's sector indices and :func:`_sector_pairs`."""
+    indices = _sectors(H, basis)
+    return indices, *_sector_pairs(indices, lambda k: H.upper_band(k).T[None])
 
 
-def ground_state(H: BlockHamiltonian, basis: BasisSet, layout: SectorLayout | None = None) -> QuantumState:
+def ground_state(H: BlockHamiltonian, basis: BasisSet) -> QuantumState:
     """Lowest eigenvector under the sign convention, from one sector.
 
     The lowest level over the sectors wins; when several sectors' ground
     energies lie within DEGENERACY_GAP of it, the earliest in sector order
     does, the vacuum's before all.  Near-degeneracy (gap below
     DEGENERACY_GAP between the two lowest levels over all sectors) is
-    flagged on the returned state rather than raised.  Many H of one
-    labelling may share a ``layout``; one that does not fit H is not used.
+    flagged on the returned state rather than raised.
     """
-    states, _, degenerate = _grounds(*_pairs_of(H, basis, layout), basis.dim)
+    states, _, degenerate = _grounds(*_pairs_of(H, basis), basis.dim)
     return QuantumState(states[0].astype(complex), basis, degenerate=bool(degenerate[0]))
 
 
@@ -418,12 +402,11 @@ def pencil_ground_states(Hs, basis: BasisSet, radii):
     once, in pencils of up to PENCIL_ENTRIES band entries a part, each
     walked once full: a ray above that walks alone.  A ray's states do not
     depend on the rays beside it, bit for bit."""
-    groups, layout = {}, None
+    groups = {}
     for r, H in enumerate(Hs):
-        layout = _layout(H, basis, layout)
-        parts = [(p.T, q.T) for p, q in (layout.upper_band(H, k, parts=True) for k in range(len(layout.indices)))]
+        parts = [(p.T, q.T) for p, q in (H.upper_band(k, parts=True) for k in range(len(_sectors(H, basis))))]
         key = (H.sector_labels.tobytes(), tuple(p.shape for p, _ in parts))
-        groups.setdefault(key, (layout.indices, []))[1].append((r, parts))
+        groups.setdefault(key, (H.sectors, []))[1].append((r, parts))
         if (len(groups[key][1]) + 1) * sum(p.size for p, _ in parts) > PENCIL_ENTRIES:
             yield _pencil(*groups.pop(key), radii, basis.dim)
     for key in list(groups):  # popped, so that a walk holds only its stacks

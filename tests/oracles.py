@@ -233,13 +233,13 @@ def rint_band_labels(spectrum: Spectrum, level: int) -> np.ndarray:
     return spectrum.merged(labels).astype(int)
 
 
-def all_sector_pairs(H, basis, layout=None) -> tuple:
+def all_sector_pairs(H, basis) -> tuple:
     """Basis indices, lowest two levels (1, K, 2) and lowest eigenvectors
     (one row each) of every sector in sector order, as ``solver._pairs_of``
     gives them but none skipped, each read from the dense view: scipy's
     ``eigh`` on a Fortran-order copy up to the solver's DENSE_SECTOR_MAX
     states, its band Lanczos on the :func:`upper_band` read-back above.  The
-    sectors come from ``np.unique`` of the labels; ``layout`` is ignored."""
+    sectors come from ``np.unique`` of the labels."""
     labels = H.sector_labels
     _, first = np.unique(labels, return_index=True)
     indices = [np.flatnonzero(labels == labels[i]) for i in np.sort(first)]

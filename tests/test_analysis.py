@@ -26,7 +26,7 @@ from dicke3.analysis import (
 )
 from dicke3.basis import enumerate_basis
 from dicke3.model import ModelConfig, coupling_name, with_couplings
-from dicke3.operators import BlockHamiltonian, Configuration, SectorLayout
+from dicke3.operators import BlockHamiltonian, Configuration
 from dicke3.rotations import Branch, UndefinedAngleError, decoupling_angle
 from dicke3.solver import QuantumState, ground_state
 
@@ -473,7 +473,7 @@ class TestScanLayout:
     def test_one_assembly_and_one_gather_per_sector(self, frame):
         m = ModelConfig(Configuration.V, 0.0, 1.0, 1.0, mu12=0.0, mu13=0.0, mu23=0.0, na=2, nmax=8)
         searching, gathers = [], []
-        real_search, real_gather = analysis.converged_ground_state, SectorLayout.upper_band
+        real_search, real_gather = analysis.converged_ground_state, BlockHamiltonian.upper_band
 
         def search(*args):
             searching.append(True)
@@ -482,13 +482,13 @@ class TestScanLayout:
             finally:
                 searching.pop()
 
-        def gather(layout, H, k, parts=False):
+        def gather(H, k, parts=False):
             if not searching:
-                gathers.append((len(layout.indices), k, parts))
-            return real_gather(layout, H, k, parts)
+                gathers.append((len(H.sectors), k, parts))
+            return real_gather(H, k, parts)
 
         built = mock.patch("dicke3.analysis.build_hamiltonian", wraps=d3.build_hamiltonian)
-        with built as assembled, mock.patch.object(SectorLayout, "upper_band", gather), \
+        with built as assembled, mock.patch.object(BlockHamiltonian, "upper_band", gather), \
                 mock.patch("dicke3.analysis.converged_ground_state", search):
             sweep = scan_ray(m, np.pi / 4, 1.5, 0.05, rotated=frame)
         assert assembled.call_count == 1 and len(sweep.s_values) == 30
@@ -496,39 +496,18 @@ class TestScanLayout:
         assert sectors == (2 if frame is None else 6)  # parity, and n_iso in 0..2
         assert gathers == [(sectors, k, True) for k in range(sectors)]
 
-    def test_stale_layout_is_replaced(self):
-        # At equal detuning the rotated frame adds n_iso to the lab frame's
-        # parity labels, so a lab-frame layout does not fit it.
-        m = ModelConfig(Configuration.V, 0.0, 1.0, 1.0, mu12=0.5, mu13=0.7, mu23=0.0, na=3, nmax=12)
-        b = enumerate_basis(3, 12)
-        lab = d3.build_hamiltonian(m, b)
-        layout = SectorLayout(lab.sector_labels, b.atomic_dim)
-        H = d3.build_hamiltonian(m, b, Branch.FIRST)
-        assert layout.fits(lab) and not layout.fits(H)
-        want = ground_state(H, b)
-        with mock.patch.object(solver, "SectorLayout", wraps=SectorLayout) as built:
-            got = ground_state(H, b, layout)
-            assert built.call_count == 1
-            ground_state(lab, b, layout)
-            assert built.call_count == 1  # a fitting layout is used as it is
-        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
-        assert got.degenerate == want.degenerate
-
     @pytest.mark.parametrize("crossover", [solver.DENSE_SECTOR_MAX, 8])
     @pytest.mark.parametrize("where", ["vacuum", "last"])
     def test_non_finite_block_is_refused(self, crossover, where):
         m = xi_resonant(na=2, nmax=12, mu12=0.3, mu23=0.2)
         b = enumerate_basis(2, 12)
         H = d3.build_hamiltonian(m, b)
-        layout = SectorLayout(H.sector_labels, b.atomic_dim)
         diagonal = H.diagonal.copy()
         diagonal[0 if where == "vacuum" else -1] = np.nan
         bad = BlockHamiltonian(diagonal, H.on_site, H.coupling, H.sector_labels)
-        assert layout.fits(bad)
         with mock.patch.object(solver, "DENSE_SECTOR_MAX", crossover):
-            for solve in (lambda: ground_state(bad, b, layout), lambda: ground_state(bad, b)):
-                with pytest.raises(ValueError, match="infs or NaNs"):
-                    solve()
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                ground_state(bad, b)
 
 
 class TestLinearResponse:

@@ -3,6 +3,7 @@ import json
 import resource
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -310,6 +311,30 @@ class TestEvolveCommand:
             )
         assert rc == 2
         assert "norm is not finite" in capsys.readouterr().err
+
+
+class TestRefusedBeforeTheSolve:
+    """A request its parameters alone refute exits 2 before the cutoff
+    search and the full diagonalization run."""
+
+    NA8 = ["--configuration", "lambda", "--omega3", "1", "--mu13", "0.6", "--mu23", "0.8", "--na", "8"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", *NA8, "--band-labels"], "band labels require a rotated frame"),
+        (["spectrum", *NA8, "--omega2", "0.5", "--rotated", "first", "--band-labels"],
+         "band labels require a vanishing one-body coupling (lambda_t = -0.24)"),
+        (["evolve", *NA8, "--initial", "1,2"], "--initial must be 'nu,n1,n2,n3'"),
+        (["evolve", *NA8, "--initial", "0,a,0,0"], "--initial must be 'nu,n1,n2,n3'"),
+        (["evolve", *NA8, "--nmax", "4", "--initial", "0,9,0,0"], "is not in the basis"),
+        (["evolve", *NA8, "--nmax", "4", "--initial", "5,8,0,0"], "is not in the basis"),
+    ], ids=["no-frame", "one-body-term", "three-counts", "not-integers", "atom-total", "above-cutoff"])
+    def test_no_search_and_no_solve(self, tmp_path, capsys, argv, message):
+        with mock.patch("dicke3.cli.diagonalize") as solve, \
+                mock.patch("dicke3.cli.converged_ground_state") as search:
+            assert run(*argv, "--out", str(tmp_path / "x.csv")) == 2
+        assert not solve.called and not search.called
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestRunConfigFile:

@@ -19,7 +19,7 @@ from dicke3.model import (
     rotated_parameters,
     with_couplings,
 )
-from dicke3.operators import BlockHamiltonian, Configuration, SectorLayout, excitation_values
+from dicke3.operators import BlockHamiltonian, Configuration, excitation_values
 from dicke3.rotations import Branch
 from dicke3.solver import (
     NonConvergenceError,
@@ -402,14 +402,13 @@ class TestSectorBuilders:
     def test_bitwise_equal_to_dense_read_back(self, model_frame):
         m, b, H = _framed_hamiltonian(model_frame)
         labels = H.sector_labels
-        layout = SectorLayout(labels, b.atomic_dim)
         _, first = np.unique(labels, return_index=True)
         want = [np.flatnonzero(labels == labels[i]) for i in np.sort(first)]
-        assert [idx.tolist() for idx in layout.indices] == [idx.tolist() for idx in want]
-        assert layout.fits(H)
+        assert [idx.tolist() for idx in H.sectors] == [idx.tolist() for idx in want]
+        assert not any(idx.flags.writeable for idx in H.sectors)
         for k, idx in enumerate(want):
             block = H.matrix[np.ix_(idx, idx)]
-            upper = layout.upper_band(H, k)
+            upper = H.upper_band(k)
             w = upper.shape[0] - 1
             assert upper.flags.f_contiguous
             dense = solver._dense(upper)
@@ -417,7 +416,7 @@ class TestSectorBuilders:
             assert dense.tobytes() == block.tobytes()
             assert w == 0 or upper[0].any()
             assert upper.tobytes() == upper_band(block).tobytes()
-            base, hop = layout.upper_band(H, k, parts=True)
+            base, hop = H.upper_band(k, parts=True)
             assert base.shape == hop.shape == upper.shape
             assert base.flags.f_contiguous and hop.flags.f_contiguous
             assert (base + hop).tobytes() == upper.tobytes()
@@ -426,6 +425,26 @@ class TestSectorBuilders:
             on_site = np.where(photons[:, None] == photons, block, 0.0)
             assert solver._dense(base).tobytes() == on_site.tobytes()
             assert not (base.astype(bool) & hop.astype(bool)).any()
+
+    @pytest.mark.parametrize("solve", [
+        lambda H, b: ground_state(H, b),
+        lambda H, b: diagonalize(H, b),
+        lambda H, b: [list(walk) for _, walk in solver.pencil_ground_states([H], b, [0.5, 1.0])],
+    ], ids=["ground_state", "diagonalize", "pencil_ground_states"])
+    def test_split_once_per_hamiltonian(self, solve):
+        # At equal detuning the rotated V frame labels parity and n_iso in
+        # 0..8: 18 sectors, each read once, from one split of H's labels.
+        m = with_couplings(ModelConfig(Configuration.V, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, na=8, nmax=64), 0.6, 0.8)
+        b = enumerate_basis(8, 64)
+        H = build_hamiltonian(m, b, Branch.FIRST)
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            solve(H, b)
+            solve(H, b)
+        assert [c.args[0] is H.sector_labels for c in unique.call_args_list] == [True]
+        assert len(H.sectors) == 18
+        assert [idx[0] for idx in H.sectors] == sorted(idx[0] for idx in H.sectors)
+        with pytest.raises(ValueError, match="read-only"):
+            H.sectors[0][0] = 1
 
 
 def _scaled(m, factor):
@@ -475,19 +494,18 @@ class TestSectorSkip:
     def test_inertia_against_eigvalsh(self, m):
         b = enumerate_basis(m.na, m.nmax)
         H = build_hamiltonian(m, b)
-        layout = SectorLayout(H.sector_labels, b.atomic_dim)
-        for k, idx in enumerate(layout.indices):
+        for k, idx in enumerate(H.sectors):
             exact = np.linalg.eigvalsh(H.matrix[np.ix_(idx, idx)])[0]
             room = 1e-6 * max(1.0, abs(exact))
-            assert _lies_above(layout.upper_band(H, k), exact - room)
+            assert _lies_above(H.upper_band(k), exact - room)
             for lowest in (exact - solver.DEGENERACY_GAP, exact, exact + room):
-                assert not _lies_above(layout.upper_band(H, k), lowest)
+                assert not _lies_above(H.upper_band(k), lowest)
 
     def test_one_solve_in_the_normal_phase(self):
         m = ModelConfig(Configuration.XI, 0.0, 1.0, 2.0, mu12=0.3, mu13=0.0, mu23=0.2, na=2, nmax=32)
         b = enumerate_basis(2, 32)
         H = build_hamiltonian(m, b)
-        assert len(SectorLayout(H.sector_labels, b.atomic_dim).indices) == 2
+        assert len(H.sectors) == 2
         (g, e0), solves = _solve_count(lambda: (ground_state(H, b), lowest_energy(H, b)))
         assert solves == 2  # one per call
         assert not g.degenerate
@@ -540,16 +558,15 @@ def _continue_one(band, x):
     return (levels[0], vectors[0][:, None]) if levels[0, 0] < np.inf else None
 
 
-def _near(H, b, near, layout=None):
-    """ground_state(H, b, layout) continued from the state ``near``, as a
+def _near(H, b, near):
+    """ground_state(H, b) continued from the state ``near``, as a
     ray's walk continues from its last state: in the sector holding more
     than half of near's weight, from near's part there, normalized."""
-    layout = layout or SectorLayout(H.sector_labels, b.atomic_dim)
-    x = [near.amplitudes.real[idx][None] for idx in layout.indices]
+    x = [near.amplitudes.real[idx][None] for idx in H.sectors]
     warm = next(k for k, v in enumerate(x) if (v * v).sum() > 0.5)
     before = [np.zeros_like(v) for v in x]  # twice x less zero: x, normalized
-    pairs = solver._sector_pairs(layout.indices, lambda k: layout.upper_band(H, k).T[None], np.array([warm]), [x, before])
-    states, _, degenerate = solver._grounds(layout.indices, *pairs, b.dim)
+    pairs = solver._sector_pairs(H.sectors, lambda k: H.upper_band(k).T[None], np.array([warm]), [x, before])
+    states, _, degenerate = solver._grounds(H.sectors, *pairs, b.dim)
     return QuantumState(states[0].astype(complex), b, degenerate=bool(degenerate[0]))
 
 
@@ -572,11 +589,10 @@ class TestContinuation:
         frame = model_frame[1]
         m, b, H = _framed_hamiltonian(model_frame)
         neighbour = with_couplings(m, *((1.0 - step) * c for c in m.plane_couplings))
-        layout = SectorLayout(H.sector_labels, b.atomic_dim)
         with mock.patch.object(solver, "DENSE_SECTOR_MAX", crossover):
             near = ground_state(build_hamiltonian(neighbour, b, frame), b)
-            cold = ground_state(H, b, layout)
-            warm, tried = _continuations(lambda: _near(H, b, near, layout))
+            cold = ground_state(H, b)
+            warm, tried = _continuations(lambda: _near(H, b, near))
         sector = H.sector_labels[np.argmax(np.abs(cold.amplitudes))]
         assert H.sector_labels[np.argmax(np.abs(warm.amplitudes))] == sector
         assert warm.degenerate == cold.degenerate
@@ -732,15 +748,14 @@ class TestMemory:
 
     def test_factors_and_bands_stay_small(self):
         # dim 5805: nmax = 128 dense hop blocks alone would take 2 MB, a
-        # table of every block entry's position many more; H's factors, the
-        # layout and the two sectors' bands (1.3 MB together) need less.
+        # table of every block entry's position many more; H's factors, its
+        # sector split and the two sectors' bands (1.3 MB together) need less.
         m = lam(na=8, nmax=128)
         b = enumerate_basis(8, 128)
 
         def gather():
             H = build_hamiltonian(m, b)
-            layout = SectorLayout(H.sector_labels, b.atomic_dim)
-            return H, [layout.upper_band(H, k) for k in range(len(layout.indices))]
+            return H, [H.upper_band(k) for k in range(len(H.sectors))]
 
         (H, bands), peak = self._peak(gather)
         assert len(bands) == 2

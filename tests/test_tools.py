@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -168,3 +169,26 @@ def test_bench_pairs_seed_range():
     assert bench_pairs.seeds_of("7..7") == [7]
     with pytest.raises(ValueError, match="A <= B"):
         bench_pairs.seeds_of("9..3")
+
+
+def test_bench_pairs_runs_each_side_from_an_empty_bytecode_cache(tmp_path):
+    # A checkout holding __pycache__ imports faster than one that compiles,
+    # so every run starts from a fresh, empty cache prefix of its own; no
+    # process is started here.
+    calls = []
+
+    def fake_run(argv, *, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        calls.append((cwd, prefix, sorted(prefix.iterdir())))
+        (prefix / "stale.pyc").write_bytes(b"")  # no later run may see it
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(_bench_record(1.0)) + "\n")
+
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    with mock.patch.object(bench_pairs.subprocess, "run", fake_run):
+        for seed in (171, 172):
+            for checkout in (parent, change):
+                assert bench_pairs.run_once(checkout, "grid", seed)["metrics"]["wall_s"]["value"] == 1.0
+    assert [cwd for cwd, _, _ in calls] == [parent, change] * 2
+    assert len({prefix for _, prefix, _ in calls}) == len(calls)
+    assert all(files == [] for _, _, files in calls)
+    assert not any(prefix.exists() for _, prefix, _ in calls)

@@ -5,7 +5,10 @@
 
 For every seed N in A..B (both included) it runs
 ``python3 perfbench/run.py --workload W --seed N --seconds 35 --trace 0`` once
-in each checkout, one after the other, the parent first on odd seeds.  It
+in each checkout, one after the other, the parent first on odd seeds.  Every
+run gets a fresh, empty bytecode cache (``PYTHONPYCACHEPREFIX``), which the
+CLI processes it starts inherit: a checkout holding ``__pycache__`` would
+otherwise import faster than one that compiles.  It
 prints one workload's entry of a ``BENCH_*.json`` ``benchmark`` block as
 JSON: every run's end-to-end metrics, per side their median and inclusive
 quartiles and the failed invocations, the pairs in which the change is
@@ -19,9 +22,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 WIN_SHARE = 0.9  # pairs the change must win
@@ -38,10 +43,13 @@ def seeds_of(text: str) -> list[int]:
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One untraced benchmark run in a checkout: its last output line."""
+    """One untraced benchmark run in a checkout, from an empty bytecode
+    cache of its own: its last output line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(SECONDS), "--trace", "0"]
-    out = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        out = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
