@@ -173,18 +173,20 @@ def test_bench_pairs_seed_range():
 
 def test_bench_pairs_runs_each_side_from_an_empty_bytecode_cache(tmp_path):
     # A checkout holding __pycache__ imports faster than one that compiles,
-    # so every run starts from a fresh, empty cache prefix of its own; no
-    # process is started here.
+    # so every run starts from a fresh, empty cache prefix of its own, which
+    # its processes may write; no process is started here.
     calls = []
 
     def fake_run(argv, *, cwd, env, **kwargs):
+        assert "PYTHONDONTWRITEBYTECODE" not in env
         prefix = Path(env["PYTHONPYCACHEPREFIX"])
         calls.append((cwd, prefix, sorted(prefix.iterdir())))
         (prefix / "stale.pyc").write_bytes(b"")  # no later run may see it
         return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(_bench_record(1.0)) + "\n")
 
     parent, change = tmp_path / "parent", tmp_path / "change"
-    with mock.patch.object(bench_pairs.subprocess, "run", fake_run):
+    with mock.patch.object(bench_pairs.subprocess, "run", fake_run), \
+            mock.patch.dict(os.environ, {"PYTHONDONTWRITEBYTECODE": "1"}):
         for seed in (171, 172):
             for checkout in (parent, change):
                 assert bench_pairs.run_once(checkout, "grid", seed)["metrics"]["wall_s"]["value"] == 1.0

@@ -7,8 +7,11 @@ For every seed N in A..B (both included) it runs
 ``python3 perfbench/run.py --workload W --seed N --seconds 35 --trace 0`` once
 in each checkout, one after the other, the parent first on odd seeds.  Every
 run gets a fresh, empty bytecode cache (``PYTHONPYCACHEPREFIX``), which the
-CLI processes it starts inherit: a checkout holding ``__pycache__`` would
-otherwise import faster than one that compiles.  It
+CLI processes it starts inherit and its first process fills, so a checkout
+holding ``__pycache__`` imports no faster than one that compiles.  Writing
+bytecode is switched on for it: under ``PYTHONDONTWRITEBYTECODE`` an empty
+prefix would have every process compile numpy and scipy (an import of the
+CLI took 1.6-2.2 s that way on a 2-core host, against 0.4-0.7 s).  It
 prints one workload's entry of a ``BENCH_*.json`` ``benchmark`` block as
 JSON: every run's end-to-end metrics, per side their median and inclusive
 quartiles and the failed invocations, the pairs in which the change is
@@ -49,6 +52,7 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
             "--seconds", str(SECONDS), "--trace", "0"]
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
         env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
         out = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
