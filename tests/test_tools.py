@@ -171,17 +171,17 @@ def test_bench_pairs_seed_range():
         bench_pairs.seeds_of("9..3")
 
 
-def test_bench_pairs_runs_each_side_from_an_empty_bytecode_cache(tmp_path):
+def test_bench_pairs_runs_each_side_from_a_bytecode_cache_of_its_own(tmp_path):
     # A checkout holding __pycache__ imports faster than one that compiles,
     # so every run starts from a fresh, empty cache prefix of its own, which
-    # its processes may write; no process is started here.
+    # an untimed run of the workload fills first; no process is started here.
     calls = []
 
     def fake_run(argv, *, cwd, env, **kwargs):
         assert "PYTHONDONTWRITEBYTECODE" not in env
         prefix = Path(env["PYTHONPYCACHEPREFIX"])
-        calls.append((cwd, prefix, sorted(prefix.iterdir())))
-        (prefix / "stale.pyc").write_bytes(b"")  # no later run may see it
+        calls.append((cwd, prefix, argv[argv.index("--seconds") + 1], sorted(p.name for p in prefix.iterdir())))
+        (prefix / "module.pyc").write_bytes(b"")  # what a run leaves in its cache
         return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(_bench_record(1.0)) + "\n")
 
     parent, change = tmp_path / "parent", tmp_path / "change"
@@ -190,7 +190,8 @@ def test_bench_pairs_runs_each_side_from_an_empty_bytecode_cache(tmp_path):
         for seed in (171, 172):
             for checkout in (parent, change):
                 assert bench_pairs.run_once(checkout, "grid", seed)["metrics"]["wall_s"]["value"] == 1.0
-    assert [cwd for cwd, _, _ in calls] == [parent, change] * 2
-    assert len({prefix for _, prefix, _ in calls}) == len(calls)
-    assert all(files == [] for _, _, files in calls)
-    assert not any(prefix.exists() for _, prefix, _ in calls)
+    assert [cwd for cwd, *_ in calls] == [parent, parent, change, change] * 2
+    assert [(seconds, files) for _, _, seconds, files in calls] == [("0", []), ("35", ["module.pyc"])] * 4
+    prefixes = [prefix for _, prefix, *_ in calls]
+    assert prefixes[::2] == prefixes[1::2] and len(set(prefixes)) == 4
+    assert not any(prefix.exists() for prefix in prefixes)

@@ -6,12 +6,16 @@
 For every seed N in A..B (both included) it runs
 ``python3 perfbench/run.py --workload W --seed N --seconds 35 --trace 0`` once
 in each checkout, one after the other, the parent first on odd seeds.  Every
-run gets a fresh, empty bytecode cache (``PYTHONPYCACHEPREFIX``), which the
-CLI processes it starts inherit and its first process fills, so a checkout
-holding ``__pycache__`` imports no faster than one that compiles.  Writing
+run reads bytecode from a fresh cache of its own (``PYTHONPYCACHEPREFIX``,
+which the CLI processes it starts inherit), so a checkout holding
+``__pycache__`` imports no faster than one that compiles.  An untimed run of
+the same workload (``--seconds 0``) fills the cache first: else the first
+repetition to import a module compiles it, and ``peak_rss_mb``, the largest
+over the repetitions, reads the compiler (grid and store 68.4 and 69.0 MB
+against 65.6 and 66.4 MB from a filled cache, on a 2-core host).  Writing
 bytecode is switched on for it: under ``PYTHONDONTWRITEBYTECODE`` an empty
 prefix would have every process compile numpy and scipy (an import of the
-CLI took 1.6-2.2 s that way on a 2-core host, against 0.4-0.7 s).  It
+CLI took 1.6-2.2 s that way, against 0.4-0.7 s).  It
 prints one workload's entry of a ``BENCH_*.json`` ``benchmark`` block as
 JSON: every run's end-to-end metrics, per side their median and inclusive
 quartiles and the failed invocations, the pairs in which the change is
@@ -46,14 +50,15 @@ def seeds_of(text: str) -> list[int]:
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One untraced benchmark run in a checkout, from an empty bytecode
-    cache of its own: its last output line."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(SECONDS), "--trace", "0"]
+    """One untraced benchmark run in a checkout, from a bytecode cache of its
+    own that an untimed run fills first: its last output line."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
         env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
         env.pop("PYTHONDONTWRITEBYTECODE", None)
-        out = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, check=True)
+        for seconds in (0, SECONDS):
+            out = subprocess.run([*argv, "--seconds", str(seconds)], cwd=checkout, env=env,
+                                 capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
