@@ -433,7 +433,8 @@ class TestSectorBuilders:
     ], ids=["ground_state", "diagonalize", "pencil_ground_states"])
     def test_split_once_per_hamiltonian(self, solve):
         # At equal detuning the rotated V frame labels parity and n_iso in
-        # 0..8: 18 sectors, each read once, from one split of H's labels.
+        # 0..8: 18 sectors, all from one split of H's labels, however often
+        # H is solved.
         m = with_couplings(ModelConfig(Configuration.V, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, na=8, nmax=64), 0.6, 0.8)
         b = enumerate_basis(8, 64)
         H = build_hamiltonian(m, b, Branch.FIRST)
