@@ -59,7 +59,6 @@ from .analysis import (
     fidelity_rotated_exact,
     phase_diagram,
     ray_pencil,
-    scan_ray,
     separatrix_lambda,
     separatrix_v,
     separatrix_xi,

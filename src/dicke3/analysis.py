@@ -4,8 +4,8 @@ Abrupt ground-state changes show up as minima of the fidelity between
 neighbouring ground states along rays through the coupling-plane origin, on
 which H is affine in the radius; a pencil of rays maps the whole phase
 boundary, its rays of one photon cutoff solved together (a single ray is a
-pencil of one).  The closed-form variational boundaries are provided for
-overlay.
+pencil of one: ``phase_diagram(config, [theta], ...).rays[0]``).  The
+closed-form variational boundaries are provided for overlay.
 """
 
 from __future__ import annotations
@@ -121,8 +121,9 @@ def fidelity_rotated_exact(
 
 @dataclass(frozen=True)
 class SweepMinimum:
-    """Strict local fidelity minimum with quadratic refinement."""
+    """Strict local fidelity minimum with quadratic refinement, on the ray of angle theta."""
 
+    theta: float
     s: float
     mu_a: float
     mu_b: float
@@ -163,14 +164,17 @@ def _ray_direction(theta: float) -> tuple[float, float]:
 
 
 def _detect_minima(
+    theta: float,
+    direction: tuple[float, float],
     mids: np.ndarray,
     fids: np.ndarray,
-    coords: list[tuple[float, float]],
     dmu: float,
 ) -> tuple[SweepMinimum, ...]:
-    """Interior minima above the noise floor, refined by a parabola.  Each
-    lies more than NOISE_FLOOR below both neighbours: on a ray of constant
-    fidelity roundoff alone would otherwise make and place them."""
+    """Interior minima above the noise floor, refined by a parabola, at
+    s * direction on the ray of angle theta.  Each lies more than NOISE_FLOOR
+    below both neighbours: on a ray of constant fidelity roundoff alone
+    would otherwise make and place them."""
+    ca, sa = direction
     out = []
     for i in range(1, len(fids) - 1):
         if not fids[i] + NOISE_FLOOR < min(fids[i - 1], fids[i + 1]):
@@ -185,14 +189,12 @@ def _detect_minima(
             f_star = f0 - (fm - fp) ** 2 / (8 * curvature)
         else:
             s_star, f_star = mids[i], f0
-        frac = (s_star - mids[i]) / dmu
-        ax, bx = coords[i]
-        ax2, bx2 = coords[i + 1] if frac >= 0 else coords[i - 1]
         out.append(
             SweepMinimum(
+                theta=theta,
                 s=float(s_star),
-                mu_a=float(ax + abs(frac) * (ax2 - ax)),
-                mu_b=float(bx + abs(frac) * (bx2 - bx)),
+                mu_a=float(s_star * ca),
+                mu_b=float(s_star * sa),
                 fidelity=float(f_star),
             )
         )
@@ -200,11 +202,13 @@ def _detect_minima(
 
 
 def _sweeps(config, thetas, s_max, dmu, rotated, etol, ptol) -> list[RaySweep]:
-    """The :class:`RaySweep` of every ray in ``thetas``; see :func:`scan_ray`.
+    """The :class:`RaySweep` of every ray in ``thetas``; see :func:`phase_diagram`.
     Rays of one cutoff go to :func:`dicke3.solver.pencil_ground_states`
     together, which solves those of one band shape in lockstep."""
     if dmu <= 0:
         raise ValueError("dmu must be positive")
+    if not s_max / dmu < np.iinfo(np.intp).max:
+        raise ValueError(f"s_max / dmu must be below {np.iinfo(np.intp).max}, got {s_max!r} / {dmu!r}")
     directions = [_ray_direction(theta) for theta in thetas]
     n_steps = int(np.floor(s_max / dmu + 1e-9))
     if n_steps < 2:
@@ -226,46 +230,10 @@ def _sweeps(config, thetas, s_max, dmu, rotated, etol, ptol) -> list[RaySweep]:
         a.setflags(write=False)
     mids = (radii[:-1] + radii[1:]) / 2.0
     sweeps = []
-    for i, (theta, (ca, sa)) in enumerate(zip(thetas, directions)):
-        coords = [(s * ca, s * sa) for s in radii]
-        mid_coords = [((a0 + a1) / 2, (b0 + b1) / 2) for (a0, b0), (a1, b1) in zip(coords, coords[1:])]
-        minima = _detect_minima(mids, fids[i], mid_coords, dmu)
+    for i, (theta, direction) in enumerate(zip(thetas, directions)):
+        minima = _detect_minima(theta, direction, mids, fids[i], dmu)
         sweeps.append(RaySweep(config, theta, dmu, cutoffs[i], rotated, radii, fids[i], chi[i], minima))
     return sweeps
-
-
-def scan_ray(
-    config: ModelConfig,
-    theta: float,
-    s_max: float,
-    dmu: float = DEFAULT_STEP,
-    *,
-    rotated: Branch | None = None,
-    etol: float = DEFAULT_ENERGY_TOL,
-    ptol: float = DEFAULT_TAIL_TOL,
-) -> RaySweep:
-    """Ground states and neighbour fidelities along a ray of slope theta.
-
-    The photon cutoff is converged once, in the unrotated frame, at the
-    outermost point and shared by the whole ray (the converged cutoff grows
-    monotonically with the couplings, so the outer point dominates); sharing
-    one basis keeps the overlaps well defined.  H is affine in the radius in
-    every frame (its hop blocks scale with it): one H, at unit radius, feeds
-    :func:`dicke3.solver.pencil_ground_states` as a pencil of one ray, which
-    continues each point's state from those before where proven, two states
-    held at a time; fidelities agree with solves of freshly assembled points
-    to roundoff, and with the ray's in any pencil bit for bit.
-    """
-    return _sweeps(config, [theta], s_max, dmu, rotated, etol, ptol)[0]
-
-
-@dataclass(frozen=True)
-class DiagramLocus:
-    theta: float
-    s: float
-    mu_a: float
-    mu_b: float
-    fidelity: float
 
 
 @dataclass(frozen=True)
@@ -274,9 +242,8 @@ class PhaseDiagram:
 
     config: ModelConfig
     rotated: Branch | None
-    thetas: tuple[float, ...]
     rays: tuple[RaySweep, ...]
-    minima: tuple[DiagramLocus, ...]
+    minima: tuple[SweepMinimum, ...]
 
 
 def ray_pencil(count: int = DEFAULT_RAY_COUNT) -> np.ndarray:
@@ -297,7 +264,14 @@ def phase_diagram(
     etol: float = DEFAULT_ENERGY_TOL,
     ptol: float = DEFAULT_TAIL_TOL,
 ) -> PhaseDiagram:
-    """Minima loci over a pencil of rays, solved together (see :func:`_sweeps`).
+    """Rays and minima loci over a pencil, solved together (see :func:`_sweeps`).
+
+    Each ray's photon cutoff is converged once, in the unrotated frame, at
+    its outermost point and shared by the whole ray (the converged cutoff
+    grows monotonically with the couplings, so the outer point dominates);
+    sharing one basis keeps the overlaps well defined.  H is affine in the
+    radius in every frame (its hop blocks scale with it), so one H per ray,
+    at unit radius, feeds :func:`dicke3.solver.pencil_ground_states`.
 
     With ``workers`` > 1 worker j of W takes every W-th ray from the j-th,
     so that each holds rays from all along the pencil, whose costs vary with
@@ -318,12 +292,8 @@ def phase_diagram(
         rays = tuple(dealt[i % workers][i // workers] for i in range(len(thetas)))
     else:
         rays = tuple(sweeps(thetas))
-    minima = tuple(
-        DiagramLocus(ray.theta, m.s, m.mu_a, m.mu_b, m.fidelity)
-        for ray in rays
-        for m in ray.minima
-    )
-    return PhaseDiagram(config, rotated, thetas, rays, minima)
+    minima = tuple(m for ray in rays for m in ray.minima)
+    return PhaseDiagram(config, rotated, rays, minima)
 
 
 def _threshold_boundary(Omega: float, budget: float, threshold: float, mu: float) -> float | None:

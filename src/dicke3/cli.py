@@ -253,11 +253,9 @@ def cmd_populations(params: dict, out: str | None) -> int:
     # corner it was converged at.
     branches = {frame: _branch_option(frame if frame != "unrotated" else None) for frame in frames}
     rows = {frame: [] for frame in frames}
-    origin_seen = False
     for mu_a in values:
         for mu_b in values:
             at_origin = mu_a == 0.0 and mu_b == 0.0  # no decoupling angle there
-            origin_seen |= at_origin
             wanted = [f for f in frames if branches[f] is None or not at_origin]
             if not wanted:
                 continue
@@ -274,6 +272,7 @@ def cmd_populations(params: dict, out: str | None) -> int:
                     state = QuantumState(amps, basis)
                 rows[frame].append([mu_a, mu_b, *populations(state)])
 
+    origin_seen = params["grid"] > 0  # the grid starts at 0.0
     for frame in frames:
         meta = {**params, "frame": frame, "nmax": m0.nmax}
         if origin_seen and branches[frame] is not None:

@@ -33,7 +33,7 @@ from .operators import (
     atomic_collective_matrix,
     excitation_values,
 )
-from .rotations import Branch, decoupling_angle
+from .rotations import Branch, UndefinedAngleError, decoupling_angle
 
 EQUAL_DETUNING_TOL = 1e-12
 
@@ -235,6 +235,8 @@ def rotated_parameters(config: ModelConfig, branch: Branch) -> RotatedParameters
     j, k = cfg.rotation_plane
     w_j, w_k = config.omegas[j - 1], config.omegas[k - 1]
     rho2 = a * a + b * b
+    if rho2 < np.finfo(float).tiny:  # underflowed: subnormal loses digits, 0.0 divides by zero
+        raise UndefinedAngleError(f"rotated frame undefined: A^2 + B^2 underflows at couplings {(a, b)!r}")
     mixed_j = (w_j * a * a + w_k * b * b) / rho2
     mixed_k = (w_j * b * b + w_k * a * a) / rho2
     lam = (w_j - w_k) * a * b / rho2

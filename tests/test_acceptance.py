@@ -14,7 +14,7 @@ from dicke3.analysis import (
     dalpha_dmu,
     fidelity_rot_second_order,
     fidelity_rotated_exact,
-    scan_ray,
+    phase_diagram,
 )
 from dicke3.basis import enumerate_basis
 from dicke3.model import (
@@ -234,7 +234,7 @@ def test_c06_phase_diagram_invariant_under_rotation():
     count_mismatch = 0
     for theta in thetas:
         sweeps = [
-            scan_ray(template, float(theta), 1.5, 0.01, rotated=fr)
+            phase_diagram(template, [float(theta)], 1.5, 0.01, rotated=fr).rays[0]
             for fr in (None, Branch.FIRST, Branch.SECOND)
         ]
         counts = {len(sw.minima) for sw in sweeps}
@@ -254,7 +254,7 @@ def test_c07_separatrix_convergence_with_atom_number():
     # ladder, on-axis ray: boundary value sqrt(Omega (omega2-omega1)) / 2 = 0.5
     loci = {}
     for na in (1, 4):
-        sw = scan_ray(_xi_resonant(na), 0.0, 1.3, 0.01)
+        sw = phase_diagram(_xi_resonant(na), [0.0], 1.3, 0.01).rays[0]
         assert len(sw.minima) == 1
         loci[na] = sw.minima[0].s
     xi_ok = abs(loci[4] - 0.5) < abs(loci[1] - 0.5)
@@ -264,7 +264,7 @@ def test_c07_separatrix_convergence_with_atom_number():
         for na in (1, 4):
             dists = []
             for theta in np.linspace(0.0, np.pi / 2, 9):
-                sw = scan_ray(make_template(na), float(theta), 1.3, 0.01)
+                sw = phase_diagram(make_template(na), [float(theta)], 1.3, 0.01).rays[0]
                 assert sw.minima, f"no minimum on theta={theta}"
                 dists.append(abs(sw.minima[0].s - 0.5))
             out[na] = float(np.mean(dists))

@@ -11,6 +11,7 @@ import dicke3 as d3
 from dicke3 import analysis, solver
 from dicke3.analysis import (
     NOISE_FLOOR,
+    SweepMinimum,
     _detect_minima,
     _ray_direction,
     dalpha_dmu,
@@ -19,7 +20,6 @@ from dicke3.analysis import (
     fidelity_rotated_exact,
     phase_diagram,
     ray_pencil,
-    scan_ray,
     separatrix_lambda,
     separatrix_v,
     separatrix_xi,
@@ -37,6 +37,11 @@ from oracles import affine_ray_ground_state, fidelity_susceptibility, generator_
 def _no_continuation(stack, x, active):
     """solver._continued finding nothing: every point is solved cold."""
     return np.full((len(stack), 2), np.inf), x
+
+
+def _ray(config, theta, s_max, dmu, **kwargs):
+    """The sweep of one ray: a pencil of one."""
+    return phase_diagram(config, [theta], s_max, dmu, **kwargs).rays[0]
 
 
 def xi_resonant(na=1, nmax=8, mu12=0.0, mu23=0.0):
@@ -194,18 +199,25 @@ class TestSecondOrderFidelity:
 
 class TestScanRay:
     def test_normal_region_has_no_minima(self):
-        sw = scan_ray(xi_resonant(), 0.0, 0.3, 0.02)
+        sw = _ray(xi_resonant(), 0.0, 0.3, 0.02)
         assert sw.minima == ()
         assert np.all(1.0 - sw.fidelities < 1e-3)
 
     def test_transition_detected_on_axis(self):
-        sw = scan_ray(xi_resonant(), 0.0, 1.3, 0.01)
+        sw = _ray(xi_resonant(), 0.0, 1.3, 0.01)
         assert len(sw.minima) == 1
         assert 0.5 < sw.minima[0].s < 1.3
         assert sw.minima[0].mu_b == 0.0
 
+    def test_transition_detected_on_ordinate(self):
+        # V at equal detuning, on the mu13 axis
+        m = ModelConfig(Configuration.V, 0.0, 1.0, 1.0, mu12=0.0, mu13=0.0, mu23=0.0, na=1, nmax=8)
+        (minimum,) = _ray(m, np.pi / 2, 1.3, 0.01).minima
+        assert 0.5 < minimum.s < 1.3
+        assert (minimum.theta, minimum.mu_a, minimum.mu_b) == (np.pi / 2, 0.0, minimum.s)
+
     def test_fidelity_bounds_and_chi(self):
-        sw = scan_ray(xi_resonant(), np.pi / 4, 0.8, 0.02)
+        sw = _ray(xi_resonant(), np.pi / 4, 0.8, 0.02)
         assert np.all(sw.fidelities <= 1.0 + 1e-12)
         assert np.all(sw.fidelities >= 0.0)
         assert np.allclose(
@@ -213,19 +225,19 @@ class TestScanRay:
         )
 
     def test_deterministic(self):
-        a = scan_ray(xi_resonant(), 0.3, 0.6, 0.02)
-        b = scan_ray(xi_resonant(), 0.3, 0.6, 0.02)
+        a = _ray(xi_resonant(), 0.3, 0.6, 0.02)
+        b = _ray(xi_resonant(), 0.3, 0.6, 0.02)
         assert np.array_equal(a.fidelities, b.fidelities)
         assert a.minima == b.minima
 
     def test_minimum_needs_a_dip_above_the_noise_floor(self):
         mids = 0.1 * np.arange(1, 5)
-        coords = [(s, 0.0) for s in mids]
+        direction = (1.0, 0.0)
         # equal fidelities but for roundoff, as on the displaced vacuum's ray
         flat = 0.94402748 + np.array([0.0, -2.2e-16, 1.6e-14, 1.6e-11])
-        assert _detect_minima(mids, flat, coords, 0.1) == ()
+        assert _detect_minima(0.0, direction, mids, flat, 0.1) == ()
         dipped = flat - np.array([0.0, 2 * NOISE_FLOOR, 0.0, 0.0])
-        (minimum,) = _detect_minima(mids, dipped, coords, 0.1)
+        (minimum,) = _detect_minima(0.0, direction, mids, dipped, 0.1)
         assert 0.1 < minimum.s < 0.3 and minimum.fidelity <= dipped[1]
 
     @pytest.mark.parametrize("steps", range(2, 9))
@@ -234,17 +246,17 @@ class TestScanRay:
         # displaced vacuum: every neighbour fidelity is the same in exact
         # arithmetic, so neither the continued nor the cold scan has a minimum.
         m = ModelConfig(Configuration.XI, 0.0, 0.0, 0.0, mu12=0.0, mu13=0.0, mu23=0.0, na=1, nmax=8)
-        warm = scan_ray(m, 0.0, 1.2, 1.2 / steps)
+        warm = _ray(m, 0.0, 1.2, 1.2 / steps)
         with mock.patch.object(solver, "_continued", _no_continuation):
-            cold = scan_ray(m, 0.0, 1.2, 1.2 / steps)
+            cold = _ray(m, 0.0, 1.2, 1.2 / steps)
         assert np.ptp(cold.fidelities) < 1e-10
         assert warm.minima == () and cold.minima == ()
 
     def test_rejects_bad_rays(self):
         with pytest.raises(ValueError):
-            scan_ray(xi_resonant(), -0.2, 0.6, 0.02)
+            _ray(xi_resonant(), -0.2, 0.6, 0.02)
         with pytest.raises(ValueError):
-            scan_ray(xi_resonant(), 0.0, 0.6, -0.01)
+            _ray(xi_resonant(), 0.0, 0.6, -0.01)
 
 
 class TestPhaseDiagram:
@@ -281,7 +293,7 @@ class TestPhaseDiagram:
     def test_loci_frame_invariance_every_configuration(self, cfg, omegas):
         m = ModelConfig(cfg, *omegas, mu12=0.0, mu13=0.0, mu23=0.0, na=1, nmax=8)
         sweeps = [
-            scan_ray(m, 0.7, 1.5, 0.02, rotated=fr)
+            _ray(m, 0.7, 1.5, 0.02, rotated=fr)
             for fr in (None, Branch.FIRST, Branch.SECOND)
         ]
         counts = {len(sw.minima) for sw in sweeps}
@@ -289,6 +301,20 @@ class TestPhaseDiagram:
         for ref, b1, b2 in zip(*(sw.minima for sw in sweeps)):
             assert abs(ref.s - b1.s) <= 0.02
             assert abs(ref.s - b2.s) <= 0.02
+
+    def test_minima_are_the_rays_minima_in_theta_order(self):
+        thetas = ray_pencil(4)
+        diagram = phase_diagram(xi_resonant(), thetas, 1.3, 0.02)
+        assert [ray.theta for ray in diagram.rays] == list(thetas)
+        assert diagram.minima == tuple(m for ray in diagram.rays for m in ray.minima)
+        assert [m.theta for m in diagram.minima] == list(thetas)  # one minimum per ray
+        for ray in diagram.rays:
+            ca, sa = _ray_direction(ray.theta)
+            for m in ray.minima:
+                assert m.theta == ray.theta
+                assert (m.mu_a, m.mu_b) == (m.s * ca, m.s * sa)
+        # a minimum's fields in the phase-diagram command's column order
+        assert [f.name for f in dataclasses.fields(SweepMinimum)] == ["theta", "s", "mu_a", "mu_b", "fidelity"]
 
     def test_empty_pencil_rejected(self):
         with pytest.raises(ValueError):
@@ -312,7 +338,7 @@ class TestPencil:
         together = phase_diagram(m, thetas, 1.0, 0.05, rotated=frame)
         dealt = phase_diagram(m, thetas, 1.0, 0.05, rotated=frame, workers=2)  # rays 0, 2, .. and 1, 3, ..
         for i, theta in enumerate(thetas):
-            alone = scan_ray(m, theta, 1.0, 0.05, rotated=frame)
+            alone = _ray(m, theta, 1.0, 0.05, rotated=frame)
             for sweep in (together.rays[i], dealt.rays[i]):
                 assert sweep.nmax == alone.nmax
                 assert sweep.fidelities.tobytes() == alone.fidelities.tobytes()
@@ -428,18 +454,18 @@ def _continued_points(scan):
 
 
 def _solved_by(solve, m, theta, s_max, dmu, frame):
-    """scan_ray with every point's ground state from solve(H, basis, s), H
-    the ray's Hamiltonian at unit radius that the scan builds."""
+    """A pencil of one with every point's ground state from solve(H, basis,
+    s), H the ray's Hamiltonian at unit radius that the scan builds."""
     def pencil(Hs, basis, radii):
         for r, H in enumerate(Hs):
             yield [r], ((np.array([solve(H, basis, s).amplitudes.real]), None) for s in radii)
 
     with mock.patch("dicke3.analysis.pencil_ground_states", pencil):
-        return scan_ray(m, theta, s_max, dmu, rotated=frame)
+        return _ray(m, theta, s_max, dmu, rotated=frame)
 
 
 class TestScanLayout:
-    """scan_ray builds one H per ray and gathers its sectors once.  Without
+    """A scan builds one H per ray and gathers its sectors once.  Without
     the continuation each fidelity is the one of solving every point afresh
     on the affine ray through that H, bit for bit; with it, still bitwise
     between two points solved cold (the ray's first among them), and within
@@ -452,9 +478,9 @@ class TestScanLayout:
         m, frame, theta = ray
         args = (m, theta, 1.2, 1.2 / steps, frame)
         with mock.patch.object(solver, "DENSE_SECTOR_MAX", crossover):
-            sweep, warm = _continued_points(lambda: scan_ray(*args[:4], rotated=frame))
+            sweep, warm = _continued_points(lambda: _ray(*args[:4], rotated=frame))
             with mock.patch.object(solver, "_continued", _no_continuation):
-                cold = scan_ray(*args[:4], rotated=frame)
+                cold = _ray(*args[:4], rotated=frame)
             oracle = _solved_by(affine_ray_ground_state, *args)
             H_at, _ = _ray_hamiltonians(m, sweep, frame)
             fresh = _solved_by(lambda H, b, s: ground_state(H_at(s), b), *args)
@@ -490,7 +516,7 @@ class TestScanLayout:
         built = mock.patch("dicke3.analysis.build_hamiltonian", wraps=d3.build_hamiltonian)
         with built as assembled, mock.patch.object(BlockHamiltonian, "upper_band", gather), \
                 mock.patch("dicke3.analysis.converged_ground_state", search):
-            sweep = scan_ray(m, np.pi / 4, 1.5, 0.05, rotated=frame)
+            sweep = _ray(m, np.pi / 4, 1.5, 0.05, rotated=frame)
         assert assembled.call_count == 1 and len(sweep.s_values) == 30
         sectors = gathers[0][0]
         assert sectors == (2 if frame is None else 6)  # parity, and n_iso in 0..2
@@ -522,8 +548,8 @@ class TestLinearResponse:
         m, frame, theta = ray
         assume(m.omega3 - m.omega1 >= 0.1)  # equal levels leave the ground level degenerate
         dmu = 0.04
-        coarse = scan_ray(m, theta, 1.2, dmu, rotated=frame)
-        fine = scan_ray(m, theta, 1.2, dmu / 3, rotated=frame)
+        coarse = _ray(m, theta, 1.2, dmu, rotated=frame)
+        fine = _ray(m, theta, 1.2, dmu / 3, rotated=frame)
         assert fine.nmax == coarse.nmax
         H_at, _ = _ray_hamiltonians(m, coarse, frame)
         dH = H_at(2.0).matrix - H_at(1.0).matrix

@@ -119,6 +119,15 @@ class TestPopulations:
         # normal-region corner: nearly all atoms in the lowest level
         assert frames["unrotated"][("0", "0")][0] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("grid, mu_max, noted", [("0", "2", False), ("1", "2", True), ("3", "0", True)])
+    def test_origin_note_in_the_rotated_frames(self, tmp_path, grid, mu_max, noted):
+        # any grid point at all includes the origin, the grid's first
+        argv = ["--omega2", "1", "--omega3", "1", "--na", "1", "--nmax", "4", "--grid", grid, "--mu-max", mu_max]
+        assert run("populations", "--configuration", "v", *argv, "--out", str(tmp_path / "p.csv")) == 0
+        for frame in ("unrotated", "first", "second"):
+            meta = read_csv(tmp_path / f"p_{frame}.csv")[1]
+            assert ("note" in meta) == (noted and frame != "unrotated")
+
     # The command rotates each point's unrotated ground state into the other
     # frames; here every row is checked against the frame's own Hamiltonian,
     # solved directly.  The cutoff is left automatic, so the corner state
@@ -184,6 +193,18 @@ class TestPhaseDiagramCommand:
         # every ray converges its own cutoff, so a given one would be ignored
         assert run("phase-diagram", "--configuration", "xi", "--nmax", "3") == 2
         assert "nmax cannot be set for phase-diagram" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dmu", ["1e-300", "0.01"])
+    def test_too_many_radii_named(self, tmp_path, capsys, dmu):
+        # 1e600 overflowed int(); 1e302 radii overflowed numpy's array size
+        rc = run("phase-diagram", "--configuration", "xi", "--s-max", "1e300", "--dmu", dmu,
+                 "--out", str(tmp_path / "x.csv"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: invalid configuration: s_max / dmu must be below {np.iinfo(np.intp).max}" in err
+        assert f"got 1e+300 / {float(dmu)!r}" in err
+        assert "Traceback" not in err and "Maximum allowed size" not in err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestSeparatrixCommand:
@@ -476,6 +497,22 @@ class TestOneParameterTable:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["store-retrieve", "--configuration", "lambda", "--omega3", "1", "--mu13", "1e-320"],
+        ["evolve", "--configuration", "v", "--omega2", "1", "--omega3", "1", "--mu12", "1e-170",
+         "--rotated", "second"],
+        ["spectrum", "--configuration", "xi", "--omega2", "1", "--omega3", "2", "--mu12", "1e-200",
+         "--mu23", "1e-200", "--rotated", "first"],
+    ], ids=["store-retrieve", "evolve", "spectrum"])
+    def test_underflowing_couplings_leave_the_rotation_undefined(self, tmp_path, capsys, argv):
+        # each divided by an underflowed A^2 + B^2 = 0.0
+        rc = run(*argv, "--na", "1", "--nmax", "3", "--out", str(tmp_path / "x.csv"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: invalid configuration: rotated frame undefined: A^2 + B^2 underflows at couplings" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_invalid_configuration(self, tmp_path):
         rc = run(
             "spectrum", "--configuration", "xi", "--omega2", "1", "--omega3", "2",

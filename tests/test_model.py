@@ -257,6 +257,17 @@ class TestRotatedParameters:
         with pytest.raises(UndefinedAngleError):
             rotated_parameters(xi(mu12=0.0, mu23=0.0), Branch.FIRST)
 
+    @pytest.mark.parametrize("couplings", [(1e-320, 0.0), (0.0, 1e-170), (1e-200, 1e-200), (1e-160, 0.0)])
+    def test_undefined_where_the_squares_underflow(self, couplings):
+        # rho^2 is 0.0 (a division by zero) or subnormal (digits lost)
+        for branch in Branch:
+            with pytest.raises(UndefinedAngleError, match="A\\^2 \\+ B\\^2 underflows"):
+                rotated_parameters(xi(mu12=couplings[0], mu23=couplings[1]), branch)
+
+    def test_smallest_normal_square_is_defined(self):
+        rp = rotated_parameters(xi(mu12=1.5e-154, mu23=0.0), Branch.FIRST)
+        assert rp.coupled_mu == 1.5e-154 and rp.omega_ts == (0.0, 1.0, 2.0) and rp.lambda_t == 0.0
+
 
 class TestRotatedHamiltonian:
     @pytest.mark.parametrize("cfg", list(Configuration))

@@ -165,6 +165,35 @@ def test_bench_pairs_verdict(shift, losses, met):
     assert result["met"] is met
 
 
+def _records(**values):
+    """Ten ``perfbench/run.py`` result lines, metric name -> first value,
+    each run 1% above the one before."""
+    metrics = [{name: {"value": v * (1 + 0.01 * i)} for name, v in values.items()} for i in range(10)]
+    return [{"correct": True, "attempted": 3, "failed": 0, "metrics": m} for m in metrics]
+
+
+def test_bench_pairs_flags_end_to_end_regressions(tmp_path, capsys):
+    # wall_s 30% worse against a 0.25 bound, cpu_s 20% worse within it,
+    # peak_rss_mb 11% worse against 0.1, setup_s 50% better; hit_rate is
+    # higher-better and 40% lower against 0.3.  No process is started.
+    bounds = {"wall_s": 0.25, "cpu_s": 0.25, "peak_rss_mb": 0.1, "setup_s": 0.25}
+    declared = [{"name": n, "unit": "s", "better": "lower", "bound": b} for n, b in bounds.items()]
+    declared.append({"name": "hit_rate", "unit": "", "better": "higher", "bound": 0.3})
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": declared}))
+    records = {parent: _records(wall_s=1.0, cpu_s=1.0, peak_rss_mb=60.0, setup_s=0.4, hit_rate=1.0),
+               change: _records(wall_s=1.3, cpu_s=1.2, peak_rss_mb=66.6, setup_s=0.2, hit_rate=0.6)}
+    with mock.patch.object(bench_pairs, "run_once", lambda checkout, w, seed: records[checkout][seed - 180]):
+        assert bench_pairs.main([str(parent), str(change), "--workload", "pencil", "--seeds", "180..189"]) == 0
+    last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert last["metric"] == "wall_s" and last["met"] is False
+    assert [(w["metric"], w["bound"]) for w in last["worse"]] == [
+        ("wall_s", 0.25), ("peak_rss_mb", 0.1), ("hit_rate", 0.3)]
+    assert [w["worse_by"] for w in last["worse"]] == [0.3, 0.11, 0.4]
+    assert bench_pairs.worse(bench_pairs.summary(range(10), records[parent], records[parent]), declared) == []
+
+
 def test_bench_pairs_seed_range():
     assert bench_pairs.seeds_of("7..7") == [7]
     with pytest.raises(ValueError, match="A <= B"):

@@ -22,7 +22,10 @@ quartiles and the failed invocations, the pairs in which the change is
 lower and the ratio of the medians.  The last line gives the verdict on
 ``wall_s``: a gain holds when the change is lower in at least 9 of every 10
 pairs and its median lies below the parent's by more than the parent's
-quartile spread.
+quartile spread.  Under ``worse`` it lists every end-to-end metric that the
+change checkout's ``BENCHMARK.json`` declares whose change median is worse
+than the parent's by more than the metric's bound, read as a fraction of
+the parent median; an empty list means none got worse.
 """
 
 from __future__ import annotations
@@ -106,6 +109,25 @@ def verdict(entry: dict, metric: str) -> dict:
     }
 
 
+def end_to_end(checkout: Path) -> list[dict]:
+    """The end-to-end metrics (name, bound, better) a checkout's benchmark declares."""
+    return json.loads((checkout / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def worse(entry: dict, metrics: list[dict]) -> list[dict]:
+    """The metrics whose change median is worse than the parent's by more
+    than their bound, a fraction of the parent median."""
+    out = []
+    for metric in metrics:
+        name, bound = metric["name"], metric["bound"]
+        p, c = entry["parent"]["stats"][name]["median"], entry["change"]["stats"][name]["median"]
+        excess = (c - p if metric["better"] == "lower" else p - c) / p
+        if excess > bound:
+            out.append({"metric": name, "parent_median": p, "change_median": c,
+                        "worse_by": round(excess, 4), "bound": bound})
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -121,7 +143,7 @@ def main(argv=None) -> int:
             print(f"# seed {seed} {side}: {METRIC} = {value:.4f}", file=sys.stderr, flush=True)
     entry = summary(args.seeds, runs["parent"], runs["change"])
     print(json.dumps(entry, indent=1))
-    print(json.dumps(verdict(entry, METRIC)))
+    print(json.dumps({**verdict(entry, METRIC), "worse": worse(entry, end_to_end(args.change))}))
     return 0
 
 
